@@ -18,14 +18,14 @@ import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import stateio
 from .entropy import qcmi, trace_distance, vn_entropy
 from .kidec import ki_decompose, ki_tripartite, validate_ki
-from .linalg import PureVec, ValidationError
+from .linalg import LabelError, PureVec, ValidationError
 from .markov import (
     build_example,
     markov_cost_algorithm,
@@ -46,6 +46,8 @@ NOT_APPLICABLE_TEXT = "this algorithm is not applicable"
 
 SIM_CSV_HEADER = "n,delta,rate,N,err_avg,err_full,D,chernoff_N,seed"
 
+LABEL_DEFAULTS = {"A": "first factor", "B": "second factor", "C": "the remaining factors"}
+
 
 class UsageError(Exception):
     pass
@@ -60,17 +62,13 @@ def _sig(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
 def _read_state(path: str | None):
     if path in (None, "-"):
         raw = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
-    return stateio.loads(raw.decode("utf-8")), _digest(raw)
+    return stateio.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
 def _labels(arg: str | None, state, default_index: int | None = None,
@@ -79,37 +77,34 @@ def _labels(arg: str | None, state, default_index: int | None = None,
     if arg:
         return [l.strip() for l in arg.split(",") if l.strip()]
     if remainder_of is not None:
-        used = set(remainder_of)
-        return [l for l in labels if l not in used]
-    if default_index is None or default_index >= len(labels):
+        return [l for l in labels if l not in remainder_of]
+    if default_index >= len(labels):
         raise ValidationError("cannot infer subsystem labels; pass them explicitly")
     return [labels[default_index]]
 
 
 def _abc(args, state) -> tuple[list[str], list[str], list[str]]:
-    a = _labels(getattr(args, "A", None), state, 0)
-    b = _labels(getattr(args, "B", None), state, 1)
-    c = _labels(getattr(args, "C", None), state, remainder_of=a + b)
+    a = _labels(args.A, state, 0)
+    b = _labels(args.B, state, 1)
+    c = _labels(args.C, state, remainder_of=a + b)
+    for name, part in zip("ABC", (a, b, c)):
+        if not part:
+            raise ValidationError(
+                f"subsystem {name} is empty for layout {list(state.layout.labels)}; "
+                "pass --A/--B/--C explicitly")
     return a, b, c
 
 
-def _emit(report: dict, as_json: bool, stream=None) -> None:
-    stream = stream or sys.stdout
+def _density(state):
+    return state.density() if isinstance(state, PureVec) else state
+
+
+def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        stream.write(json.dumps(report, indent=2, sort_keys=False))
-        stream.write("\n")
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=False) + "\n")
         return
     for key, value in report.items():
-        stream.write(f"{key} = {value}\n")
-
-
-def _base_report(args, digest: str | None, seed=None) -> dict:
-    rep = {"command": args.command}
-    if digest:
-        rep["input_digest"] = digest
-    if seed is not None:
-        rep["seed"] = seed
-    return rep
+        sys.stdout.write(f"{key} = {value}\n")
 
 
 def _require_pure(state):
@@ -119,281 +114,223 @@ def _require_pure(state):
     return state
 
 
-def _parse_lambda(text: str):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    values = [float(p) for p in parts]
-    return values[0] if len(values) == 1 else values
+class Command(NamedTuple):
+    """One CLI command.  ``run(args, *states)`` returns ``(fields, exit
+    code)``; ``fields`` None means the command wrote its own output."""
+    run: Callable
+    help: str
+    states: tuple[str, ...] = ("state",)
+    labels: str = "ABC"          # which of --A/--B/--C it takes
+    seed: bool = False
+    json: bool = True
+    options: tuple = ()          # (flag, argparse keywords) of its own
+
+
+COMMANDS: dict[str, Command] = {}   # insertion order is the usage order
+
+
+def _command(name: str, help_text: str, **spec):
+    def register(run):
+        COMMANDS[name] = Command(run, help_text, **spec)
+        return run
+    return register
+
+
+@_command("entropy", "von Neumann entropy of a state, in bits", labels="")
+def _entropy(args, state):
+    return {"entropy_bits": _sig(vn_entropy(_density(state)))}, EXIT_OK
+
+
+@_command("qcmi", "conditional mutual information I(A:C|B)")
+def _qcmi(args, state):
+    a, b, c = _abc(args, state)
+    return {"qcmi_bits": _sig(qcmi(_density(state), a, b, c))}, EXIT_OK
+
+
+@_command("trace-dist", "trace distance between two states",
+          states=("state1", "state2"), labels="")
+def _trace_dist(args, s1, s2):
+    return {"trace_distance": _sig(trace_distance(_density(s1), _density(s2)))}, EXIT_OK
+
+
+@_command("ki-decompose", "block decomposition of a bipartite state",
+          labels="AC", seed=True)
+def _ki_decompose(args, state):
+    rho = _density(state)
+    a = _labels(args.A, state, 0)
+    c = _labels(args.C, state, remainder_of=a)
+    dec = ki_decompose(rho, a, c, rng=np.random.default_rng(args.seed))
+    val = validate_ki(dec, rho)
+    rep = {"n_blocks": len(dec.blocks),
+           "dims_a0_aL_aR": f"{dec.dims[0]},{dec.dims[1]},{dec.dims[2]}"}
+    for blk in dec.blocks:
+        rep[f"block_{blk.index}"] = f"p={_sig(blk.p)} dimL={blk.dim_l} dimR={blk.dim_r}"
+    for name in ("reconstruction", "irreducibility", "cross_block", "isometry"):
+        rep[f"{name}_residual"] = _sig(getattr(val, f"{name}_residual"))
+    return rep, EXIT_OK
+
+
+@_command("markov-cost", "randomness cost of Markovianization (pure states)",
+          seed=True, options=(("--route", dict(choices=("formula", "algorithm", "both"),
+                                               default="both")),))
+def _markov_cost(args, state):
+    psi = _require_pure(state)
+    a, b, c = _abc(args, state)
+    rep, code = {"route": args.route}, EXIT_OK
+    if args.route in ("formula", "both"):
+        tki = ki_tripartite(psi, a, b, c, rng=np.random.default_rng(args.seed))
+        rep["m_formula_bits"] = _sig(markov_cost_formula(tki))
+    if args.route in ("algorithm", "both"):
+        m_a = markov_cost_algorithm(psi, a, b, c)
+        if m_a is None:
+            rep["m_algorithm_bits"], code = NOT_APPLICABLE_TEXT, EXIT_NOT_APPLICABLE
+        else:
+            rep["m_algorithm_bits"] = _sig(m_a)
+    return rep, code
+
+
+@_command("is-markov", "test I(A:C|B) = 0 within tolerance",
+          options=(("--tol", dict(type=float, default=1e-9)),))
+def _is_markov(args, state):
+    a, b, c = _abc(args, state)
+    value = qcmi(_density(state), a, b, c)
+    return {"qcmi_bits": _sig(value), "is_markov": str(value <= args.tol).lower(),
+            "tol": _sig(args.tol)}, EXIT_OK
+
+
+@_command("markov-decompose", "block decomposition of a Markov state", seed=True)
+def _markov_decompose(args, state):
+    a, b, c = _abc(args, state)
+    md = markov_decomposition(_density(state), a, b, c,
+                              rng=np.random.default_rng(args.seed))
+    rep = {"n_terms": len(md.terms)}
+    for i, (q, sig, phi) in enumerate(md.terms):
+        rep[f"term_{i}"] = (f"q={_sig(q)} dim_sigma={sig.layout.dim} "
+                            f"dim_phi={phi.layout.dim}")
+    rep["residual"] = _sig(md.residual)
+    return rep, EXIT_OK
+
+
+@_command("recovery-check", "Petz reconstruction residuals from B")
+def _recovery_check(args, state):
+    a, b, c = _abc(args, state)
+    rec = recovery_check(_density(state), a, b, c)
+    return {"residual_rebuild_C_from_AB": _sig(rec.from_ab),
+            "residual_rebuild_A_from_BC": _sig(rec.from_bc)}, EXIT_OK
+
+
+@_command("bounds", "cost report with information bounds", seed=True)
+def _bounds(args, state):
+    a, b, c = _abc(args, state)
+    report = bounds_check(state, a, b, c, rng=np.random.default_rng(args.seed))
+    rep = {"qcmi_bits": _sig(report.qcmi), "qmi_A_BC_bits": _sig(report.qmi_a_bc)}
+    if report.m_formula is not None:
+        rep["m_formula_bits"] = _sig(report.m_formula)
+        rep["m_algorithm_bits"] = (
+            _sig(report.m_algorithm) if report.m_algorithm is not None
+            else NOT_APPLICABLE_TEXT)
+        rep["self_adjoint"] = str(report.self_adjoint).lower()
+        for i, (p, s) in enumerate(report.blocks):
+            rep[f"block_{i}"] = f"p={_sig(p)} S_phi_aR={_sig(s)}"
+    return rep, EXIT_OK
+
+
+@_command("example", "emit a closed-form family state", states=(), labels="",
+          json=False, options=(
+              ("--family", dict(required=True, choices=("VIA", "VIB", "VIC"))),
+              ("--d", dict(type=int, default=None)),
+              ("--lambda", dict(dest="lam", required=True,
+                                help="scalar or comma-separated vector")),
+              ("--out", dict(default=None, help="output path (default: stdout)"))))
+def _example(args):
+    lam = [float(p) for p in args.lam.split(",") if p.strip()]
+    psi = build_example(args.family, d=args.d, lam=lam[0] if len(lam) == 1 else lam)
+    text = stateio.dumps(psi)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
+    return None, EXIT_OK
+
+
+@_command("simulate", "finite-copy randomized protocol run (CSV output)",
+          seed=True, options=(("--n", dict(type=int, required=True)),
+                              ("--delta", dict(type=float, required=True)),
+                              ("--rate", dict(type=float, required=True)),
+                              ("--trials", dict(type=int, default=1))))
+def _simulate(args, state):
+    psi = _require_pure(state)
+    a, b, c = _abc(args, state)
+    cap = int(os.environ.get("QMARKOV_DIM_CAP", DEFAULT_DIM_CAP))
+    res = simulate(psi, n=args.n, delta=args.delta, rate=args.rate,
+                   trials=args.trials, seed=args.seed, a=a, b=b, c=c, dim_cap=cap)
+    row = {"n": res.n, "delta": res.delta, "rate": res.rate, "N": res.n_unitaries,
+           "err_avg": _sig(res.err_to_average), "err_full": _sig(res.err_full),
+           "D": _sig(res.typical_mass), "chernoff_N": _sig(res.chernoff_n)}
+    if args.json:
+        return row, EXIT_OK
+    cells = [_sig(v) if isinstance(v, float) else str(v) for v in row.values()]
+    sys.stdout.write(f"{SIM_CSV_HEADER}\n{','.join(cells)},{res.seed}\n")
+    return None, EXIT_OK
+
+
+@_command("self-test", "run the acceptance suite", states=(), labels="", seed=True)
+def _self_test(args):
+    t0 = time.monotonic()
+    results = run_acceptance(args.seed)
+    if args.json:
+        _emit({"command": "self-test", "seed": args.seed,
+               "criteria": [{"index": r.index, "name": r.name,
+                             "passed": r.passed, "detail": r.detail}
+                            for r in results]}, True)
+    else:
+        sys.stdout.write(render_report(results, args.seed))
+    # timing goes to stderr so the report stays reproducible
+    sys.stderr.write(f"self-test wall time: {time.monotonic() - t0:.1f}s\n")
+    return None, EXIT_OK if all(r.passed for r in results) else EXIT_ERROR
 
 
 def build_parser() -> Parser:
     parser = Parser(prog="qmarkov", description=__doc__,
                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, state_arg=True):
-        p = sub.add_parser(name, help=help_text)
-        if state_arg:
-            p.add_argument("state", nargs="?", default=None,
-                           help="state file (default: stdin)")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        return p
-
-    add("entropy", "von Neumann entropy of a state, in bits")
-
-    p = add("qcmi", "conditional mutual information I(A:C|B)")
-    for flag in ("--A", "--B", "--C"):
-        p.add_argument(flag, help="comma-separated factor labels")
-
-    p = sub.add_parser("trace-dist", help="trace distance between two states")
-    p.add_argument("state1")
-    p.add_argument("state2")
-    p.add_argument("--json", action="store_true")
-
-    p = add("ki-decompose", "block decomposition of a bipartite state")
-    p.add_argument("--A", help="labels of the decomposed side (default: first factor)")
-    p.add_argument("--C", help="labels of the partner side (default: the rest)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = add("markov-cost", "randomness cost of Markovianization (pure states)")
-    p.add_argument("--route", choices=("formula", "algorithm", "both"),
-                   default="both")
-    for flag in ("--A", "--B", "--C"):
-        p.add_argument(flag)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = add("is-markov", "test I(A:C|B) = 0 within tolerance")
-    p.add_argument("--tol", type=float, default=1e-9)
-    for flag in ("--A", "--B", "--C"):
-        p.add_argument(flag)
-
-    p = add("markov-decompose", "block decomposition of a Markov state")
-    for flag in ("--A", "--B", "--C"):
-        p.add_argument(flag)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = add("recovery-check", "Petz reconstruction residuals from B")
-    for flag in ("--A", "--B", "--C"):
-        p.add_argument(flag)
-
-    p = add("bounds", "cost report with information bounds")
-    for flag in ("--A", "--B", "--C"):
-        p.add_argument(flag)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = sub.add_parser("example", help="emit a closed-form family state")
-    p.add_argument("--family", required=True, choices=("VIA", "VIB", "VIC"))
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="scalar or comma-separated vector")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-    p = add("simulate", "finite-copy randomized protocol run (CSV output)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    for flag in ("--A", "--B", "--C"):
-        p.add_argument(flag)
-
-    p = sub.add_parser("self-test", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--json", action="store_true")
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for state in cmd.states:
+            if len(cmd.states) == 1:
+                p.add_argument(state, nargs="?", default=None,
+                               help="state file (default: stdin)")
+            else:
+                p.add_argument(state, help="state file")
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
+        for label in cmd.labels:
+            p.add_argument(f"--{label}", help="comma-separated factor labels "
+                                              f"(default: {LABEL_DEFAULTS[label]})")
+        if cmd.seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if cmd.json:
+            p.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
 def _run(args) -> int:
     t0 = time.monotonic()
-    cap = int(os.environ.get("QMARKOV_DIM_CAP", DEFAULT_DIM_CAP))
-
-    if args.command == "entropy":
-        state, digest = _read_state(args.state)
-        rho = state.density() if isinstance(state, PureVec) else state
-        rep = _base_report(args, digest)
-        rep["entropy_bits"] = _sig(vn_entropy(rho))
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "qcmi":
-        state, digest = _read_state(args.state)
-        rho = state.density() if isinstance(state, PureVec) else state
-        a, b, c = _abc(args, state)
-        rep = _base_report(args, digest)
-        rep["qcmi_bits"] = _sig(qcmi(rho, a, b, c))
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "trace-dist":
-        s1, d1 = _read_state(args.state1)
-        s2, d2 = _read_state(args.state2)
-        r1 = s1.density() if isinstance(s1, PureVec) else s1
-        r2 = s2.density() if isinstance(s2, PureVec) else s2
-        rep = {"command": args.command, "input_digest": d1, "input_digest_2": d2}
-        rep["trace_distance"] = _sig(trace_distance(r1, r2))
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "ki-decompose":
-        state, digest = _read_state(args.state)
-        rho = state.density() if isinstance(state, PureVec) else state
-        a = _labels(args.A, state, 0)
-        c = _labels(args.C, state, remainder_of=a)
-        rng = np.random.default_rng(args.seed)
-        dec = ki_decompose(rho, a, c, rng=rng)
-        val = validate_ki(dec, rho)
-        rep = _base_report(args, digest, seed=args.seed)
-        rep["n_blocks"] = len(dec.blocks)
-        rep["dims_a0_aL_aR"] = f"{dec.dims[0]},{dec.dims[1]},{dec.dims[2]}"
-        for blk in dec.blocks:
-            rep[f"block_{blk.index}"] = (
-                f"p={_sig(blk.p)} dimL={blk.dim_l} dimR={blk.dim_r}")
-        rep["reconstruction_residual"] = _sig(val.reconstruction_residual)
-        rep["irreducibility_residual"] = _sig(val.irreducibility_residual)
-        rep["cross_block_residual"] = _sig(val.cross_block_residual)
-        rep["isometry_residual"] = _sig(val.isometry_residual)
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "markov-cost":
-        state, digest = _read_state(args.state)
-        psi = _require_pure(state)
-        a, b, c = _abc(args, state)
-        rng = np.random.default_rng(args.seed)
-        rep = _base_report(args, digest, seed=args.seed)
-        rep["route"] = args.route
-        not_applicable = False
-        if args.route in ("formula", "both"):
-            tki = ki_tripartite(psi, a, b, c, rng=rng)
-            rep["m_formula_bits"] = _sig(markov_cost_formula(tki))
-        if args.route in ("algorithm", "both"):
-            m_a = markov_cost_algorithm(psi, a, b, c)
-            if m_a is None:
-                rep["m_algorithm_bits"] = NOT_APPLICABLE_TEXT
-                not_applicable = True
-            else:
-                rep["m_algorithm_bits"] = _sig(m_a)
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_NOT_APPLICABLE if not_applicable else EXIT_OK
-
-    if args.command == "is-markov":
-        state, digest = _read_state(args.state)
-        rho = state.density() if isinstance(state, PureVec) else state
-        a, b, c = _abc(args, state)
-        value = qcmi(rho, a, b, c)
-        rep = _base_report(args, digest)
-        rep["qcmi_bits"] = _sig(value)
-        rep["is_markov"] = str(value <= args.tol).lower()
-        rep["tol"] = _sig(args.tol)
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "markov-decompose":
-        state, digest = _read_state(args.state)
-        rho = state.density() if isinstance(state, PureVec) else state
-        a, b, c = _abc(args, state)
-        rng = np.random.default_rng(args.seed)
-        md = markov_decomposition(rho, a, b, c, rng=rng)
-        rep = _base_report(args, digest, seed=args.seed)
-        rep["n_terms"] = len(md.terms)
-        for i, (q, sig, phi) in enumerate(md.terms):
-            rep[f"term_{i}"] = (f"q={_sig(q)} dim_sigma={sig.layout.dim} "
-                                f"dim_phi={phi.layout.dim}")
-        rep["residual"] = _sig(md.residual)
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "recovery-check":
-        state, digest = _read_state(args.state)
-        rho = state.density() if isinstance(state, PureVec) else state
-        a, b, c = _abc(args, state)
-        rec = recovery_check(rho, a, b, c)
-        rep = _base_report(args, digest)
-        rep["residual_rebuild_C_from_AB"] = _sig(rec.from_ab)
-        rep["residual_rebuild_A_from_BC"] = _sig(rec.from_bc)
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "bounds":
-        state, digest = _read_state(args.state)
-        a, b, c = _abc(args, state)
-        rng = np.random.default_rng(args.seed)
-        rep = _base_report(args, digest, seed=args.seed)
-        report = bounds_check(state, a, b, c, rng=rng)
-        rep["qcmi_bits"] = _sig(report.qcmi)
-        rep["qmi_A_BC_bits"] = _sig(report.qmi_a_bc)
-        if report.m_formula is not None:
-            rep["m_formula_bits"] = _sig(report.m_formula)
-            rep["m_algorithm_bits"] = (
-                _sig(report.m_algorithm) if report.m_algorithm is not None
-                else NOT_APPLICABLE_TEXT)
-            rep["self_adjoint"] = str(report.self_adjoint).lower()
-            for i, (p, s) in enumerate(report.blocks):
-                rep[f"block_{i}"] = f"p={_sig(p)} S_phi_aR={_sig(s)}"
-        rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
-        _emit(rep, args.json)
-        return EXIT_OK
-
-    if args.command == "example":
-        lam = _parse_lambda(args.lam)
-        psi = build_example(args.family, d=args.d, lam=lam)
-        text = stateio.dumps(psi)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
-        return EXIT_OK
-
-    if args.command == "simulate":
-        state, digest = _read_state(args.state)
-        psi = _require_pure(state)
-        a, b, c = _abc(args, state)
-        res = simulate(psi, n=args.n, delta=args.delta, rate=args.rate,
-                       trials=args.trials, seed=args.seed, a=a, b=b, c=c,
-                       dim_cap=cap)
-        if args.json:
-            rep = _base_report(args, digest, seed=args.seed)
-            rep.update({
-                "n": res.n, "delta": res.delta, "rate": res.rate,
-                "N": res.n_unitaries,
-                "err_avg": _sig(res.err_to_average),
-                "err_full": _sig(res.err_full),
-                "D": _sig(res.typical_mass),
-                "chernoff_N": _sig(res.chernoff_n),
-                "wall_time_s": f"{time.monotonic() - t0:.3f}",
-            })
-            _emit(rep, True)
-        else:
-            sys.stdout.write(SIM_CSV_HEADER + "\n")
-            sys.stdout.write(
-                f"{res.n},{_sig(res.delta)},{_sig(res.rate)},{res.n_unitaries},"
-                f"{_sig(res.err_to_average)},{_sig(res.err_full)},"
-                f"{_sig(res.typical_mass)},{_sig(res.chernoff_n)},{res.seed}\n")
-        return EXIT_OK
-
-    if args.command == "self-test":
-        results = run_acceptance(args.seed)
-        if args.json:
-            doc = {"command": "self-test", "seed": args.seed,
-                   "criteria": [{"index": r.index, "name": r.name,
-                                 "passed": r.passed, "detail": r.detail}
-                                for r in results]}
-            sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-        else:
-            sys.stdout.write(render_report(results, args.seed))
-        # timing goes to stderr so the report stays reproducible
-        sys.stderr.write(f"self-test wall time: {time.monotonic() - t0:.1f}s\n")
-        return EXIT_OK if all(r.passed for r in results) else EXIT_ERROR
-
-    raise UsageError(f"unknown command {args.command!r}")
+    cmd = COMMANDS[args.command]
+    loaded = [_read_state(getattr(args, name)) for name in cmd.states]
+    fields, code = cmd.run(args, *(state for state, _ in loaded))
+    if fields is None:
+        return code
+    rep = {"command": args.command}
+    for key, (_, digest) in zip(("input_digest", "input_digest_2"), loaded):
+        rep[key] = digest
+    if cmd.seed:
+        rep["seed"] = args.seed
+    rep.update(fields)
+    rep["wall_time_s"] = f"{time.monotonic() - t0:.3f}"
+    _emit(rep, args.json)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -408,6 +345,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run(args)
     except stateio.StateFileError as err:
         sys.stderr.write(f"state file error: {err}\n")
+        return EXIT_ERROR
+    except LabelError as err:  # a KeyError: str() would quote the message
+        sys.stderr.write(f"error: {err.args[0]}\n")
         return EXIT_ERROR
     except (ValidationError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")

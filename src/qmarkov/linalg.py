@@ -208,13 +208,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(_as_complex(a), _as_complex(b))
 
 
-def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = _as_complex(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, _as_complex(m))
-    return out
-
-
 def _nontrivial(dims: Sequence[int]) -> list[int]:
     """Axes with dim > 1; dim-1 factors do not affect memory layout."""
     return [i for i, d in enumerate(dims) if d > 1]
@@ -319,15 +312,6 @@ def pinv_sqrt(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     return (vecs * inv) @ vecs.conj().T
 
 
-def pinv_psd(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix via its spectrum."""
-    vals, vecs = eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    cutoff = (vals[0] if len(vals) else 0.0) * rank_rtol
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-    return (vecs * inv) @ vecs.conj().T
-
-
 def support_basis(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal column basis of the support of a Hermitian PSD matrix."""
     vals, vecs = eigh(m)
@@ -392,28 +376,3 @@ def random_density(layout_: SystemLayout, rng: np.random.Generator,
     z = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     m = z @ z.conj().T
     return DensityOp(layout_, m / np.trace(m).real)
-
-
-def apply_matrix(psi: PureVec, m: np.ndarray, labels: Sequence[str],
-                 out_factors: Sequence[tuple[str, int]] | None = None,
-                 unitary: bool = False) -> PureVec:
-    """Apply a matrix to the given factors of a pure vector.
-
-    The matrix acts on the subspace spanned by ``labels`` (in layout
-    order); all other factors are untouched.  ``out_factors`` replaces the
-    acted-on factors when the matrix is rectangular.  The result is marked
-    unnormalized unless ``unitary`` is set.
-    """
-    sub = [l for l in psi.layout.labels if l in set(labels)]
-    rest = [l for l in psi.layout.labels if l not in set(labels)]
-    moved = permute_vec(psi, sub + rest)
-    d_sub = psi.layout.dim_of(sub)
-    d_rest = psi.layout.dim // d_sub
-    block = moved.vec.reshape(d_sub, d_rest)
-    out = _as_complex(m) @ block
-    norm_flag = psi.normalized and unitary
-    if out_factors is None:
-        res = PureVec(moved.layout, out.reshape(-1), normalized=norm_flag)
-        return permute_vec(res, psi.layout.labels)
-    out_layout = SystemLayout(tuple(out_factors)) + psi.layout.restrict(rest)
-    return PureVec(out_layout, out.reshape(-1), normalized=norm_flag)

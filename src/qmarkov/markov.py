@@ -209,10 +209,8 @@ def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
     m_formula = markov_cost_formula(tki)
     blocks = tuple((blk.p, vn_entropy(partial_trace(blk.phi, ["aR"])))
                    for blk in tki.blocks)
-    rho_ac = marginal(psi, a + c)
-    _, _, lam = transfer_matrices(rho_ac, a, c)
-    adjoint = is_self_adjoint(lam, tol=HERMITICITY_GATE)
-    m_algorithm = markov_cost_algorithm(psi, a, b, c) if adjoint else None
+    m_algorithm = markov_cost_algorithm(psi, a, b, c)
+    adjoint = m_algorithm is not None
     if not (cond - bound_tol <= m_formula <= total + bound_tol):
         raise ValidationError(
             f"cost {m_formula} violates bounds [{cond}, {total}]")

@@ -102,11 +102,6 @@ def loads(text: str) -> PureVec | DensityOp:
         raise StateFileError("INVALID_STATE", str(err)) from err
 
 
-def load(path: str) -> PureVec | DensityOp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
 def dumps(state: PureVec | DensityOp) -> str:
     lay = [[l, d] for l, d in state.layout.factors]
     if isinstance(state, PureVec):

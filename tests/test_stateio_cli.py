@@ -1,14 +1,18 @@
+import argparse
 import io
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qmarkov import stateio
-from qmarkov.cli import main
-from qmarkov.linalg import DensityOp, PureVec, layout, random_density, random_pure
+from qmarkov import cli, stateio
+from qmarkov.cli import build_parser, main
+from qmarkov.linalg import (DensityOp, PureVec, layout, marginal, random_density,
+                            random_pure)
 from qmarkov.markov import build_example
+from qmarkov.selftest import CriterionResult
 
 
 @pytest.fixture
@@ -196,3 +200,142 @@ class TestCli:
         fields = dict(line.split(" = ") for line in out.strip().splitlines())
         assert float(fields["trace_distance"]) == pytest.approx(
             2 * np.sqrt((4 * 0.6 - 1) / 3), abs=1e-9)
+
+
+@pytest.fixture
+def state_files(tmp_path):
+    vib = build_example("VIB", d=2, lam=0.5)
+    states = {
+        "vib": vib,
+        "via": build_example("VIA", d=2, lam=0.25),
+        "via2": build_example("VIA", d=2, lam=0.6),
+        "vic": build_example("VIC", lam=(0.5, 0.5)),
+        "pair": marginal(vib, ["A", "C"]),
+        "rand": random_pure(layout(("A", 2), ("B", 2), ("C", 2)),
+                            np.random.default_rng(2718)),
+    }
+    paths = {name: str(tmp_path / f"{name}.json") for name in states}
+    for name, state in states.items():
+        stateio.dump(state, paths[name])
+    paths["out"] = str(tmp_path / "out.json")
+    return paths
+
+
+def _report_keys(out: str) -> list[str]:
+    """Keys of a JSON document, else the key (or whole line) of each line."""
+    if out.startswith("{"):
+        return list(json.loads(out))
+    return [line.split(" = ")[0] for line in out.splitlines()]
+
+
+HEAD = ["command", "input_digest"]
+SEEDED = HEAD + ["seed"]
+# Per command: argv, exit code, report keys in text mode and with --json
+# (None: the command has no --json; left out: the same keys as in text).
+# Taken from the reports of the if/elif dispatcher the command table replaced.
+SURFACE = {
+    "entropy": (["entropy", "{vib}"], 0, HEAD + ["entropy_bits", "wall_time_s"]),
+    "qcmi": (["qcmi", "{vib}"], 0, HEAD + ["qcmi_bits", "wall_time_s"]),
+    "trace-dist": (["trace-dist", "{via}", "{via2}"], 0,
+                   HEAD + ["input_digest_2", "trace_distance", "wall_time_s"]),
+    "ki-decompose": (["ki-decompose", "{pair}", "--A", "A", "--C", "C"], 0,
+                     SEEDED + ["n_blocks", "dims_a0_aL_aR", "block_0", "block_1",
+                               "reconstruction_residual", "irreducibility_residual",
+                               "cross_block_residual", "isometry_residual",
+                               "wall_time_s"]),
+    "markov-cost": (["markov-cost", "{rand}", "--route", "algorithm"], 2,
+                    SEEDED + ["route", "m_algorithm_bits", "wall_time_s"]),
+    "is-markov": (["is-markov", "{via}"], 0,
+                  HEAD + ["qcmi_bits", "is_markov", "tol", "wall_time_s"]),
+    "markov-decompose": (["markov-decompose", "{via}"], 0,
+                         SEEDED + ["n_terms", "term_0", "residual", "wall_time_s"]),
+    "recovery-check": (["recovery-check", "{via}"], 0,
+                       HEAD + ["residual_rebuild_C_from_AB",
+                               "residual_rebuild_A_from_BC", "wall_time_s"]),
+    "bounds": (["bounds", "{vib}"], 0,
+               SEEDED + ["qcmi_bits", "qmi_A_BC_bits", "m_formula_bits",
+                         "m_algorithm_bits", "self_adjoint", "block_0", "block_1",
+                         "wall_time_s"]),
+    # the report of ``example --out`` is the file it writes
+    "example": (["example", "--family", "VIC", "--d", "2", "--lambda", "0.5,0.5",
+                 "--out", "{out}"], 0, ["version", "kind", "layout", "data"], None),
+    "simulate": (["simulate", "{vic}", "--n", "2", "--delta", "1.0", "--rate", "3",
+                  "--seed", "7"], 0,
+                 ["n,delta,rate,N,err_avg,err_full,D,chernoff_N,seed", mock.ANY],
+                 SEEDED + ["n", "delta", "rate", "N", "err_avg", "err_full", "D",
+                           "chernoff_N", "wall_time_s"]),
+    "self-test": (["self-test", "--seed", "3"], 0,
+                  ["criterion 1: PASS  fake -- ok",
+                   "self-test: 1/1 criteria passed (seed 3)"],
+                  ["command", "seed", "criteria"]),
+}
+
+
+@pytest.mark.parametrize("argv, code, text_keys, json_keys",
+                         [case if len(case) == 4 else case + (case[2],)
+                          for case in SURFACE.values()], ids=list(SURFACE))
+def test_report_surface(argv, code, text_keys, json_keys, state_files, capsys,
+                        monkeypatch):
+    monkeypatch.setattr(cli, "run_acceptance", lambda seed: [
+        CriterionResult(1, "fake", True, "ok", 0.0)])
+    argv = [arg.format(**state_files) for arg in argv]
+    modes = [([], text_keys)] + ([(["--json"], json_keys)] if json_keys else [])
+    for flags, keys in modes:
+        got, out, _ = run_cli(capsys, monkeypatch, argv + flags)
+        if "--out" in argv:
+            assert out == ""
+            with open(state_files["out"], encoding="utf-8") as fh:
+                out = fh.read()
+        assert (got, _report_keys(out)) == (code, keys)
+
+
+OPTIONS = {
+    "entropy": {"state", "--json"},
+    "qcmi": {"state", "--A", "--B", "--C", "--json"},
+    "trace-dist": {"state1", "state2", "--json"},
+    "ki-decompose": {"state", "--A", "--C", "--seed", "--json"},
+    "markov-cost": {"state", "--route", "--A", "--B", "--C", "--seed", "--json"},
+    "is-markov": {"state", "--tol", "--A", "--B", "--C", "--json"},
+    "markov-decompose": {"state", "--A", "--B", "--C", "--seed", "--json"},
+    "recovery-check": {"state", "--A", "--B", "--C", "--json"},
+    "bounds": {"state", "--A", "--B", "--C", "--seed", "--json"},
+    "example": {"--family", "--d", "--lambda", "--out"},
+    "simulate": {"state", "--n", "--delta", "--rate", "--trials", "--A", "--B", "--C",
+                 "--seed", "--json"},
+    "self-test": {"--seed", "--json"},
+}
+
+
+def test_command_options_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)      # the order of the usage listing
+    for name, parser in sub.choices.items():
+        got = {s for a in parser._actions for s in a.option_strings or [a.dest]}
+        assert got - {"-h", "--help"} == OPTIONS[name], name
+
+
+class TestCliErrors:
+    def test_unknown_label(self, state_files, capsys, monkeypatch):
+        code, _, err = run_cli(capsys, monkeypatch,
+                               ["qcmi", state_files["vib"], "--A", "Z"])
+        assert code == 1
+        assert err.startswith("error: unknown labels ['Z']")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["qcmi", "bounds"])
+    def test_bipartite_file_needs_explicit_parts(self, command, state_files, capsys,
+                                                 monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, [command, state_files["pair"]])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: subsystem C is empty")
+
+    def test_dim_cap_read_only_by_simulate(self, state_files, capsys, monkeypatch):
+        monkeypatch.setenv("QMARKOV_DIM_CAP", "abc")
+        code, _, _ = run_cli(capsys, monkeypatch, ["entropy", state_files["vib"]])
+        assert code == 0
+        code, _, err = run_cli(capsys, monkeypatch,
+                               ["simulate", state_files["vic"], "--n", "2",
+                                "--delta", "1.0", "--rate", "3"])
+        assert code == 1
+        assert err.startswith("error: invalid literal for int()")
