@@ -71,28 +71,29 @@ def _read_state(path: str | None):
     return stateio.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
-def _labels(arg: str | None, state, default_index: int | None = None,
-            remainder_of: Sequence[str] | None = None) -> list[str]:
+def _parts(args, state) -> list[list[str]]:
+    """Labels of the subsystems the command takes (its --A/--B/--C).  Each
+    part defaults to the factor at its position, the last one to every
+    factor the others leave; no part may be empty."""
+    names = COMMANDS[args.command].labels
     labels = state.layout.labels
-    if arg:
-        return [l.strip() for l in arg.split(",") if l.strip()]
-    if remainder_of is not None:
-        return [l for l in labels if l not in remainder_of]
-    if default_index >= len(labels):
-        raise ValidationError("cannot infer subsystem labels; pass them explicitly")
-    return [labels[default_index]]
-
-
-def _abc(args, state) -> tuple[list[str], list[str], list[str]]:
-    a = _labels(args.A, state, 0)
-    b = _labels(args.B, state, 1)
-    c = _labels(args.C, state, remainder_of=a + b)
-    for name, part in zip("ABC", (a, b, c)):
+    parts: list[list[str]] = []
+    for i, name in enumerate(names):
+        arg = getattr(args, name)
+        if arg:
+            parts.append([l.strip() for l in arg.split(",") if l.strip()])
+        elif i == len(names) - 1:
+            parts.append([l for l in labels if not any(l in p for p in parts)])
+        elif i < len(labels):
+            parts.append([labels[i]])
+        else:
+            raise ValidationError("cannot infer subsystem labels; pass them explicitly")
+    for name, part in zip(names, parts):
         if not part:
-            raise ValidationError(
-                f"subsystem {name} is empty for layout {list(state.layout.labels)}; "
-                "pass --A/--B/--C explicitly")
-    return a, b, c
+            flags = "/".join(f"--{n}" for n in names)
+            raise ValidationError(f"subsystem {name} is empty for layout "
+                                  f"{list(labels)}; pass {flags} explicitly")
+    return parts
 
 
 def _density(state):
@@ -143,7 +144,7 @@ def _entropy(args, state):
 
 @_command("qcmi", "conditional mutual information I(A:C|B)")
 def _qcmi(args, state):
-    a, b, c = _abc(args, state)
+    a, b, c = _parts(args, state)
     return {"qcmi_bits": _sig(qcmi(_density(state), a, b, c))}, EXIT_OK
 
 
@@ -157,8 +158,7 @@ def _trace_dist(args, s1, s2):
           labels="AC", seed=True)
 def _ki_decompose(args, state):
     rho = _density(state)
-    a = _labels(args.A, state, 0)
-    c = _labels(args.C, state, remainder_of=a)
+    a, c = _parts(args, state)
     dec = ki_decompose(rho, a, c, rng=np.random.default_rng(args.seed))
     val = validate_ki(dec, rho)
     rep = {"n_blocks": len(dec.blocks),
@@ -175,7 +175,7 @@ def _ki_decompose(args, state):
                                                default="both")),))
 def _markov_cost(args, state):
     psi = _require_pure(state)
-    a, b, c = _abc(args, state)
+    a, b, c = _parts(args, state)
     rep, code = {"route": args.route}, EXIT_OK
     if args.route in ("formula", "both"):
         tki = ki_tripartite(psi, a, b, c, rng=np.random.default_rng(args.seed))
@@ -192,7 +192,7 @@ def _markov_cost(args, state):
 @_command("is-markov", "test I(A:C|B) = 0 within tolerance",
           options=(("--tol", dict(type=float, default=1e-9)),))
 def _is_markov(args, state):
-    a, b, c = _abc(args, state)
+    a, b, c = _parts(args, state)
     value = qcmi(_density(state), a, b, c)
     return {"qcmi_bits": _sig(value), "is_markov": str(value <= args.tol).lower(),
             "tol": _sig(args.tol)}, EXIT_OK
@@ -200,7 +200,7 @@ def _is_markov(args, state):
 
 @_command("markov-decompose", "block decomposition of a Markov state", seed=True)
 def _markov_decompose(args, state):
-    a, b, c = _abc(args, state)
+    a, b, c = _parts(args, state)
     md = markov_decomposition(_density(state), a, b, c,
                               rng=np.random.default_rng(args.seed))
     rep = {"n_terms": len(md.terms)}
@@ -213,7 +213,7 @@ def _markov_decompose(args, state):
 
 @_command("recovery-check", "Petz reconstruction residuals from B")
 def _recovery_check(args, state):
-    a, b, c = _abc(args, state)
+    a, b, c = _parts(args, state)
     rec = recovery_check(_density(state), a, b, c)
     return {"residual_rebuild_C_from_AB": _sig(rec.from_ab),
             "residual_rebuild_A_from_BC": _sig(rec.from_bc)}, EXIT_OK
@@ -221,7 +221,7 @@ def _recovery_check(args, state):
 
 @_command("bounds", "cost report with information bounds", seed=True)
 def _bounds(args, state):
-    a, b, c = _abc(args, state)
+    a, b, c = _parts(args, state)
     report = bounds_check(state, a, b, c, rng=np.random.default_rng(args.seed))
     rep = {"qcmi_bits": _sig(report.qcmi), "qmi_A_BC_bits": _sig(report.qmi_a_bc)}
     if report.m_formula is not None:
@@ -261,7 +261,7 @@ def _example(args):
                               ("--trials", dict(type=int, default=1))))
 def _simulate(args, state):
     psi = _require_pure(state)
-    a, b, c = _abc(args, state)
+    a, b, c = _parts(args, state)
     cap = int(os.environ.get("QMARKOV_DIM_CAP", DEFAULT_DIM_CAP))
     res = simulate(psi, n=args.n, delta=args.delta, rate=args.rate,
                    trials=args.trials, seed=args.seed, a=a, b=b, c=c, dim_cap=cap)

@@ -230,13 +230,6 @@ def cost_matches_qcmi(psi: PureVec, a: Sequence[str] = ("A",),
     return abs(markov_cost_formula(tki) - cond) <= tol
 
 
-def _max_entangled(d: int) -> np.ndarray:
-    v = np.zeros(d * d)
-    for k in range(d):
-        v[k * d + k] = 1.0
-    return v / np.sqrt(d)
-
-
 def build_example(family: str, d: int | None = None, lam=None) -> PureVec:
     """Construct one of the three closed-form tripartite families.
 

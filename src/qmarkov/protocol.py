@@ -4,9 +4,9 @@ Works in the decomposed coordinates of a tripartite pure state: n copies
 are projected onto the jointly typical region (strongly typical block
 sequences, weakly typical subspaces inside each block), then hit with
 random block unitaries that are Haar on each typical quantum factor and
-trivial elsewhere.  The ensemble average of the projected state is an
-exactly computable (subnormalized) Markov state; the simulator measures
-how fast finite samples of unitaries approach it.
+trivial elsewhere.  The ensemble average of the projected state is its
+Haar twirl, an exactly computable (subnormalized) Markov state; the
+simulator measures how fast finite samples of unitaries approach it.
 
 All dense objects live on a per-copy labeled layout with the factors
 grouped by role ("a0.1", ..., "a0.n", "aR.1", ..., "C.n"); factors of
@@ -32,7 +32,6 @@ from .linalg import (
     ValidationError,
     haar_unitary,
     partial_trace,
-    permute_mat,
     permute_vec,
 )
 
@@ -61,12 +60,20 @@ class TypicalSpec:
 
 @dataclass(frozen=True)
 class BlockEntry:
-    """One typical block sequence with its weight and quantum projector."""
+    """One typical block sequence with its weight and an orthonormal basis
+    (as columns) of its typical quantum subspace."""
 
     seq: tuple[int, ...]
     prob: float
-    projector: np.ndarray = field(repr=False)
-    rank: int
+    basis: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
 
 @dataclass(frozen=True)
@@ -205,9 +212,7 @@ def build_blocks(tki: TripartiteKI, spec: TypicalSpec,
             vectors.append(vec)
         if not vectors:
             continue
-        basis = np.array(vectors).T
-        entries.append(BlockEntry(seq, prob, basis @ basis.conj().T,
-                                  rank=len(vectors)))
+        entries.append(BlockEntry(seq, prob, np.array(vectors).T))
     if not entries:
         raise ValidationError(
             "typical region is empty for these (n, delta); enlarge delta or n")
@@ -284,6 +289,15 @@ def _ki_power(tki: TripartiteKI, n: int, dim_cap: int) -> PureVec:
     return permute_vec(psi, protocol_layout(tki, n).labels)
 
 
+def _project(tki: TripartiteKI, spec: TypicalSpec, blocks: BlockStructure,
+             dim_cap: int) -> PureVec:
+    """The n-copy state projected onto the typical region, unnormalized."""
+    psi_n = _ki_power(tki, spec.n, dim_cap)
+    projected = _apply_blockwise(psi_n, tki, spec.n,
+                                 {e.seq: e.projector for e in blocks.entries})
+    return PureVec(psi_n.layout, projected, normalized=False)
+
+
 def build_protocol_state(tki: TripartiteKI, spec: TypicalSpec,
                          dim_cap: int = DEFAULT_DIM_CAP,
                          max_sequences: int = DEFAULT_SEQUENCE_CAP,
@@ -294,13 +308,20 @@ def build_protocol_state(tki: TripartiteKI, spec: TypicalSpec,
     the block structure, and the captured weight (its squared norm).
     """
     blocks = build_blocks(tki, spec, max_sequences)
-    psi_n = _ki_power(tki, spec.n, dim_cap)
-    projected = _apply_blockwise(psi_n, tki, spec.n,
-                                 {e.seq: e.projector for e in blocks.entries})
-    d = float(np.real(np.vdot(projected, projected)))
+    projected = _project(tki, spec, blocks, dim_cap)
+    d = float(np.real(np.vdot(projected.vec, projected.vec)))
     if d <= 1e-15:
         raise ValidationError("projected state has vanishing weight")
-    return PureVec(psi_n.layout, projected, normalized=False), blocks, d
+    return projected, blocks, d
+
+
+def _block_view(psi: PureVec, tki: TripartiteKI, n: int) -> np.ndarray:
+    """A grouped vector as a (block sequence, aL^n, aR^n, rest) tensor; the
+    sequence axis is the C-order flattening of the a0 indices."""
+    d_a0, _, d_ar = tki.base.dims
+    al = _group_labels(psi.layout, ("aL",))
+    daln = psi.layout.dim_of(al) if al else 1
+    return psi.vec.reshape(d_a0 ** n, daln, d_ar ** n, -1)
 
 
 def _apply_blockwise(psi: PureVec, tki: TripartiteKI, n: int,
@@ -309,31 +330,13 @@ def _apply_blockwise(psi: PureVec, tki: TripartiteKI, n: int,
     """Apply one matrix per classical block sequence to the quantum factor
     of a grouped vector.  Sequences absent from the map get zero (or the
     identity when ``default_identity``)."""
-    d_a0, _, d_ar = tki.base.dims
-    lay = psi.layout
-    da0n = d_a0 ** n
-    darn = d_ar ** n
-    al = _group_labels(lay, ("aL",))
-    daln = lay.dim_of(al) if al else 1
-    tens = psi.vec.reshape(da0n, daln, darn, -1)
-    out = np.zeros_like(tens)
-    for flat in range(da0n):
-        seq = _unflatten(flat, d_a0, n)
-        m = per_seq.get(seq)
-        if m is None:
-            if default_identity:
-                out[flat] = tens[flat]
-            continue
+    tens = _block_view(psi, tki, n)
+    out = tens.copy() if default_identity else np.zeros_like(tens)
+    seq_shape = (tki.base.dims[0],) * n
+    for seq, m in per_seq.items():
+        flat = np.ravel_multi_index(seq, seq_shape)
         out[flat] = np.einsum("pq,lqr->lpr", m, tens[flat])
     return out.reshape(-1)
-
-
-def _unflatten(flat: int, base: int, n: int) -> tuple[int, ...]:
-    seq = []
-    for _ in range(n):
-        seq.append(flat % base)
-        flat //= base
-    return tuple(reversed(seq))
 
 
 def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
@@ -345,18 +348,15 @@ def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
     Returned as a map from block sequence to the unitary on the n-fold
     quantum factor; non-typical sequences act as the identity.
     """
-    d_ar = tki.base.dims[2]
-    darn = d_ar ** blocks.spec.n
+    darn = tki.base.dims[2] ** blocks.spec.n
     out = {}
     for entry in blocks.entries:
         if darn == 1:
             out[entry.seq] = np.exp(2j * np.pi * rng.random()) * np.ones((1, 1))
             continue
-        vals, vecs = np.linalg.eigh(entry.projector)
-        cols = vecs[:, vals > 0.5]
-        u = haar_unitary(cols.shape[1], rng)
-        out[entry.seq] = (cols @ u @ cols.conj().T
-                          + np.eye(darn) - entry.projector)
+        b = entry.basis
+        u = haar_unitary(entry.rank, rng)
+        out[entry.seq] = np.eye(darn) + b @ (u - np.eye(entry.rank)) @ b.conj().T
     return out
 
 
@@ -366,75 +366,26 @@ def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
                          blocks: BlockStructure | None = None) -> DensityOp:
     """Exact ensemble average of the randomized protocol output.
 
-    A subnormalized Markov state conditioned on the B side: the mixture
-    over typical block sequences of copied classical indices, the
-    redundant purifications, the maximally mixed typical quantum factor,
-    and the complementary marginal of the projected block state.
+    The Haar twirl of the projected state: the unitaries of different
+    block sequences are independent, so cross terms vanish, and block s
+    becomes (P_s / r_s) tensor Tr_{aR^n} |M_s><M_s|, where M_s is the
+    projected vector restricted to s.  The result is a subnormalized
+    Markov state conditioned on the B side.
     """
     if blocks is None:
         blocks = build_blocks(tki, spec, max_sequences)
-    lay = protocol_layout(tki, spec.n)
-    if lay.dim > dim_cap:
-        raise DimensionError(f"dimension {lay.dim} exceeds cap {dim_cap}")
-    n = spec.n
-    d_a0, d_al, d_ar = tki.base.dims
-    d_b0, d_bl, d_br = tki.b_dims
-    d_c = tki.base.c_layout.dim
-    darn = d_ar ** n
-
-    om_vecs = [om.vec.reshape(blk.dim_l, -1) for (om, _), blk
-               in zip(tki.purified_blocks, tki.blocks)]
-    ph_vecs = [ph.vec.reshape(blk.dim_r, -1, d_c) for (_, ph), blk
-               in zip(tki.purified_blocks, tki.blocks)]
-
-    # assembly order of the kron below; permuted onto the grouped layout
-    order = [f"a0.{i+1}" for i in range(n)] + [f"b0.{i+1}" for i in range(n)]
-    for i in range(n):
-        order += [f"aL.{i+1}", f"bL.{i+1}"]
-    order += [f"aR.{i+1}" for i in range(n)]
-    order += [f"bR.{i+1}" for i in range(n)] + [f"C.{i+1}" for i in range(n)]
-    present = set(lay.labels)
-    order = [l for l in order if l in present]
-    by_label = dict(lay.factors)
-    src_layout = SystemLayout([(l, by_label[l]) for l in order])
-
-    total = np.zeros((lay.dim, lay.dim), dtype=np.complex128)
+    projected = _project(tki, spec, blocks, dim_cap)
+    tens = _block_view(projected, tki, spec.n)
+    total = np.zeros(tens.shape * 2, dtype=np.complex128)
+    seq_shape = (tki.base.dims[0],) * spec.n
     for entry in blocks.entries:
-        class_vec = np.ones(1, dtype=np.complex128)
-        if d_a0 > 1:
-            for _ in range(2):  # once for the a side, once for the b side
-                for j in entry.seq:
-                    e = np.zeros(d_a0)
-                    e[j] = 1.0
-                    class_vec = np.kron(class_vec, e)
-        om_vec = np.ones(1, dtype=np.complex128)
-        if d_al * d_bl > 1:
-            for j in entry.seq:
-                blk = tki.blocks[j]
-                padded = np.zeros((d_al, d_bl), dtype=np.complex128)
-                padded[:blk.dim_l, :om_vecs[j].shape[1]] = om_vecs[j]
-                om_vec = np.kron(om_vec, padded.reshape(-1))
-        pure_vec = np.kron(class_vec, om_vec)
-        pure_part = np.outer(pure_vec, pure_vec.conj())
-
-        pi = entry.projector / entry.rank
-
-        ph_vec = np.ones(1, dtype=np.complex128)
-        for j in entry.seq:
-            blk = tki.blocks[j]
-            padded = np.zeros((d_ar, d_br, d_c), dtype=np.complex128)
-            padded[:blk.dim_r, :ph_vecs[j].shape[1], :] = ph_vecs[j]
-            ph_vec = np.kron(ph_vec, padded.reshape(-1))
-        phi_tens = ph_vec.reshape([d_ar, d_br, d_c] * n)
-        perm = ([3 * i for i in range(n)] + [3 * i + 1 for i in range(n)]
-                + [3 * i + 2 for i in range(n)])
-        phi_grouped = np.transpose(phi_tens, perm).reshape(darn, -1)
-        projected = entry.projector @ phi_grouped
-        phi_prime = projected.T @ projected.conj()
-
-        term = np.kron(np.kron(pure_part, pi), phi_prime)
-        total += entry.prob * permute_mat(term, src_layout, lay.labels)
-    return DensityOp(lay, total, trace_of_one=False)
+        flat = np.ravel_multi_index(entry.seq, seq_shape)
+        m = tens[flat]
+        rest = np.tensordot(m, m.conj(), axes=([1], [1]))  # Tr_{aR^n}
+        total[flat, :, :, :, flat] = np.einsum(
+            "lxmy,rq->lrxmqy", rest, entry.projector / entry.rank)
+    return DensityOp(projected.layout, total.reshape(projected.dim, -1),
+                     trace_of_one=False)
 
 
 def min_nonzero_eigenvalue(mat: np.ndarray, rtol: float = 1e-12) -> float:
@@ -453,6 +404,18 @@ def min_eig_lower_bound(tki: TripartiteKI, n: int, delta: float, d_a: int) -> fl
                 for blk in tki.blocks)
     exponent = n * (h + 2 * s_sum + delta * (h_prime + 2 * np.log2(4 * d_a)))
     return float(2.0 ** (-exponent))
+
+
+def _sample_average(psi: PureVec, tki: TripartiteKI, n: int,
+                    draws: Sequence[dict[tuple[int, ...], np.ndarray]],
+                    default_identity: bool = False) -> np.ndarray:
+    """(1/N) sum_i |V_i psi><V_i psi| over the sampled block unitaries, as
+    one product of the stacked rows V_i psi / sqrt(N)."""
+    w = np.empty((len(draws), psi.dim), dtype=np.complex128)
+    for i, v in enumerate(draws):
+        w[i] = _apply_blockwise(psi, tki, n, v, default_identity)
+    w /= np.sqrt(len(draws))
+    return w.T @ w.conj()
 
 
 def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
@@ -479,29 +442,23 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     psi_prime, blocks, d_mass = build_protocol_state(tki, spec, dim_cap)
     bar = average_markov_state(tki, spec, dim_cap, blocks=blocks)
     bar_norm = bar.mat / d_mass
+    psi_unit = PureVec(psi_prime.layout, psi_prime.vec / np.sqrt(d_mass))
     psi_full = _ki_power(tki, n, dim_cap)
     n_unitaries = math.ceil(2.0 ** (n * rate))
 
     err_avg_trials, err_full_trials = [], []
     for _ in range(trials):
-        acc = np.zeros((psi_prime.dim, psi_prime.dim), dtype=np.complex128)
-        acc_full = np.zeros_like(acc)
-        for _ in range(n_unitaries):
-            v = sample_block_unitary(blocks, tki, rng)
-            w = _apply_blockwise(psi_prime, tki, n, v)
-            acc += np.outer(w, w.conj())
-            wf = _apply_blockwise(psi_full, tki, n, v, default_identity=True)
-            acc_full += np.outer(wf, wf.conj())
-        acc /= n_unitaries
-        acc_full /= n_unitaries
-        err_avg_trials.append(trace_norm(acc / d_mass - bar_norm))
-        err_full_trials.append(trace_norm(acc_full - bar_norm))
+        draws = [sample_block_unitary(blocks, tki, rng) for _ in range(n_unitaries)]
+        avg = _sample_average(psi_unit, tki, n, draws)
+        err_avg_trials.append(trace_norm(avg - bar_norm))
+        avg = _sample_average(psi_full, tki, n, draws, default_identity=True)
+        err_full_trials.append(trace_norm(avg - bar_norm))
 
     err_avg = float(np.mean(err_avg_trials))
     err_full = float(np.mean(err_full_trials))
     lam_min = min_nonzero_eigenvalue(bar.mat)
     d_a = psi.layout.dim_of(a)
-    eps1 = max(err_avg / 2.0, 1e-300)
+    eps1 = max(err_avg / 2.0, 1e-150)  # eps1 ** 2 must not underflow to 0
     chernoff = 2.0 * np.log(2.0 * float(d_a) ** (3 * n)) / (lam_min * eps1 ** 2)
     return SimResult(n, delta, rate, n_unitaries, err_avg, err_full,
                      d_mass, float(np.ceil(chernoff)), seed)

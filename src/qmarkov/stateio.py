@@ -36,9 +36,19 @@ class StateFileError(ValueError):
 
 def _complex_pair(entry: Any, where: str) -> complex:
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)):
+            or not all(type(x) in (int, float) for x in entry)):  # bool is an int
         raise StateFileError("SCHEMA_ENTRY", f"{where}: expected [re, im], got {entry!r}")
     return complex(entry[0], entry[1])
+
+
+def _finite(data: np.ndarray) -> np.ndarray:
+    """Reject NaN and infinite entries, which JSON parsing admits and which
+    would pass every norm and trace comparison."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        where = "".join(f"[{i}]" for i in np.argwhere(~finite)[0])
+        raise StateFileError("SCHEMA_ENTRY", f"data{where}: non-finite entry")
+    return data
 
 
 def _parse_layout(raw: Any) -> SystemLayout:
@@ -79,7 +89,8 @@ def loads(text: str) -> PureVec | DensityOp:
         if not isinstance(data, list) or len(data) != d:
             raise StateFileError("SCHEMA_LEN",
                                  f"pure data length {len(data) if isinstance(data, list) else '?'} != {d}")
-        vec = np.array([_complex_pair(e, f"data[{i}]") for i, e in enumerate(data)])
+        vec = _finite(np.array([_complex_pair(e, f"data[{i}]")
+                                for i, e in enumerate(data)]))
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-6:
             raise StateFileError("NORM", f"vector norm {norm} deviates from 1 beyond 1e-6")
@@ -92,7 +103,7 @@ def loads(text: str) -> PureVec | DensityOp:
         if not isinstance(row, list) or len(row) != d:
             raise StateFileError("SCHEMA_LEN", f"row {i} length != {d}")
         rows.append([_complex_pair(e, f"data[{i}][{j}]") for j, e in enumerate(row)])
-    mat = np.array(rows)
+    mat = _finite(np.array(rows))
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > 1e-6:
         raise StateFileError("TRACE", f"trace {tr} deviates from 1 beyond 1e-6")

@@ -6,6 +6,7 @@ from qmarkov.kidec import ki_tripartite
 from qmarkov.linalg import (
     DensityOp,
     DimensionError,
+    PureVec,
     ValidationError,
     partial_trace,
 )
@@ -190,6 +191,52 @@ class TestAverageState:
         rho = DensityOp(lay, bar.mat / d)
         assert qcmi(rho, a_side_labels(lay), b_side_labels(lay),
                     c_side_labels(lay)) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def vib_twirl():
+    """VIB(2, 0.5) at n = 2, delta = 1.5: typical subspaces of rank 4, 2, 2, 1."""
+    psi = build_example("VIB", d=2, lam=0.5)
+    tki = ki_tripartite(psi, rng=np.random.default_rng(0))
+    spec = TypicalSpec(2, 1.5)
+    psi_p, blocks, _ = build_protocol_state(tki, spec)
+    return tki, psi_p, blocks, average_markov_state(tki, spec, blocks=blocks)
+
+
+class TestTwirl:
+    def test_bases_orthonormal(self, vib_twirl):
+        _, _, blocks, _ = vib_twirl
+        assert max(e.rank for e in blocks.entries) > 1
+        for entry in blocks.entries:
+            gram = entry.basis.conj().T @ entry.basis
+            assert np.max(np.abs(gram - np.eye(entry.rank))) <= 1e-12
+
+    def test_unitary_is_identity_off_subspace(self, vib_twirl, rng):
+        tki, _, blocks, _ = vib_twirl
+        v = sample_block_unitary(blocks, tki, rng)
+        for entry in blocks.entries:
+            off = np.eye(entry.projector.shape[0]) - entry.projector
+            assert np.max(np.abs(v[entry.seq] @ off - off)) <= 1e-12
+
+    def test_average_invariant_under_block_unitary(self, vib_twirl, rng):
+        tki, psi_p, blocks, bar = vib_twirl
+        v = sample_block_unitary(blocks, tki, rng)
+
+        def left(mat):  # V @ mat, one column at a time
+            return np.array([_apply_blockwise(PureVec(psi_p.layout, col, normalized=False),
+                                              tki, 2, v, default_identity=True)
+                             for col in mat.T]).T
+
+        twirled = left(left(bar.mat).conj().T)  # V (V bar)^dagger = V bar V^dagger
+        assert np.max(np.abs(twirled - bar.mat)) <= 1e-12
+
+    def test_bc_marginal_of_projected_state(self, vib_twirl):
+        _, psi_p, _, bar = vib_twirl
+        lay = bar.layout
+        bc = b_side_labels(lay) + c_side_labels(lay)
+        proj = DensityOp(lay, np.outer(psi_p.vec, psi_p.vec.conj()), trace_of_one=False)
+        diff = partial_trace(bar, bc).mat - partial_trace(proj, bc).mat
+        assert np.max(np.abs(diff)) <= 1e-12
 
 
 class TestSimulate:

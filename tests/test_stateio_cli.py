@@ -70,6 +70,25 @@ class TestStateFiles:
             stateio.loads("{}")
         assert err.value.code == "SCHEMA_FIELD"
 
+    @pytest.mark.parametrize("kind, data, where", [
+        ("pure", [[float("nan"), 0], [0, 0]], "data[0]"),
+        ("mixed", [[[0.5, 0], [0, 0]], [[0, 0], [float("nan"), 0]]], "data[1][1]"),
+        ("pure", [[1, 0], [0, float("inf")]], "data[1]"),
+    ])
+    def test_non_finite_entry_rejected(self, kind, data, where):
+        doc = {"version": 1, "kind": kind, "layout": [["A", 2]], "data": data}
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(json.dumps(doc))
+        assert err.value.code == "SCHEMA_ENTRY"
+        assert f"{where}: non-finite" in str(err.value)
+
+    def test_boolean_entry_rejected(self):
+        doc = {"version": 1, "kind": "pure", "layout": [["A", 2]],
+               "data": [[True, 0], [0, 0]]}
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(json.dumps(doc))
+        assert err.value.code == "SCHEMA_ENTRY"
+
     def test_small_denormalization_repaired(self):
         doc = json.loads(stateio.dumps(build_example("VIC", lam=(0.5, 0.5))))
         doc["data"][0][0] *= 1 + 5e-7
@@ -339,3 +358,21 @@ class TestCliErrors:
                                 "--delta", "1.0", "--rate", "3"])
         assert code == 1
         assert err.startswith("error: invalid literal for int()")
+
+    @pytest.mark.parametrize("labels, empty", [(["--A", "A,B,C"], "C"),
+                                               (["--A", ",", "--C", "C"], "A")])
+    def test_ki_decompose_rejects_empty_part(self, labels, empty, state_files, capsys,
+                                             monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["ki-decompose", state_files["vib"], *labels])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: subsystem {empty} is empty")
+
+    @pytest.mark.parametrize("command", ["entropy", "qcmi"])
+    def test_nan_state_file(self, command, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "nan.json"
+        path.write_text('{"version": 1, "kind": "pure", "layout": [["A", 2]], '
+                        '"data": [[NaN, 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, monkeypatch, [command, str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("state file error: SCHEMA_ENTRY: data[0]: non-finite")
