@@ -215,13 +215,14 @@ def _commutant_of_family(family: Sequence[np.ndarray], rtol: float = NULLSPACE_R
     d = family[0].shape[0]
     eye = np.eye(d)
     stacked = np.vstack([np.kron(f, eye) - np.kron(eye, f.T) for f in family])
-    _, svals, vh = np.linalg.svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = svals[0] if svals.size else 0.0
     # floor the cutoff at the family scale: when every member commutes with
     # everything, smax itself is eigensolver noise
     scale = max(float(np.linalg.norm(f)) for f in family)
     rank = int(np.sum(svals > max(smax, scale) * rtol))
-    # rows of vh past the numerical rank span the nullspace of the system
+    # rows of vh past the numerical rank span the nullspace of the system;
+    # the system has at least d² rows, so the thin vh still has all d² of them
     return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
 
 

@@ -145,7 +145,7 @@ def _entropy(args, state):
 @_command("qcmi", "conditional mutual information I(A:C|B)")
 def _qcmi(args, state):
     a, b, c = _parts(args, state)
-    return {"qcmi_bits": _sig(qcmi(_density(state), a, b, c))}, EXIT_OK
+    return {"qcmi_bits": _sig(qcmi(state, a, b, c))}, EXIT_OK
 
 
 @_command("trace-dist", "trace distance between two states",
@@ -193,7 +193,7 @@ def _markov_cost(args, state):
           options=(("--tol", dict(type=float, default=1e-9)),))
 def _is_markov(args, state):
     a, b, c = _parts(args, state)
-    value = qcmi(_density(state), a, b, c)
+    value = qcmi(state, a, b, c)
     return {"qcmi_bits": _sig(value), "is_markov": str(value <= args.tol).lower(),
             "tol": _sig(args.tol)}, EXIT_OK
 

@@ -14,8 +14,10 @@ import numpy as np
 from .linalg import (
     LOG_EPS,
     DensityOp,
+    PureVec,
     ValidationError,
     _as_complex,
+    marginal,
     partial_trace,
 )
 
@@ -68,11 +70,21 @@ def vn_entropy(rho: DensityOp) -> float:
     return shannon(np.clip(vals, 0.0, None))
 
 
-def _entropy_of(rho: DensityOp, labels: Iterable[str]) -> float:
-    return vn_entropy(partial_trace(rho, labels))
+def _entropy_of(state: DensityOp | PureVec, labels: Iterable[str]) -> float:
+    """Entropy of the marginal on ``labels``.  A pure state's marginals on
+    ``labels`` and on its complement are the Gram matrices ``M M†`` and
+    ``M^T M̄`` of one reshaped vector, so they share their nonzero spectrum;
+    the smaller of the two is taken."""
+    if not isinstance(state, PureVec):
+        return vn_entropy(partial_trace(state, labels))
+    labels = set(labels)
+    rest = set(state.layout.labels) - labels
+    if state.layout.dim_of(rest) < state.layout.dim_of(labels):
+        labels = rest
+    return vn_entropy(marginal(state, labels))
 
 
-def qmi(rho: DensityOp, a: Iterable[str], b: Iterable[str]) -> float:
+def qmi(rho: DensityOp | PureVec, a: Iterable[str], b: Iterable[str]) -> float:
     """Quantum mutual information I(A:B) = S(A) + S(B) - S(AB) in bits."""
     a, b = set(a), set(b)
     if a & b:
@@ -80,7 +92,8 @@ def qmi(rho: DensityOp, a: Iterable[str], b: Iterable[str]) -> float:
     return _entropy_of(rho, a) + _entropy_of(rho, b) - _entropy_of(rho, a | b)
 
 
-def qcmi(rho: DensityOp, a: Iterable[str], b: Iterable[str], c: Iterable[str]) -> float:
+def qcmi(rho: DensityOp | PureVec, a: Iterable[str], b: Iterable[str],
+         c: Iterable[str]) -> float:
     """Conditional mutual information I(A:C|B) = S(AB)+S(BC)-S(B)-S(ABC)."""
     a, b, c = set(a), set(b), set(c)
     if (a & b) or (a & c) or (b & c):

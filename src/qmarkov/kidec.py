@@ -156,8 +156,8 @@ def _center_basis(comm: Sequence[np.ndarray], rtol: float = NULLSPACE_RTOL,
     for i in range(k):
         col = np.concatenate([(comm[i] @ b - b @ comm[i]).reshape(-1) for b in comm])
         cols.append(col)
-    system = np.array(cols).T
-    _, svals, vh = np.linalg.svd(system)
+    system = np.array(cols).T      # k·d² × k, so the thin vh is all k × k
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
     smax = svals[0] if svals.size else 0.0
     rank = int(np.sum(svals > max(smax, 1.0) * rtol))
     out = []
@@ -209,7 +209,7 @@ def _factor_block(comm: Sequence[np.ndarray], block_cols: np.ndarray,
     d_block = block_cols.shape[1]
     restricted = [block_cols.conj().T @ x @ block_cols for x in comm]
     stacked = np.array([x.reshape(-1) for x in restricted])
-    _, svals, vh = np.linalg.svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = svals[0] if svals.size else 0.0
     rank = int(np.sum(svals > smax * NULLSPACE_RTOL))
     dim_l = int(round(np.sqrt(rank)))

@@ -273,8 +273,14 @@ def partial_trace(op: DensityOp, keep: Iterable[str]) -> DensityOp:
 
 
 def marginal(psi: PureVec, keep: Iterable[str]) -> DensityOp:
-    """Reduced density operator of a pure state on the kept factors."""
-    return partial_trace(psi.density(), keep)
+    """Reduced density operator of a pure state on the kept factors,
+    preserving their order: ``M M†`` with ``M`` the vector reshaped to
+    (kept, rest), so the full D×D matrix is never formed."""
+    keep_set = set(keep)
+    new_layout = psi.layout.restrict(keep_set)
+    rest = tuple(l for l in psi.layout.labels if l not in keep_set)
+    m = permute_vec(psi, new_layout.labels + rest).vec.reshape(new_layout.dim, -1)
+    return DensityOp(new_layout, m @ m.conj().T, trace_of_one=psi.normalized)
 
 
 def eigh(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:

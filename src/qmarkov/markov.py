@@ -200,9 +200,8 @@ def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
                  bound_tol: float = 1e-7) -> CostReport:
     """Full cost report with the sandwich I(A:C|B) <= M <= I(A:BC) enforced."""
     a, b, c = list(a), list(b), list(c)
-    rho = psi.density() if isinstance(psi, PureVec) else psi
-    cond = qcmi(rho, a, b, c)
-    total = qmi(rho, a, b + c)
+    cond = qcmi(psi, a, b, c)
+    total = qmi(psi, a, b + c)
     if not isinstance(psi, PureVec):
         return CostReport(None, None, cond, total, None, ())
     tki = ki_tripartite(psi, a, b, c, rng=rng)
@@ -226,7 +225,7 @@ def cost_matches_qcmi(psi: PureVec, a: Sequence[str] = ("A",),
                    rng: np.random.Generator | None = None) -> bool:
     """Whether the cost coincides with I(A:C|B) (value-level test)."""
     tki = ki_tripartite(psi, a, b, c, rng=rng)
-    cond = qcmi(psi.density(), a, b, c)
+    cond = qcmi(psi, a, b, c)
     return abs(markov_cost_formula(tki) - cond) <= tol
 
 

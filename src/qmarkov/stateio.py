@@ -38,7 +38,10 @@ def _complex_pair(entry: Any, where: str) -> complex:
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
             or not all(type(x) in (int, float) for x in entry)):  # bool is an int
         raise StateFileError("SCHEMA_ENTRY", f"{where}: expected [re, im], got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError as err:  # an integer beyond the double range
+        raise StateFileError("SCHEMA_ENTRY", f"{where}: entry out of double range") from err
 
 
 def _finite(data: np.ndarray) -> np.ndarray:

@@ -89,6 +89,17 @@ class TestStateFiles:
             stateio.loads(json.dumps(doc))
         assert err.value.code == "SCHEMA_ENTRY"
 
+    @pytest.mark.parametrize("kind, data, where", [
+        ("pure", [[10 ** 400, 0], [0, 0]], "data[0]"),
+        ("mixed", [[[1, 0], [0, 0]], [[0, -10 ** 400], [0, 0]]], "data[1][0]"),
+    ])
+    def test_huge_integer_entry_rejected(self, kind, data, where):
+        doc = {"version": 1, "kind": kind, "layout": [["A", 2]], "data": data}
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(json.dumps(doc))
+        assert err.value.code == "SCHEMA_ENTRY"
+        assert f"{where}: entry out of double range" in str(err.value)
+
     def test_small_denormalization_repaired(self):
         doc = json.loads(stateio.dumps(build_example("VIC", lam=(0.5, 0.5))))
         doc["data"][0][0] *= 1 + 5e-7
@@ -376,3 +387,12 @@ class TestCliErrors:
         code, out, err = run_cli(capsys, monkeypatch, [command, str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("state file error: SCHEMA_ENTRY: data[0]: non-finite")
+
+    def test_huge_integer_state_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": 1, "kind": "pure", "layout": [["A", 2]], '
+                        f'"data": [[{10 ** 400}, 0], [0, 0]]}}')
+        code, out, err = run_cli(capsys, monkeypatch, ["entropy", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("state file error: SCHEMA_ENTRY: data[0]: entry out of")
+        assert "Traceback" not in err
