@@ -11,13 +11,11 @@ Carlo simulator of the randomized protocol.
 
 from .channels import (
     KrausChannel,
-    TransferMatrix,
     apply_channel,
     cesaro_average,
     channel_E,
     commutant_basis,
     ergodic_projector,
-    is_self_adjoint,
     petz_channel,
     reshuffle,
     transfer_matrices,

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
-    HERM_TOL,
     DensityOp,
     DimensionError,
     SystemLayout,
@@ -81,21 +80,6 @@ def is_projector(p: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(p @ p - p)) <= tol and is_hermitian(p, tol))
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Square matrix acting on vectorized operators (see module docstring)."""
-
-    d: int
-    mat: np.ndarray = field(repr=False)
-
-    def __init__(self, d: int, mat):
-        mat = _as_complex(mat)
-        if mat.shape != (mat.shape[0], mat.shape[0]):
-            raise DimensionError(f"transfer matrix must be square, got {mat.shape}")
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "mat", mat)
-
-
 def reshuffle(x: np.ndarray, d: int) -> np.ndarray:
     """R(X)[(k,l),(m,n)] = X[(k,m),(l,n)] on a d^2 x d^2 matrix."""
     x = _as_complex(x)
@@ -105,15 +89,34 @@ def reshuffle(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _split_bipartite(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
-    """Reorder to (A..., C...) and return (mat, d_a, d_c, a_layout, ac_layout)."""
+    """Reorder to (A..., C...) and return
+    (mat, rho_a, d_a, d_c, a_layout, ac_layout), rho_a the A-marginal."""
     a, c = list(a), list(c)
     if set(a) | set(c) != set(psi_ac.layout.labels) or set(a) & set(c):
         raise ValidationError("A and C labels must partition the layout")
     ordered = permute_op(psi_ac, a + c)
     d_a = ordered.layout.dim_of(a)
     d_c = ordered.layout.dim_of(c)
+    rho_a = np.einsum("iaja->ij", ordered.mat.reshape(d_a, d_c, d_a, d_c))
     a_layout = ordered.layout.restrict(a)
-    return ordered.mat, d_a, d_c, a_layout, ordered.layout
+    return ordered.mat, rho_a, d_a, d_c, a_layout, ordered.layout
+
+
+def _recovery_kraus(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
+    """Kraus tensor of the Petz recovery A -> AC, with the split's data.
+
+    Returns (kraus, rho_a, a_layout, ac_layout) where
+    kraus[l, i, k, j] = sum_m <i k| (Psi_AC)^(1/2) |m l> (Psi_A)^(-1/2)[m, j]:
+    kraus[l] is the Petz Kraus operator K_l as a (d_a, d_c, d_a) tensor, and
+    its C-row kraus[l, :, k, :] is E_kl of the recovery-and-discard channel.
+    """
+    mat, rho_a, d_a, d_c, a_layout, ac_layout = _split_bipartite(psi_ac, a, c)
+    if np.max(np.abs(rho_a)) < 1e-14:
+        raise ValidationError("marginal on A is numerically zero")
+    sqrt_ac = psd_sqrt(mat).reshape(d_a, d_c, d_a, d_c)
+    inv_a = pinv_sqrt(rho_a)
+    kraus = sqrt_ac.transpose(3, 0, 1, 2).reshape(-1, d_a) @ inv_a
+    return kraus.reshape(d_c, d_a, d_c, d_a), rho_a, a_layout, ac_layout
 
 
 def petz_channel(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> KrausChannel:
@@ -123,18 +126,9 @@ def petz_channel(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Kraus
             (Psi_AC)^(1/2),
     trace preserving on the support of Psi_A.
     """
-    mat, d_a, d_c, a_layout, ac_layout = _split_bipartite(psi_ac, a, c)
-    sqrt_ac = psd_sqrt(mat)
-    rho_a = np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c))
-    if np.max(np.abs(rho_a)) < 1e-14:
-        raise ValidationError("marginal on A is numerically zero")
-    inv_a = pinv_sqrt(rho_a)
-    kraus = []
-    for l in range(d_c):
-        embed = np.zeros((d_a * d_c, d_a), dtype=np.complex128)
-        embed.reshape(d_a, d_c, d_a)[:, l, :] = inv_a
-        kraus.append(sqrt_ac @ embed)
-    return KrausChannel(a_layout, ac_layout, kraus)
+    kraus, _, a_layout, ac_layout = _recovery_kraus(psi_ac, a, c)
+    d_c, d_a = kraus.shape[:2]
+    return KrausChannel(a_layout, ac_layout, kraus.reshape(d_c, d_a * d_c, d_a))
 
 
 def channel_E(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> KrausChannel:
@@ -144,65 +138,52 @@ def channel_E(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> KrausCha
     computational basis {|k>} of C.  Fixed points of its adjoint encode
     exactly the operations on A that preserve the bipartite state.
     """
-    mat, d_a, d_c, a_layout, _ = _split_bipartite(psi_ac, a, c)
-    sqrt_ac = psd_sqrt(mat).reshape(d_a, d_c, d_a, d_c)
-    rho_a = np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c))
-    if np.max(np.abs(rho_a)) < 1e-14:
-        raise ValidationError("marginal on A is numerically zero")
-    inv_a = pinv_sqrt(rho_a)
-    kraus = [sqrt_ac[:, k, :, l] @ inv_a for k in range(d_c) for l in range(d_c)]
-    return KrausChannel(a_layout, a_layout, kraus)
+    kraus, _, a_layout, _ = _recovery_kraus(psi_ac, a, c)
+    d_c = kraus.shape[0]
+    return KrausChannel(a_layout, a_layout,
+                        [kraus[l, :, k, :] for k in range(d_c) for l in range(d_c)])
 
 
 def transfer_matrices(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str],
-                      ) -> tuple[TransferMatrix, TransferMatrix, TransferMatrix]:
-    """Superoperator-basis matrices (T1, T2, T) of the A -> A channel.
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Superoperator-basis matrices (T1, T) of the A -> A channel.
 
-    T1[(kl),(mn)] = <k|sqrt(Psi_A)|m><n|sqrt(Psi_A)|l> is the reshuffled
-    projector onto the canonical purification of Psi_A; T2 is the same
-    purification after one application of the channel; T = T2 pinv(T1) is
-    the channel's transfer matrix on the support.
+    T1 = sqrt(Psi_A) (x) conj(sqrt(Psi_A)) is the reshuffled projector onto
+    the canonical purification of Psi_A.  T = sum E_kl (x) conj(E_kl) is the
+    channel's transfer matrix, built as the reshuffle of its Choi matrix
+    M M†, where the columns of M are vec(E_kl).
     """
-    mat, d_a, d_c, _, _ = _split_bipartite(psi_ac, a, c)
-    rho_a = np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c))
+    kraus, rho_a, _, _ = _recovery_kraus(psi_ac, a, c)
+    d_c, d_a = kraus.shape[:2]
     s = psd_sqrt(rho_a)
-    t1 = np.einsum("km,nl->klmn", s, s).reshape(d_a * d_a, d_a * d_a)
-    t_ac = psd_sqrt(mat).reshape(d_a, d_c, d_a, d_c)
-    t2 = np.einsum("krms,nslr->klmn", t_ac, t_ac).reshape(d_a * d_a, d_a * d_a)
-    inv_s = pinv_sqrt(rho_a)
-    t1_pinv = np.einsum("km,nl->klmn", inv_s, inv_s).reshape(d_a * d_a, d_a * d_a)
-    lam = t2 @ t1_pinv
-    return (TransferMatrix(d_a, t1), TransferMatrix(d_a, t2), TransferMatrix(d_a, lam))
+    m = kraus.transpose(1, 3, 0, 2).reshape(d_a * d_a, d_c * d_c)
+    return np.kron(s, s.conj()), reshuffle(m @ m.conj().T, d_a)
 
 
-def is_self_adjoint(tm: TransferMatrix, tol: float = HERM_TOL) -> bool:
-    """Max-entry Hermiticity test of the transfer matrix."""
-    return bool(np.max(np.abs(tm.mat - tm.mat.conj().T)) <= tol)
-
-
-def ergodic_projector(tm: TransferMatrix, eig_tol: float = EIG_ONE_TOL) -> TransferMatrix:
+def ergodic_projector(tm: np.ndarray, eig_tol: float = EIG_ONE_TOL) -> np.ndarray:
     """Orthogonal projector onto the eigenvalue-1 eigenspace of a Hermitian
     transfer matrix (the infinite Cesaro average of its powers)."""
-    if not is_hermitian(tm.mat, tol=1e-8):
+    if not is_hermitian(tm, tol=1e-8):
         raise ValidationError("transfer matrix is not Hermitian; ergodic projector undefined")
-    vals, vecs = eigh(tm.mat)
+    vals, vecs = eigh(tm)
     sel = np.abs(vals - 1.0) <= eig_tol
     if not np.any(sel):
         raise ValidationError("no eigenvalue within tolerance of 1; identity is not recovered")
     v = vecs[:, sel]
-    return TransferMatrix(tm.d, v @ v.conj().T)
+    return v @ v.conj().T
 
 
-def cesaro_average(tm: TransferMatrix, n: int) -> TransferMatrix:
+def cesaro_average(tm: np.ndarray, n: int) -> np.ndarray:
     """(1/N) sum_{k=1..N} T^k, the finite Cesaro average."""
     if n < 1:
         raise ValidationError(f"N = {n} < 1")
-    acc = np.zeros_like(tm.mat)
-    power = np.eye(tm.mat.shape[0], dtype=np.complex128)
+    tm = _as_complex(tm)
+    acc = np.zeros_like(tm)
+    power = np.eye(tm.shape[0], dtype=np.complex128)
     for _ in range(n):
-        power = power @ tm.mat
+        power = power @ tm
         acc += power
-    return TransferMatrix(tm.d, acc / n)
+    return acc / n
 
 
 def _commutant_of_family(family: Sequence[np.ndarray], rtol: float = NULLSPACE_RTOL,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -192,6 +193,8 @@ def _markov_cost(args, state):
 @_command("is-markov", "test I(A:C|B) = 0 within tolerance",
           options=(("--tol", dict(type=float, default=1e-9)),))
 def _is_markov(args, state):
+    if not math.isfinite(args.tol):
+        raise ValidationError(f"--tol must be finite, got {args.tol}")
     a, b, c = _parts(args, state)
     value = qcmi(state, a, b, c)
     return {"qcmi_bits": _sig(value), "is_markov": str(value <= args.tol).lower(),

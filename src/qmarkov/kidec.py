@@ -167,7 +167,7 @@ def _center_basis(comm: Sequence[np.ndarray], rtol: float = NULLSPACE_RTOL,
     return out
 
 
-def _central_partition(center: Sequence[np.ndarray], r: int,
+def _central_partition(center: Sequence[np.ndarray],
                        rng: np.random.Generator, retries: int = 6,
                        ) -> list[np.ndarray]:
     """Column bases of the minimal central blocks, stable across two
@@ -261,9 +261,8 @@ def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
     """
     if rng is None:
         rng = np.random.default_rng(0x5EED)
-    mat, d_a, d_c, a_layout, _ = _split_bipartite(psi_ac, a, c)
+    mat, rho_a, _, d_c, a_layout, _ = _split_bipartite(psi_ac, a, c)
     c_layout = psi_ac.layout.restrict(c).reorder([l for l in c])
-    rho_a = np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c))
     q = support_basis(rho_a)
     r = q.shape[1]
     if r == 0:
@@ -275,23 +274,46 @@ def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
     last_err: Exception | None = None
     for _ in range(max_retries):
         try:
-            dec = _assemble(mat, d_a, d_c, a_layout, c_layout, q, comm, center, rng, tol)
+            dec = _assemble(mat, rho_a, d_c, a_layout, c_layout, q, comm, center, rng, tol)
             return dec
         except ValidationError as err:
             last_err = err
     raise ValidationError(f"KI decomposition failed after {max_retries} attempts: {last_err}")
 
 
-def _assemble(mat, d_a, d_c, a_layout, c_layout, q, comm, center, rng, tol,
+def _ki_tensor(gamma_total: np.ndarray, mat: np.ndarray, dims: tuple[int, ...],
+               rest: tuple[int, ...]) -> np.ndarray:
+    """(Gamma (x) I) rho (Gamma (x) I)† as a tensor over (dims, rest, dims, rest).
+
+    ``mat`` is on the decomposed system followed by the ``rest`` factors;
+    ``gamma_total`` maps the decomposed system onto the ``dims`` factors.
+    """
+    big = np.kron(gamma_total, np.eye(int(np.prod(rest))))
+    return (big @ mat @ big.conj().T).reshape(*dims, *rest, *dims, *rest)
+
+
+def _block_model(blocks: Sequence[KIBlock], dims: tuple[int, int, int],
+                 d_c: int) -> np.ndarray:
+    """sum_j p_j |j><j| (x) omega_j (x) phi_j on (a0, aL, aR, C), each block's
+    factors in the leading corner of the padded aL and aR."""
+    model = np.zeros((*dims, d_c, *dims, d_c), dtype=np.complex128)
+    for blk in blocks:
+        j, dl, dr = blk.index, blk.dim_l, blk.dim_r
+        model[j, :dl, :dr, :, j, :dl, :dr, :] = blk.p * np.einsum(
+            "lm,rcsd->lrcmsd", blk.omega.mat, blk.phi.mat.reshape(dr, d_c, dr, d_c))
+    return model
+
+
+def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, comm, center, rng, tol,
               ) -> KIDecomposition:
     r = q.shape[1]
-    block_cols = _central_partition(center, r, rng)
+    block_cols = _central_partition(center, rng)
     raw = []
     for cols in block_cols:
         dim_l, dim_r, u = _factor_block(comm, cols, rng)
         raw.append((cols, dim_l, dim_r, u))
     # weights determine the presentation order of the blocks
-    rho_supp = q.conj().T @ np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c)) @ q
+    rho_supp = q.conj().T @ rho_a @ q
     weights = [float(np.trace(cols.conj().T @ rho_supp @ cols).real)
                for cols, *_ in raw]
     # round weights so the declared tie-break applies to numerically equal p
@@ -299,49 +321,35 @@ def _assemble(mat, d_a, d_c, a_layout, c_layout, q, comm, center, rng, tol,
                    key=lambda i: (-round(weights[i], 9), -raw[i][2], -raw[i][1]))
     raw = [raw[i] for i in order]
 
-    d_a0 = len(raw)
-    d_al = max(t[1] for t in raw)
-    d_ar = max(t[2] for t in raw)
-    t_dim = d_a0 * d_al * d_ar
-    gamma_supp = np.zeros((t_dim, r), dtype=np.complex128)
+    dims = (len(raw), max(t[1] for t in raw), max(t[2] for t in raw))
+    gamma_supp = np.zeros((*dims, r), dtype=np.complex128)
     for j, (cols, dim_l, dim_r, u) in enumerate(raw):
-        pad = np.zeros((d_al * d_ar, dim_l * dim_r))
-        for mu in range(dim_l):
-            for qq in range(dim_r):
-                pad[mu * d_ar + qq, mu * dim_r + qq] = 1.0
-        gamma_supp[j * d_al * d_ar:(j + 1) * d_al * d_ar, :] = pad @ u @ cols.conj().T
-
-    gamma_total = gamma_supp @ q.conj().T
-    big = np.kron(gamma_total, np.eye(d_c))
-    ki_mat = big @ mat @ big.conj().T
-    tens = ki_mat.reshape(d_a0, d_al, d_ar, d_c, d_a0, d_al, d_ar, d_c)
+        gamma_supp[j, :dim_l, :dim_r, :] = (u @ cols.conj().T).reshape(dim_l, dim_r, r)
+    gamma_supp = gamma_supp.reshape(-1, r)
+    tens = _ki_tensor(gamma_supp @ q.conj().T, mat, dims, (d_c,))
 
     blocks = []
-    model = np.zeros_like(tens)
-    for j, (cols, dim_l, dim_r, u) in enumerate(raw):
+    for j, (_, dim_l, dim_r, _) in enumerate(raw):
         sub = tens[j, :dim_l, :dim_r, :, j, :dim_l, :dim_r, :]
         p = float(np.einsum("lrclrc->", sub).real)
         if p <= 1e-12:
             raise ValidationError(f"block {j} has vanishing weight {p}")
         omega = np.einsum("lrcmrc->lm", sub) / p
         phi = np.einsum("lrclsd->rcsd", sub).reshape(dim_r * d_c, dim_r * d_c) / p
-        model[j, :dim_l, :dim_r, :, j, :dim_l, :dim_r, :] = p * np.einsum(
-            "lm,rcsd->lrcmsd", omega, phi.reshape(dim_r, d_c, dim_r, d_c))
         omega_op = DensityOp(SystemLayout([("aL", dim_l)]), omega)
         phi_layout = SystemLayout([("aR", dim_r)]) + c_layout
         phi_op = DensityOp(phi_layout, phi)
         blocks.append(KIBlock(j, p, dim_l, dim_r, omega_op, phi_op))
 
-    residual = float(np.linalg.norm(tens - model))
+    residual = float(np.linalg.norm(tens - _block_model(blocks, dims, d_c)))
     if residual > tol:
         raise ValidationError(f"reconstruction residual {residual:.3e} > {tol:.3e}")
 
     gamma = IsometryOp(
         SystemLayout([("suppA", r)]),
-        SystemLayout([("a0", d_a0), ("aL", d_al), ("aR", d_ar)]),
+        SystemLayout(zip(("a0", "aL", "aR"), dims)),
         gamma_supp)
-    return KIDecomposition(gamma, q, tuple(blocks), (d_a0, d_al, d_ar),
-                           a_layout, c_layout)
+    return KIDecomposition(gamma, q, tuple(blocks), dims, a_layout, c_layout)
 
 
 @dataclass(frozen=True)
@@ -376,21 +384,11 @@ def validate_ki(dec: KIDecomposition, psi_ac: DensityOp, tol: float = 1e-7,
     """
     a = dec.a_layout.labels
     c = dec.c_layout.labels
-    mat, d_a, d_c, _, _ = _split_bipartite(psi_ac, list(a), list(c))
+    mat, rho_a, _, d_c, _, _ = _split_bipartite(psi_ac, list(a), list(c))
     gamma_total = dec.gamma_total
-    big = np.kron(gamma_total, np.eye(d_c))
-    ki_mat = big @ mat @ big.conj().T
-    d_a0, d_al, d_ar = dec.dims
-    tens = ki_mat.reshape(d_a0, d_al, d_ar, d_c, d_a0, d_al, d_ar, d_c)
-    model = np.zeros_like(tens)
-    for blk in dec.blocks:
-        j = blk.index
-        model[j, :blk.dim_l, :blk.dim_r, :, j, :blk.dim_l, :blk.dim_r, :] = (
-            blk.p * np.einsum("lm,rcsd->lrcmsd", blk.omega.mat,
-                              blk.phi.mat.reshape(blk.dim_r, d_c, blk.dim_r, d_c)))
-    reconstruction = float(np.linalg.norm(tens - model))
+    tens = _ki_tensor(gamma_total, mat, dec.dims, (d_c,))
+    reconstruction = float(np.linalg.norm(tens - _block_model(dec.blocks, dec.dims, d_c)))
 
-    rho_a = np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c))
     supp_proj = dec.support @ dec.support.conj().T
     isometry = float(max(
         np.max(np.abs(gamma_total.conj().T @ gamma_total - supp_proj)),
@@ -438,7 +436,7 @@ def steered_states(psi_ac: DensityOp, ops: Sequence[np.ndarray],
 
     Zero-weight entries are dropped.
     """
-    mat, d_a, d_c, a_layout, _ = _split_bipartite(psi_ac, a, c)
+    mat, _, d_a, d_c, a_layout, _ = _split_bipartite(psi_ac, a, c)
     tens = mat.reshape(d_a, d_c, d_a, d_c)
     out = []
     for m in ops:
@@ -479,7 +477,6 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
 
     purified: list[tuple[PureVec, PureVec]] = []
     b_maps = []
-    bl_dims, br_dims = [], []
     for blk in base.blocks:
         j = blk.index
         slice_j = transformed[j, :blk.dim_l, :blk.dim_r, :, :]
@@ -497,9 +494,7 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
 
         target = np.einsum("la,rbc->lrcab", om_vec, ph_vec).reshape(-1, bl * br)
         g_t = np.linalg.pinv(m_psi, rcond=1e-10) @ target
-        b_maps.append(g_t.T)
-        bl_dims.append(bl)
-        br_dims.append(br)
+        b_maps.append(g_t.T.reshape(bl, br, d_b))
         purified.append((
             PureVec(SystemLayout([("aL", blk.dim_l), ("bL", bl)]), om_vec.reshape(-1)),
             PureVec(SystemLayout([("aR", blk.dim_r), ("bR", br)]) + base.c_layout,
@@ -507,15 +502,12 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
         ))
 
     d_b0 = d_a0
-    d_bl, d_br = max(bl_dims), max(br_dims)
-    gp_total = np.zeros((d_b0 * d_bl * d_br, d_b), dtype=np.complex128)
+    d_bl = max(g.shape[0] for g in b_maps)
+    d_br = max(g.shape[1] for g in b_maps)
+    gp_total = np.zeros((d_b0, d_bl, d_br, d_b), dtype=np.complex128)
     for j, gmap in enumerate(b_maps):
-        bl, br = bl_dims[j], br_dims[j]
-        pad = np.zeros((d_bl * d_br, bl * br))
-        for al in range(bl):
-            for be in range(br):
-                pad[al * d_br + be, al * br + be] = 1.0
-        gp_total[j * d_bl * d_br:(j + 1) * d_bl * d_br, :] = pad @ gmap
+        gp_total[j, :gmap.shape[0], :gmap.shape[1], :] = gmap
+    gp_total = gp_total.reshape(-1, d_b)
 
     gamma_prime = IsometryOp(
         SystemLayout([("suppB", qb.shape[1])]),

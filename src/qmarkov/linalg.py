@@ -74,11 +74,6 @@ class SystemLayout:
                 out *= d
         return out
 
-    def axes_of(self, labels: Iterable[str]) -> tuple[int, ...]:
-        wanted = set(labels)
-        self._check_known(wanted)
-        return tuple(i for i, (l, _) in enumerate(self.factors) if l in wanted)
-
     def restrict(self, labels: Iterable[str]) -> "SystemLayout":
         """Sub-layout of the given labels, preserving the original order."""
         wanted = set(labels)

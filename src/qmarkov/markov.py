@@ -23,18 +23,24 @@ import numpy as np
 from .channels import (
     apply_channel,
     ergodic_projector,
-    is_self_adjoint,
     petz_channel,
     reshuffle,
     transfer_matrices,
 )
 from .entropy import ProbDist, qcmi, qmi, shannon, trace_norm, vn_entropy
-from .kidec import KIDecomposition, TripartiteKI, ki_decompose, ki_tripartite
+from .kidec import (
+    KIDecomposition,
+    TripartiteKI,
+    _ki_tensor,
+    ki_decompose,
+    ki_tripartite,
+)
 from .linalg import (
     DensityOp,
     PureVec,
     SystemLayout,
     ValidationError,
+    is_hermitian,
     marginal,
     partial_trace,
     permute_op,
@@ -106,11 +112,10 @@ def markov_cost_algorithm(psi: PureVec, a: Sequence[str] = ("A",),
     if not isinstance(psi, PureVec) or not psi.normalized:
         raise ValidationError("the spectral route requires a normalized pure state")
     rho_ac = marginal(psi, list(a) + list(c))
-    t1, _, lam = transfer_matrices(rho_ac, a, c)
-    if not is_self_adjoint(lam, tol=hermiticity_tol):
+    t1, lam = transfer_matrices(rho_ac, a, c)
+    if not is_hermitian(lam, tol=hermiticity_tol):
         return None
-    lam_inf = ergodic_projector(lam)
-    omega_inf = reshuffle(lam_inf.mat @ t1.mat, t1.d)
+    omega_inf = reshuffle(ergodic_projector(lam) @ t1, rho_ac.layout.dim_of(a))
     vals = np.linalg.eigvalsh((omega_inf + omega_inf.conj().T) / 2)
     return shannon(np.clip(vals, 0.0, None))
 
@@ -139,14 +144,10 @@ def markov_decomposition(ups: DensityOp, a: Sequence[str] = ("A",),
         raise ValidationError(f"I(A:C|B) = {value:.3e} exceeds {markov_tol:.0e}; "
                               "not a Markov state")
     dec = ki_decompose(partial_trace(ups, b + c), b, c, tol=tol, rng=rng)
-    d_b0, d_bl, d_br = dec.dims
     ordered = permute_op(ups, b + a + c)
-    d_b = ordered.layout.dim_of(b)
     d_a = ordered.layout.dim_of(a)
     d_c = ordered.layout.dim_of(c)
-    big = np.kron(dec.gamma_total, np.eye(d_a * d_c))
-    moved = big @ ordered.mat @ big.conj().T
-    tens = moved.reshape(d_b0, d_bl, d_br, d_a, d_c, d_b0, d_bl, d_br, d_a, d_c)
+    tens = _ki_tensor(dec.gamma_total, ordered.mat, dec.dims, (d_a, d_c))
     a_layout = ordered.layout.restrict(a)
     terms = []
     model = np.zeros_like(tens)
@@ -234,7 +235,7 @@ def build_example(family: str, d: int | None = None, lam=None) -> PureVec:
 
     VIA(d, lam): dims (d, d^2+1, d); an entangled AC pair witnessed by B,
       interpolating from an exact Markov state at lam = 1/d^2 to a
-      maximally entangled AC marginal at lam = 1.  Requires
+      maximally entangled AC marginal at lam = 1.  Requires d >= 2 and
       1/d^2 <= lam <= 1.
     VIB(d, lam): dims (d+1, d+1, d); superposition of B-witnessed AC
       entanglement and A-witnessed BC entanglement; 0 <= lam <= 1.
@@ -242,10 +243,15 @@ def build_example(family: str, d: int | None = None, lam=None) -> PureVec:
       correlated GHZ-type state with Schmidt weights lam.
     """
     fam = family.upper()
-    if fam == "VIA":
+    if fam in ("VIA", "VIB"):
         if d is None or lam is None:
-            raise ValidationError("VIA requires d and lambda")
+            raise ValidationError(f"{fam} requires d and lambda")
+        if np.ndim(lam) != 0:
+            raise ValidationError(f"{fam} requires one scalar lambda, got {lam!r}")
         lam = float(lam)
+    if fam == "VIA":
+        if d < 2:
+            raise ValidationError(f"VIA requires d >= 2, got {d}")
         if not (1.0 / d**2 - 1e-12 <= lam <= 1.0 + 1e-12):
             raise ValidationError(f"VIA requires 1/d^2 <= lambda <= 1, got {lam}")
         d_b = d * d + 1
@@ -260,9 +266,6 @@ def build_example(family: str, d: int | None = None, lam=None) -> PureVec:
         lay = SystemLayout([("A", d), ("B", d_b), ("C", d)])
         return PureVec(lay, vec.reshape(-1))
     if fam == "VIB":
-        if d is None or lam is None:
-            raise ValidationError("VIB requires d and lambda")
-        lam = float(lam)
         if not (-1e-12 <= lam <= 1.0 + 1e-12):
             raise ValidationError(f"VIB requires 0 <= lambda <= 1, got {lam}")
         lam = min(max(lam, 0.0), 1.0)

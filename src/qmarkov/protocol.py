@@ -430,8 +430,17 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     compares the sample average of the projected state against the exact
     ensemble average, err_full compares the randomized full n-copy state
     against the normalized Markov target.  Both are trace distances
-    between normalized states, averaged over trials.
+    between normalized states, averaged over trials.  Raises
+    ValidationError, before any work, when trials < 1 or when 2^(n*rate)
+    is not a finite double.
     """
+    if trials < 1:
+        raise ValidationError(f"trials = {trials} < 1")
+    try:
+        n_unitaries = math.ceil(2.0 ** (n * rate))
+    except (OverflowError, ValueError):  # ceil of inf or nan
+        raise ValidationError(f"2^(n*rate) = 2^{n * rate:g} unitaries is not a finite "
+                              "double") from None
     if rng is None:
         rng = np.random.default_rng(seed)
     from .kidec import ki_tripartite
@@ -444,7 +453,6 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     bar_norm = bar.mat / d_mass
     psi_unit = PureVec(psi_prime.layout, psi_prime.vec / np.sqrt(d_mass))
     psi_full = _ki_power(tki, n, dim_cap)
-    n_unitaries = math.ceil(2.0 ** (n * rate))
 
     err_avg_trials, err_full_trials = [], []
     for _ in range(trials):

@@ -18,7 +18,6 @@ from .channels import (
     cesaro_average,
     channel_E,
     ergodic_projector,
-    is_self_adjoint,
     petz_channel,
     transfer_matrices,
 )
@@ -35,6 +34,7 @@ from .kidec import ki_decompose, ki_tripartite, validate_ki
 from .linalg import (
     DensityOp,
     haar_unitary,
+    is_hermitian,
     layout,
     marginal,
     random_density,
@@ -246,14 +246,13 @@ def criterion_7(rng: np.random.Generator) -> tuple[bool, str]:
                 build_example("VIA", d=2, lam=1.0),
                 build_example("VIC", lam=(0.3, 0.7))):
         rho_ac = marginal(psi, ["A", "C"])
-        _, _, lam_t = transfer_matrices(rho_ac, ["A"], ["C"])
-        if not is_self_adjoint(lam_t, tol=1e-9):
+        _, lam_t = transfer_matrices(rho_ac, ["A"], ["C"])
+        if not is_hermitian(lam_t, tol=1e-9):
             return False, "expected a self-adjoint channel on a closed-form family"
         lam_inf = ergodic_projector(lam_t)
-        worst_comp = max(worst_comp, float(np.max(np.abs(
-            lam_t.mat @ lam_inf.mat - lam_inf.mat))))
+        worst_comp = max(worst_comp, float(np.max(np.abs(lam_t @ lam_inf - lam_inf))))
         ces = cesaro_average(lam_t, 2000)
-        worst_ces = max(worst_ces, float(np.max(np.abs(ces.mat - lam_inf.mat))))
+        worst_ces = max(worst_ces, float(np.max(np.abs(ces - lam_inf))))
     if worst_comp > 1e-8:
         return False, f"composition with the average off by {_fmt(worst_comp)}"
     if worst_ces > 1e-3:

@@ -3,14 +3,12 @@ import pytest
 
 from qmarkov.channels import (
     KrausChannel,
-    TransferMatrix,
     apply_channel,
     cesaro_average,
     channel_E,
     commutant_basis,
     completeness,
     ergodic_projector,
-    is_self_adjoint,
     petz_channel,
     reshuffle,
     transfer_matrices,
@@ -18,8 +16,11 @@ from qmarkov.channels import (
 from qmarkov.linalg import (
     DensityOp,
     ValidationError,
+    is_hermitian,
     layout,
     marginal,
+    partial_trace,
+    pinv_sqrt,
     psd_sqrt,
     random_density,
     random_pure,
@@ -103,7 +104,7 @@ class TestTransferMatrices:
     def test_maximally_mixed_structure(self):
         # for a maximally mixed A marginal the purification matrix has
         # entries delta_km delta_nl / d
-        t1, _, _ = transfer_matrices(maxent_op(2), ["A"], ["C"])
+        t1, _ = transfer_matrices(maxent_op(2), ["A"], ["C"])
         expect = np.zeros((4, 4))
         for k in range(2):
             for l in range(2):
@@ -111,7 +112,7 @@ class TestTransferMatrices:
                     for n in range(2):
                         if k == m and n == l:
                             expect[k * 2 + l, m * 2 + n] = 0.5
-        assert np.allclose(t1.mat, expect)
+        assert np.allclose(t1, expect)
 
     def test_purification_identity(self, rng):
         # reshuffling the purification matrix reproduces the projector on
@@ -119,95 +120,154 @@ class TestTransferMatrices:
         psi = random_pure(layout(("A", 2), ("B", 3), ("C", 2)), rng)
         rho_ac = marginal(psi, ["A", "C"])
         rho_a = marginal(psi, ["A"])
-        t1, _, _ = transfer_matrices(rho_ac, ["A"], ["C"])
+        t1, _ = transfer_matrices(rho_ac, ["A"], ["C"])
         s = psd_sqrt(rho_a.mat)
         omega = np.zeros(4, dtype=np.complex128)
         for k in range(2):
             e = np.zeros(2)
             e[k] = 1.0
             omega += np.kron(s @ e, e)
-        assert np.max(np.abs(reshuffle(t1.mat, 2) - np.outer(omega, omega.conj()))) <= 1e-12
+        assert np.max(np.abs(reshuffle(t1, 2) - np.outer(omega, omega.conj()))) <= 1e-12
 
     def test_fixed_point(self, rng):
         psi = random_pure(layout(("A", 3), ("B", 2), ("C", 2)), rng)
         rho_ac = marginal(psi, ["A", "C"])
         rho_a = marginal(psi, ["A"])
-        _, _, lam = transfer_matrices(rho_ac, ["A"], ["C"])
+        _, lam = transfer_matrices(rho_ac, ["A"], ["C"])
         vec = rho_a.mat.reshape(-1)
-        assert np.max(np.abs(lam.mat @ vec - vec)) <= 1e-10
+        assert np.max(np.abs(lam @ vec - vec)) <= 1e-10
 
     def test_hermitian_on_asymmetric_family(self):
         psi = build_example("VIB", d=2, lam=0.5)
-        _, _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
-        assert is_self_adjoint(lam, tol=1e-9)
+        _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        assert is_hermitian(lam, tol=1e-9)
 
     def test_hermitian_on_depolarizing(self):
-        _, _, lam = transfer_matrices(maxent_op(2), ["A"], ["C"])
-        assert is_self_adjoint(lam, tol=1e-9)
+        _, lam = transfer_matrices(maxent_op(2), ["A"], ["C"])
+        assert is_hermitian(lam, tol=1e-9)
 
     def test_generic_state_fails_gate(self, rng):
         psi = random_pure(layout(("A", 2), ("B", 2), ("C", 2)), rng)
-        _, _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
-        assert not is_self_adjoint(lam, tol=1e-9)
+        _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        assert not is_hermitian(lam, tol=1e-9)
+
+
+IDENTITY_STATES = {
+    "random_232": lambda: random_pure(layout(("A", 2), ("B", 3), ("C", 2)),
+                                      np.random.default_rng(5)),
+    "random_393": lambda: random_pure(layout(("A", 3), ("B", 9), ("C", 3)),
+                                      np.random.default_rng(6)),
+    "VIA": lambda: build_example("VIA", d=2, lam=0.6),
+    "VIB": lambda: build_example("VIB", d=2, lam=0.5),
+    "VIC": lambda: build_example("VIC", lam=(0.3, 0.7)),
+}
+
+
+def purification_ratio(rho_ac, d_a, d_c):
+    """Reference transfer matrix T2 pinv(T1): the canonical purification of
+    Psi_A after one channel use, divided by the purification itself."""
+    t_ac = psd_sqrt(rho_ac.mat).reshape(d_a, d_c, d_a, d_c)
+    t2 = np.einsum("krms,nslr->klmn", t_ac, t_ac).reshape(d_a * d_a, d_a * d_a)
+    inv_s = pinv_sqrt(partial_trace(rho_ac, ["A"]).mat)
+    t1_pinv = np.einsum("km,nl->klmn", inv_s, inv_s).reshape(d_a * d_a, d_a * d_a)
+    return t2 @ t1_pinv
+
+
+class TestRecoveryIdentities:
+    """Both Kraus families and both transfer matrices come from the one Petz
+    recovery A -> AC; these pin the identities that tie them together."""
+
+    @pytest.fixture(params=sorted(IDENTITY_STATES))
+    def rho_ac(self, request):
+        return marginal(IDENTITY_STATES[request.param](), ["A", "C"])
+
+    def test_transfer_is_kraus_sum(self, rho_ac):
+        _, lam = transfer_matrices(rho_ac, ["A"], ["C"])
+        family = channel_E(rho_ac, ["A"], ["C"]).kraus
+        kraus_sum = sum(np.kron(e, e.conj()) for e in family)
+        assert np.max(np.abs(lam - kraus_sum)) <= 1e-12
+
+    def test_transfer_matches_purification_ratio(self, rho_ac):
+        d_a, d_c = rho_ac.layout.dims
+        _, lam = transfer_matrices(rho_ac, ["A"], ["C"])
+        assert np.max(np.abs(lam - purification_ratio(rho_ac, d_a, d_c))) <= 1e-12
+
+    def test_purification_matrix_is_root_tensor_conjugate(self, rho_ac):
+        t1, _ = transfer_matrices(rho_ac, ["A"], ["C"])
+        s = psd_sqrt(partial_trace(rho_ac, ["A"]).mat)
+        d_a = s.shape[0]
+        expect = np.einsum("km,nl->klmn", s, s).reshape(d_a * d_a, d_a * d_a)
+        assert np.max(np.abs(t1 - expect)) <= 1e-12
+        assert np.max(np.abs(t1 - np.kron(s, s.conj()))) <= 1e-12
+
+    def test_channel_e_kraus_are_c_rows_of_petz_kraus(self, rho_ac):
+        d_a, d_c = rho_ac.layout.dims
+        petz = petz_channel(rho_ac, ["A"], ["C"]).kraus
+        family = channel_E(rho_ac, ["A"], ["C"]).kraus
+        assert len(family) == d_c * d_c
+        for k in range(d_c):
+            for l in range(d_c):
+                row = petz[l].reshape(d_a, d_c, d_a)[:, k, :]
+                assert np.max(np.abs(family[k * d_c + l] - row)) <= 1e-12
 
 
 class TestErgodicProjector:
     def test_identity(self):
-        tm = TransferMatrix(2, np.eye(4))
-        assert np.allclose(ergodic_projector(tm).mat, np.eye(4))
+        tm = np.eye(4)
+        assert np.allclose(ergodic_projector(tm), np.eye(4))
 
     def test_rank_matches_fixed_space(self):
         # two fixed directions: the two classical sectors of the channel
         psi = build_example("VIB", d=2, lam=0.5)
-        _, _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
         linf = ergodic_projector(lam)
-        assert round(float(np.trace(linf.mat).real)) == 2
+        assert round(float(np.trace(linf).real)) == 2
         ces = cesaro_average(lam, 2000)
-        assert np.max(np.abs(ces.mat - linf.mat)) <= 1e-3
+        assert np.max(np.abs(ces - linf)) <= 1e-3
 
     def test_invariant_state_membership(self):
         psi = build_example("VIB", d=2, lam=0.5)
         rho_a = marginal(psi, ["A"])
-        _, _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
         linf = ergodic_projector(lam)
         vec = rho_a.mat.reshape(-1)
-        assert np.max(np.abs(linf.mat @ vec - vec)) <= 1e-9
+        assert np.max(np.abs(linf @ vec - vec)) <= 1e-9
 
     def test_no_unit_eigenvalue_rejected(self):
-        tm = TransferMatrix(2, 0.5 * np.eye(4))
+        tm = 0.5 * np.eye(4)
         with pytest.raises(ValidationError):
             ergodic_projector(tm)
 
     def test_composition_idempotence(self):
         for psi in (build_example("VIB", d=2, lam=0.5),
                     build_example("VIC", lam=(0.3, 0.7))):
-            _, _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+            _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
             linf = ergodic_projector(lam)
-            assert np.max(np.abs(lam.mat @ linf.mat - linf.mat)) <= 1e-8
+            assert np.max(np.abs(lam @ linf - linf)) <= 1e-8
 
 
 class TestCesaro:
     def test_identity(self):
-        tm = TransferMatrix(2, np.eye(4))
-        assert np.allclose(cesaro_average(tm, 17).mat, np.eye(4))
+        tm = np.eye(4)
+        assert np.allclose(cesaro_average(tm, 17), np.eye(4))
 
     def test_alternating_toy(self):
-        tm = TransferMatrix(1, np.diag([1.0, -1.0]))
+        tm = np.diag([1.0, -1.0])
         out = cesaro_average(tm, 10)
-        assert np.allclose(out.mat, np.diag([1.0, 0.0]))
+        assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_slow_gap_rate(self):
         # at intermediate mixing the subdominant transfer eigenvalue is
         # 0.83, so the N=2000 average sits ~2.5e-3 from the projector;
         # check the exact 1/N rate rather than a fixed small tolerance
         psi = build_example("VIA", d=2, lam=0.6)
-        _, _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
         linf = ergodic_projector(lam)
-        vals = np.linalg.eigvalsh((lam.mat + lam.mat.conj().T) / 2)
+        vals = np.linalg.eigvalsh((lam + lam.conj().T) / 2)
         sub = max(abs(v) for v in vals if abs(v - 1.0) > 1e-8)
         gap_bound = sub / (2000 * (1 - sub)) + 1e-12
         ces = cesaro_average(lam, 2000)
-        assert np.max(np.abs(ces.mat - linf.mat)) <= gap_bound
+        assert np.max(np.abs(ces - linf)) <= gap_bound
 
 
 class TestCommutant:
@@ -270,8 +330,8 @@ class TestApply:
         d, lam_w = 2, 0.5
         psi = build_example("VIB", d=d, lam=lam_w)
         rho = psi.density()
-        _, _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
-        linf = ergodic_projector(lam).mat.reshape(3, 3, 3, 3)
+        _, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        linf = ergodic_projector(lam).reshape(3, 3, 3, 3)
         d_a = 3
         t = rho.mat.reshape(d_a, 6, d_a, 6)
         out = np.einsum("klmn,mxny->kxly", linf, t).reshape(18, 18)

@@ -304,6 +304,11 @@ class TestExamples:
         ("VIB", 2, -0.2),
         ("VIB", 2, 1.5),
         ("VIC", None, (0.5, 0.6)),  # not a distribution
+        ("VIA", 2, [0.5]),    # a vector where one scalar is required
+        ("VIB", 2, (0.2, 0.3)),
+        ("VIB", 2, []),
+        ("VIA", 1, 1.0),      # d = 1 has no Markov-point interpolation
+        ("VIA", 0, 1.0),
     ])
     def test_out_of_range_rejected(self, family, d, lam):
         with pytest.raises(ValidationError):

@@ -274,6 +274,16 @@ class TestSimulate:
         # the projection loss obeys the gentle measurement bound
         assert gap <= 2 * np.sqrt(1 - d) + 1e-9
 
+    @pytest.mark.parametrize("trials, rate", [(0, 3.0), (-2, 3.0), (1, 1e6),
+                                              (1, float("inf")), (1, float("nan"))])
+    def test_rejects_bad_counts_before_any_work(self, trials, rate, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulate started work before checking its arguments")
+        monkeypatch.setattr("qmarkov.kidec.ki_tripartite", no_work)
+        psi = build_example("VIC", lam=(0.5, 0.5))
+        with pytest.raises(ValidationError):
+            simulate(psi, n=2, delta=1.0, rate=rate, trials=trials, seed=1)
+
     def test_seed_reproducibility(self, ghz_tki):
         psi, tki = ghz_tki
         r1 = simulate(psi, n=2, delta=1.0, rate=3.0, trials=2, seed=99, tki=tki)

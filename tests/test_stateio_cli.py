@@ -388,6 +388,41 @@ class TestCliErrors:
         assert (code, out) == (1, "")
         assert err.startswith("state file error: SCHEMA_ENTRY: data[0]: non-finite")
 
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "VIA", "--d", "2", "--lambda", ","], "VIA requires one scalar lambda"),
+        (["--family", "VIA", "--d", "2", "--lambda", ""], "VIA requires one scalar lambda"),
+        (["--family", "VIA", "--d", "2", "--lambda", "0.3,0.6"],
+         "VIA requires one scalar lambda"),
+        (["--family", "VIB", "--d", "2", "--lambda", "0.2,0.5"],
+         "VIB requires one scalar lambda"),
+        (["--family", "VIA", "--d", "1", "--lambda", "1"], "VIA requires d >= 2"),
+    ])
+    def test_example_rejects_bad_family_parameters(self, args, message, capsys,
+                                                   monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, ["example", *args])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0", "--rate", "3"], "trials = 0 < 1"),
+        (["--trials", "-1", "--rate", "3"], "trials = -1 < 1"),
+        (["--rate", "1e6"], "2^(n*rate) = 2^2e+06 unitaries is not a finite double"),
+    ])
+    def test_simulate_rejects_bad_counts(self, args, message, state_files, capsys,
+                                         monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["simulate", state_files["vic"], "--n", "2",
+                                  "--delta", "1.0", *args])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_is_markov_rejects_non_finite_tol(self, tol, state_files, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["is-markov", state_files["via"], "--tol", tol])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --tol must be finite, got {tol}")
+
     def test_huge_integer_state_file(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "huge.json"
         path.write_text('{"version": 1, "kind": "pure", "layout": [["A", 2]], '
