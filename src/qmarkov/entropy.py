@@ -117,6 +117,20 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
+def factored_trace_norm(x: np.ndarray, y: np.ndarray) -> float:
+    """Trace norm of X X† - Y Y† for factors with equal row counts, computed
+    in the span of their columns: with [X, Y] = Q R (thin QR) and
+    J = diag(I, -I), the difference is Q (R J R†) Q†, so its nonzero
+    eigenvalues are those of R J R†, of size min(rows, cols X + cols Y)."""
+    x, y = _as_complex(x), _as_complex(y)
+    if x.shape[0] != y.shape[0]:
+        raise ValidationError(f"factor row counts differ: {x.shape[0]} != {y.shape[0]}")
+    r = np.linalg.qr(np.hstack([x, y]), mode="r")
+    rx, ry = r[:, :x.shape[1]], r[:, x.shape[1]:]
+    diff = rx @ rx.conj().T - ry @ ry.conj().T
+    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
 def eta0(x: float) -> float:
     """-x log2 x for x <= 1/e, capped at its maximum value beyond."""
     if x < 0:

@@ -22,9 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import ProbDist, shannon, trace_norm, vn_entropy
+from .entropy import ProbDist, factored_trace_norm, shannon, vn_entropy
 from .kidec import TripartiteKI
 from .linalg import (
+    HERM_TOL,
     DensityOp,
     DimensionError,
     PureVec,
@@ -35,7 +36,8 @@ from .linalg import (
     permute_vec,
 )
 
-# Largest dense total dimension the simulator will allocate by default.
+# Largest n-copy dimension D the simulator accepts by default; simulate
+# also bounds its N x D sampled amplitudes by the square of the cap.
 DEFAULT_DIM_CAP = 4096
 # Largest number of classical block sequences enumerated exactly.
 DEFAULT_SEQUENCE_CAP = 1 << 20
@@ -274,10 +276,8 @@ def _ki_power(tki: TripartiteKI, n: int, dim_cap: int) -> PureVec:
     single = tki.ki_pure_state()
     total = single.layout.dim ** n
     if total > dim_cap:
-        need = total * total * 16 / 2**20
         raise DimensionError(
-            f"dense simulation needs dimension {total} > cap {dim_cap} "
-            f"(a density matrix would take ~{need:.0f} MiB)")
+            f"the n-copy state has dimension {total} > cap {dim_cap}")
     vec = np.ones(1, dtype=np.complex128)
     for _ in range(n):
         vec = np.kron(vec, single.vec)
@@ -360,6 +360,31 @@ def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
     return out
 
 
+def _average_factor(tki: TripartiteKI, blocks: BlockStructure,
+                    projected: PureVec) -> np.ndarray:
+    """A factor Y of the exact ensemble average, Y Y^dagger = average.
+
+    Block s of the average is (P_s / r_s) tensor Tr_{aR^n} |M_s><M_s|; with
+    F_s the (aL^n rest) x aR^n reshaping of M_s, F_s F_s^dagger is the
+    partial trace, and P_s / r_s = (basis_s / sqrt r_s)(...)^dagger, so
+    block s contributes the columns F_s tensor basis_s / sqrt(r_s) on the
+    rows of sequence s.
+    """
+    tens = _block_view(projected, tki, blocks.spec.n)
+    _, daln, darn, rest = tens.shape
+    widths = [darn * e.rank for e in blocks.entries]
+    y = np.zeros(tens.shape + (sum(widths),), dtype=np.complex128)
+    seq_shape = (tki.base.dims[0],) * blocks.spec.n
+    start = 0
+    for entry, width in zip(blocks.entries, widths):
+        flat = np.ravel_multi_index(entry.seq, seq_shape)
+        y[flat, ..., start:start + width] = np.einsum(
+            "lkx,rj->lrxkj", tens[flat], entry.basis / np.sqrt(entry.rank),
+        ).reshape(daln, darn, rest, width)
+        start += width
+    return y.reshape(projected.dim, -1)
+
+
 def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
                          dim_cap: int = DEFAULT_DIM_CAP,
                          max_sequences: int = DEFAULT_SEQUENCE_CAP,
@@ -370,28 +395,36 @@ def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
     block sequences are independent, so cross terms vanish, and block s
     becomes (P_s / r_s) tensor Tr_{aR^n} |M_s><M_s|, where M_s is the
     projected vector restricted to s.  The result is a subnormalized
-    Markov state conditioned on the B side.
+    Markov state conditioned on the B side, built densely from the
+    factor that ``simulate`` works with.
     """
     if blocks is None:
         blocks = build_blocks(tki, spec, max_sequences)
     projected = _project(tki, spec, blocks, dim_cap)
-    tens = _block_view(projected, tki, spec.n)
-    total = np.zeros(tens.shape * 2, dtype=np.complex128)
-    seq_shape = (tki.base.dims[0],) * spec.n
-    for entry in blocks.entries:
-        flat = np.ravel_multi_index(entry.seq, seq_shape)
-        m = tens[flat]
-        rest = np.tensordot(m, m.conj(), axes=([1], [1]))  # Tr_{aR^n}
-        total[flat, :, :, :, flat] = np.einsum(
-            "lxmy,rq->lrxmqy", rest, entry.projector / entry.rank)
-    return DensityOp(projected.layout, total.reshape(projected.dim, -1),
-                     trace_of_one=False)
+    y = _average_factor(tki, blocks, projected)
+    return DensityOp(projected.layout, y @ y.conj().T, trace_of_one=False)
+
+
+def _smallest_above(vals: np.ndarray, rtol: float) -> float:
+    """Smallest of ascending eigenvalues above rtol times the largest."""
+    return float(np.min(vals[vals > float(vals[-1]) * rtol]))
 
 
 def min_nonzero_eigenvalue(mat: np.ndarray, rtol: float = 1e-12) -> float:
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    top = float(vals[-1])
-    return float(np.min(vals[vals > top * rtol]))
+    return _smallest_above(np.linalg.eigvalsh((mat + mat.conj().T) / 2), rtol)
+
+
+def _factor_min_eigenvalue(y: np.ndarray, trace: float, rtol: float = 1e-12) -> float:
+    """Smallest nonzero eigenvalue of Y Y^dagger, read from the Gram matrix
+    Y^dagger Y (same nonzero spectrum).  Checks what a factor can get wrong:
+    its squared Frobenius norm must be ``trace`` and the Gram matrix PSD."""
+    norm2 = float(np.vdot(y, y).real)
+    if abs(norm2 - trace) > 1e-10:
+        raise ValidationError(f"average factor has trace {norm2} != {trace}")
+    vals = np.linalg.eigvalsh(y.conj().T @ y)
+    if vals[0] < -HERM_TOL:
+        raise ValidationError(f"average factor Gram matrix has eigenvalue {vals[0]}")
+    return _smallest_above(vals, rtol)
 
 
 def min_eig_lower_bound(tki: TripartiteKI, n: int, delta: float, d_a: int) -> float:
@@ -406,18 +439,6 @@ def min_eig_lower_bound(tki: TripartiteKI, n: int, delta: float, d_a: int) -> fl
     return float(2.0 ** (-exponent))
 
 
-def _sample_average(psi: PureVec, tki: TripartiteKI, n: int,
-                    draws: Sequence[dict[tuple[int, ...], np.ndarray]],
-                    default_identity: bool = False) -> np.ndarray:
-    """(1/N) sum_i |V_i psi><V_i psi| over the sampled block unitaries, as
-    one product of the stacked rows V_i psi / sqrt(N)."""
-    w = np.empty((len(draws), psi.dim), dtype=np.complex128)
-    for i, v in enumerate(draws):
-        w[i] = _apply_blockwise(psi, tki, n, v, default_identity)
-    w /= np.sqrt(len(draws))
-    return w.T @ w.conj()
-
-
 def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
              seed: int | None = None,
              a: Sequence[str] = ("A",), b: Sequence[str] = ("B",),
@@ -430,9 +451,12 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     compares the sample average of the projected state against the exact
     ensemble average, err_full compares the randomized full n-copy state
     against the normalized Markov target.  Both are trace distances
-    between normalized states, averaged over trials.  Raises
-    ValidationError, before any work, when trials < 1 or when 2^(n*rate)
-    is not a finite double.
+    between normalized states, averaged over trials.  Both are taken in
+    the span of the sampled rows and of a factor of the exact average, so
+    no D x D matrix is formed.  Raises ValidationError, before any work,
+    when trials < 1 or when 2^(n*rate) is not a finite double, and
+    DimensionError, before the first draw, when the N x D sampled
+    amplitudes of one stack exceed dim_cap^2.
     """
     if trials < 1:
         raise ValidationError(f"trials = {trials} < 1")
@@ -447,24 +471,34 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
 
     if tki is None:
         tki = ki_tripartite(psi, a, b, c)
+    dim = protocol_layout(tki, n).dim
+    if n_unitaries * dim > dim_cap ** 2:
+        raise DimensionError(
+            f"{n_unitaries:.4g} unitaries at dimension {dim} need "
+            f"{n_unitaries * dim:.4g} sampled amplitudes > dim_cap^2 = {dim_cap ** 2}")
     spec = TypicalSpec(n, delta)
     psi_prime, blocks, d_mass = build_protocol_state(tki, spec, dim_cap)
-    bar = average_markov_state(tki, spec, dim_cap, blocks=blocks)
-    bar_norm = bar.mat / d_mass
+    y = _average_factor(tki, blocks, psi_prime)
+    lam_min = _factor_min_eigenvalue(y, d_mass)
+    y_unit = y / np.sqrt(d_mass)
     psi_unit = PureVec(psi_prime.layout, psi_prime.vec / np.sqrt(d_mass))
     psi_full = _ki_power(tki, n, dim_cap)
 
     err_avg_trials, err_full_trials = [], []
+    # rows V_i psi / sqrt(N): the sample average is X X^dagger with X = rows^T
+    rows_avg = np.empty((n_unitaries, dim), dtype=np.complex128)
+    rows_full = np.empty_like(rows_avg)
+    scale = 1.0 / np.sqrt(n_unitaries)
     for _ in range(trials):
-        draws = [sample_block_unitary(blocks, tki, rng) for _ in range(n_unitaries)]
-        avg = _sample_average(psi_unit, tki, n, draws)
-        err_avg_trials.append(trace_norm(avg - bar_norm))
-        avg = _sample_average(psi_full, tki, n, draws, default_identity=True)
-        err_full_trials.append(trace_norm(avg - bar_norm))
+        for i in range(n_unitaries):
+            v = sample_block_unitary(blocks, tki, rng)
+            rows_avg[i] = _apply_blockwise(psi_unit, tki, n, v)
+            rows_full[i] = _apply_blockwise(psi_full, tki, n, v, default_identity=True)
+        err_avg_trials.append(factored_trace_norm(rows_avg.T * scale, y_unit))
+        err_full_trials.append(factored_trace_norm(rows_full.T * scale, y_unit))
 
     err_avg = float(np.mean(err_avg_trials))
     err_full = float(np.mean(err_full_trials))
-    lam_min = min_nonzero_eigenvalue(bar.mat)
     d_a = psi.layout.dim_of(a)
     eps1 = max(err_avg / 2.0, 1e-150)  # eps1 ** 2 must not underflow to 0
     chernoff = 2.0 * np.log(2.0 * float(d_a) ** (3 * n)) / (lam_min * eps1 ** 2)

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarkov.entropy import (
     ProbDist,
     binary_entropy,
     eta0,
+    factored_trace_norm,
     fannes_eta,
     qcmi,
     qmi,
     shannon,
     trace_distance,
+    trace_norm,
     vn_entropy,
 )
 from qmarkov.linalg import (
@@ -174,6 +178,48 @@ class TestTraceDistance:
         with pytest.raises(ValidationError):
             trace_distance(random_density(layout(("X", 2)), rng),
                            random_density(layout(("X", 3)), rng))
+
+
+
+@st.composite
+def low_rank_factor(draw, rows: int):
+    """A rows x cols complex factor of rank at most ``rank``; either may be 0."""
+    cols = draw(st.integers(0, 2 * rows))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return gauss(rows, rank) @ gauss(rank, cols) * draw(st.floats(1e-3, 1.0))
+
+
+class TestFactoredTraceNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(low_rank_factor(d),
+                                                         low_rank_factor(d))))
+    def test_matches_dense(self, factors):
+        x, y = factors
+        dense = trace_norm(x @ x.conj().T - y @ y.conj().T)
+        scale = max(1.0, float(np.sum(np.abs(x) ** 2) + np.sum(np.abs(y) ** 2)))
+        assert abs(factored_trace_norm(x, y) - dense) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("cols_x, cols_y", [(0, 0), (0, 3), (2, 0), (4, 5)])
+    def test_edge_shapes(self, cols_x, cols_y, rng):
+        # (4, 5) has more columns than the 4 rows
+        x = rng.normal(size=(4, cols_x)) + 1j * rng.normal(size=(4, cols_x))
+        y = rng.normal(size=(4, cols_y))
+        dense = trace_norm(x @ x.conj().T - y @ y.T)
+        assert factored_trace_norm(x, y) == pytest.approx(dense, abs=1e-10)
+
+    def test_equal_factors_cancel(self, rng):
+        x = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        assert factored_trace_norm(x, x @ u) <= 1e-12
+
+    def test_row_mismatch(self):
+        with pytest.raises(ValidationError):
+            factored_trace_norm(np.ones((3, 1)), np.ones((4, 1)))
 
 
 class TestFannes:

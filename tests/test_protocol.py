@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from qmarkov.markov import build_example
 from qmarkov.protocol import (
     TypicalSpec,
     _apply_blockwise,
+    _average_factor,
+    _block_view,
+    _factor_min_eigenvalue,
     _ki_power,
     a_side_labels,
     average_markov_state,
@@ -295,3 +300,122 @@ class TestSimulate:
         res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=21, tki=tki)
         assert res.chernoff_n > 0
         assert res.typical_mass == pytest.approx(0.5, abs=1e-12)
+
+    def test_unitary_count_bounded_before_any_draw(self, ghz_tki, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("simulate drew a unitary before checking N x D")
+        monkeypatch.setattr("qmarkov.protocol.sample_block_unitary", no_draw)
+        psi, tki = ghz_tki
+        with pytest.raises(DimensionError, match="dim_cap"):
+            simulate(psi, n=2, delta=1.0, rate=30.0, trials=1, seed=1, tki=tki)
+        # D = 64 at n = 2: N x D = 128 x 64 exceeds 64^2, 64 x 64 does not
+        with pytest.raises(DimensionError):
+            simulate(psi, n=2, delta=1.0, rate=3.5, trials=1, seed=1, tki=tki, dim_cap=64)
+
+    def test_bound_is_n_times_d(self, ghz_tki):
+        psi, tki = ghz_tki
+        res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=1, tki=tki, dim_cap=64)
+        assert res.n_unitaries * 64 == 64 ** 2
+
+    def test_no_dense_matrix_on_the_path(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("simulate built or decomposed a D x D matrix")
+        for target in ("qmarkov.protocol.average_markov_state",
+                       "qmarkov.protocol.min_nonzero_eigenvalue",
+                       "qmarkov.protocol.DensityOp", "qmarkov.entropy.trace_norm"):
+            monkeypatch.setattr(target, dense)
+        # protocol does not import trace_norm; the stub catches a re-import
+        monkeypatch.setattr("qmarkov.protocol.trace_norm", dense, raising=False)
+        psi = build_example("VIB", d=2, lam=0.3)
+        res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=0)
+        assert res.n_unitaries == 64 and 0 < res.err_to_average < 2
+
+
+def _einsum_average(tki, psi_p, blocks):
+    """Dense reference for the Haar twirl: block s of the average is
+    (P_s / r_s) tensor Tr_{aR^n} |M_s><M_s|, filled in with one einsum."""
+    tens = _block_view(psi_p, tki, blocks.spec.n)
+    total = np.zeros(tens.shape * 2, dtype=np.complex128)
+    seq_shape = (tki.base.dims[0],) * blocks.spec.n
+    for entry in blocks.entries:
+        flat = np.ravel_multi_index(entry.seq, seq_shape)
+        m = tens[flat]
+        rest = np.tensordot(m, m.conj(), axes=([1], [1]))  # Tr_{aR^n}
+        total[flat, :, :, :, flat] = np.einsum(
+            "lxmy,rq->lrxmqy", rest, entry.projector / entry.rank)
+    return total.reshape(psi_p.dim, -1)
+
+
+def _dense_simulate(tki, n, delta, rate, seed):
+    """One trial of the simulator with dense D x D averages and trace norms."""
+    rng = np.random.default_rng(seed)
+    psi_p, blocks, d = build_protocol_state(tki, TypicalSpec(n, delta))
+    bar = _einsum_average(tki, psi_p, blocks)
+    psi_unit = PureVec(psi_p.layout, psi_p.vec / np.sqrt(d))
+    full = _ki_power(tki, n, 4096)
+    n_unitaries = math.ceil(2.0 ** (n * rate))
+    draws = [sample_block_unitary(blocks, tki, rng) for _ in range(n_unitaries)]
+    errs = []
+    for vec, identity in ((psi_unit, False), (full, True)):
+        w = np.array([_apply_blockwise(vec, tki, n, v, identity) for v in draws])
+        w /= np.sqrt(n_unitaries)
+        errs.append(trace_norm(w.T @ w.conj() - bar / d))
+    return errs[0], errs[1], min_nonzero_eigenvalue(bar), bar
+
+
+ORACLE_STATES = {
+    "ghz": ("VIC", dict(lam=(0.5, 0.5))),
+    "vib_0.3": ("VIB", dict(d=2, lam=0.3)),
+    "vib_0.5": ("VIB", dict(d=2, lam=0.5)),
+    "vic_3": ("VIC", dict(lam=(0.2, 0.3, 0.5))),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_STATES))
+def oracle_state(request):
+    family, kw = ORACLE_STATES[request.param]
+    psi = build_example(family, **kw)
+    return psi, ki_tripartite(psi, rng=np.random.default_rng(0))
+
+
+class TestDenseOracle:
+    """The factored simulator against the dense code it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("delta", [1.0, 1.5])
+    def test_factored_matches_dense(self, oracle_state, n, delta):
+        psi, tki = oracle_state
+        try:
+            oracle = [_dense_simulate(tki, n, delta, 2.0, seed) for seed in (11, 12)]
+        except ValidationError:  # empty typical region: both paths refuse it
+            with pytest.raises(ValidationError):
+                simulate(psi, n=n, delta=delta, rate=2.0, trials=1, seed=11, tki=tki)
+            return
+        spec = TypicalSpec(n, delta)
+        psi_p, blocks, d = build_protocol_state(tki, spec)
+        y = _average_factor(tki, blocks, psi_p)
+        bar = oracle[0][3]
+        assert np.max(np.abs(y @ y.conj().T - bar)) <= 1e-12
+        assert np.max(np.abs(average_markov_state(tki, spec).mat - bar)) <= 1e-12
+        assert abs(_factor_min_eigenvalue(y, d) - oracle[0][2]) <= 1e-12
+        for seed, (err_avg, err_full, _, _) in zip((11, 12), oracle):
+            res = simulate(psi, n=n, delta=delta, rate=2.0, trials=1, seed=seed, tki=tki)
+            assert abs(res.err_to_average - err_avg) <= 1e-12
+            assert abs(res.err_full - err_full) <= 1e-12
+
+    def test_factor_checks(self, oracle_state):
+        psi, tki = oracle_state
+        psi_p, blocks, d = build_protocol_state(tki, TypicalSpec(2, 1.5))
+        y = _average_factor(tki, blocks, psi_p)
+        with pytest.raises(ValidationError, match="trace"):
+            _factor_min_eigenvalue(y * 1.01, d)
+
+    def test_min_eigenvalue_rule_on_spread_spectrum(self, rng):
+        # eigenvalues 1, 1e-5, 1e-9 and an exact zero: the rtol * top rule
+        # keeps 1e-9 on both the Gram and the dense side
+        spectrum = np.array([1.0, 1e-5, 1e-9, 0.0])
+        u = np.linalg.qr(rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4)))[0]
+        y = u * np.sqrt(spectrum)
+        lam = _factor_min_eigenvalue(y, float(np.sum(spectrum)))
+        assert lam == pytest.approx(1e-9, rel=1e-6)
+        assert abs(lam - min_nonzero_eigenvalue(y @ y.conj().T)) <= 1e-15

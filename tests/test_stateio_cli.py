@@ -407,6 +407,7 @@ class TestCliErrors:
         (["--trials", "0", "--rate", "3"], "trials = 0 < 1"),
         (["--trials", "-1", "--rate", "3"], "trials = -1 < 1"),
         (["--rate", "1e6"], "2^(n*rate) = 2^2e+06 unitaries is not a finite double"),
+        (["--rate", "30"], "1.153e+18 unitaries at dimension 64 need 7.379e+19 sampled"),
     ])
     def test_simulate_rejects_bad_counts(self, args, message, state_files, capsys,
                                          monkeypatch):
@@ -415,6 +416,7 @@ class TestCliErrors:
                                   "--delta", "1.0", *args])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_is_markov_rejects_non_finite_tol(self, tol, state_files, capsys, monkeypatch):
