@@ -57,7 +57,6 @@ from .linalg import (
     purify,
     random_density,
     random_pure,
-    tensor,
 )
 from .markov import (
     CostReport,

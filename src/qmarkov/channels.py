@@ -27,7 +27,7 @@ from .linalg import (
     _as_complex,
     eigh,
     is_hermitian,
-    permute_op,
+    permute_mat,
     pinv_sqrt,
     psd_sqrt,
 )
@@ -94,12 +94,12 @@ def _split_bipartite(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
     a, c = list(a), list(c)
     if set(a) | set(c) != set(psi_ac.layout.labels) or set(a) & set(c):
         raise ValidationError("A and C labels must partition the layout")
-    ordered = permute_op(psi_ac, a + c)
-    d_a = ordered.layout.dim_of(a)
-    d_c = ordered.layout.dim_of(c)
-    rho_a = np.einsum("iaja->ij", ordered.mat.reshape(d_a, d_c, d_a, d_c))
-    a_layout = ordered.layout.restrict(a)
-    return ordered.mat, rho_a, d_a, d_c, a_layout, ordered.layout
+    ac_layout = psi_ac.layout.reorder(a + c)
+    d_a = ac_layout.dim_of(a)
+    d_c = ac_layout.dim_of(c)
+    mat = permute_mat(psi_ac.mat, psi_ac.layout, a + c)
+    rho_a = np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c))
+    return mat, rho_a, d_a, d_c, ac_layout.restrict(a), ac_layout
 
 
 def _recovery_kraus(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
@@ -230,18 +230,17 @@ def apply_channel(ch: KrausChannel, rho: DensityOp,
     clash = set(ch.out_layout.labels) & set(rest)
     if clash:
         raise ValidationError(f"output labels {sorted(clash)} collide with state labels")
-    moved = permute_op(rho, in_labels + rest)
     d_in = ch.in_layout.dim
-    d_rest = moved.layout.dim // d_in
+    d_rest = rho.dim // d_in
     d_out = ch.out_layout.dim
-    m = moved.mat.reshape(d_in, d_rest, d_in, d_rest)
+    m = permute_mat(rho.mat, rho.layout, in_labels).reshape(d_in, d_rest, d_in, d_rest)
     out = np.zeros((d_out, d_rest, d_out, d_rest), dtype=np.complex128)
     for k in ch.kraus:
         km = np.einsum("oi,irjs->orjs", k, m)
         out += np.einsum("orjs,pj->orps", km, k.conj())
-    out_layout = ch.out_layout + moved.layout.restrict(rest)
-    result = DensityOp(out_layout, out.reshape(d_out * d_rest, d_out * d_rest),
-                       trace_of_one=rho.trace_of_one)
+    out_layout = ch.out_layout + rho.layout.restrict(rest)
+    out = out.reshape(d_out * d_rest, d_out * d_rest)
     if output_order is not None:
-        result = permute_op(result, output_order)
-    return result
+        ordered = out_layout.reorder(output_order)
+        out, out_layout = permute_mat(out, out_layout, output_order), ordered
+    return DensityOp(out_layout, out, trace_of_one=rho.trace_of_one)

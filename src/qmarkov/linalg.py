@@ -198,43 +198,39 @@ class IsometryOp:
         object.__setattr__(self, "mat", mat)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a``'s indices major."""
-    return np.kron(_as_complex(a), _as_complex(b))
-
-
-def _nontrivial(dims: Sequence[int]) -> list[int]:
-    """Axes with dim > 1; dim-1 factors do not affect memory layout."""
-    return [i for i, d in enumerate(dims) if d > 1]
+def _axes(layout_: SystemLayout, order: Sequence[str]) -> tuple[list[int], list[int]]:
+    """Dims of the factors larger than 1, in layout order, and the
+    transposition of those axes that puts the factors named in ``order``
+    first, in that order, and the rest after them in layout order.
+    Dim-1 factors do not affect memory layout, so they are left out."""
+    named = set(order)
+    if len(named) != len(order):
+        raise LabelError(f"duplicate labels in order {list(order)}")
+    layout_._check_known(named)
+    rest = [l for l in layout_.labels if l not in named]
+    pos = {l: k for k, l in enumerate(l for l, d in layout_.factors if d > 1)}
+    return [d for d in layout_.dims if d > 1], [pos[l] for l in (*order, *rest) if l in pos]
 
 
 def permute_vec(psi: PureVec, order: Sequence[str]) -> PureVec:
     """Reorder the tensor factors of a pure vector."""
     new_layout = psi.layout.reorder(order)
-    dims = psi.layout.dims
-    keep = _nontrivial(dims)
-    pos = {psi.layout.labels[i]: k for k, i in enumerate(keep)}
-    perm = [pos[l] for l in order if l in pos]
-    v = psi.vec.reshape([dims[i] for i in keep]) if keep else psi.vec
-    v = np.transpose(v, perm) if keep else v
+    dims, perm = _axes(psi.layout, order)
+    v = np.transpose(psi.vec.reshape(dims), perm)
     return PureVec(new_layout, v.reshape(-1), normalized=psi.normalized)
 
 
 def permute_mat(mat: np.ndarray, layout_: SystemLayout, order: Sequence[str],
                 ) -> np.ndarray:
-    """Reorder the tensor factors of a raw square matrix over a layout."""
-    dims = layout_.dims
-    keep = _nontrivial(dims)
-    pos = {layout_.labels[i]: k for k, i in enumerate(keep)}
-    perm = [pos[l] for l in order if l in pos]
-    if not keep:
-        return mat
-    n = len(perm)
-    kept_dims = [dims[i] for i in keep]
-    m = mat.reshape(kept_dims + kept_dims)
-    m = np.transpose(m, perm + [p + n for p in perm])
-    d = layout_.dim
-    return m.reshape(d, d)
+    """Reorder the tensor factors of a raw square matrix over a layout.
+
+    ``order`` may name only the leading factors; the others follow in
+    their layout order.
+    """
+    dims, perm = _axes(layout_, order)
+    n = len(dims)
+    m = np.transpose(mat.reshape(dims + dims), perm + [p + n for p in perm])
+    return m.reshape(mat.shape)
 
 
 def permute_op(op: DensityOp, order: Sequence[str]) -> DensityOp:
@@ -245,26 +241,15 @@ def permute_op(op: DensityOp, order: Sequence[str]) -> DensityOp:
 
 
 def partial_trace(op: DensityOp, keep: Iterable[str]) -> DensityOp:
-    """Reduced operator on the kept factors, preserving their order."""
-    keep_set = set(keep)
-    op.layout._check_known(keep_set)
-    labels = op.layout.labels
-    dims = op.layout.dims
-    new_layout = op.layout.restrict(keep_set)
-    nt = _nontrivial(dims)
-    if not nt:
-        return DensityOp(new_layout, op.mat.copy(), trace_of_one=op.trace_of_one)
-    kept_nt = [i for i in nt if labels[i] in keep_set]
-    dropped_nt = [i for i in nt if labels[i] not in keep_set]
-    pos = {i: k for k, i in enumerate(nt)}
-    perm = [pos[i] for i in kept_nt] + [pos[i] for i in dropped_nt]
-    nn = len(nt)
-    m = op.mat.reshape([dims[i] for i in nt] * 2)
-    m = np.transpose(m, perm + [p + nn for p in perm])
-    k = int(np.prod([dims[i] for i in kept_nt])) if kept_nt else 1
-    d = int(np.prod([dims[i] for i in dropped_nt])) if dropped_nt else 1
-    out = np.einsum("iaja->ij", m.reshape(k, d, k, d))
-    return DensityOp(new_layout, out, trace_of_one=op.trace_of_one)
+    """Reduced operator on the kept factors, preserving their order; the
+    operator itself when every factor is kept."""
+    new_layout = op.layout.restrict(keep)
+    if new_layout == op.layout:
+        return op
+    k = new_layout.dim
+    d = op.dim // k
+    m = permute_mat(op.mat, op.layout, new_layout.labels).reshape(k, d, k, d)
+    return DensityOp(new_layout, np.einsum("iaja->ij", m), trace_of_one=op.trace_of_one)
 
 
 def marginal(psi: PureVec, keep: Iterable[str]) -> DensityOp:
@@ -333,19 +318,9 @@ def purify(rho: DensityOp, ref_label: str = "R") -> PureVec:
     label = ref_label
     while label in rho.layout.labels:
         label += "'"
-    d = rho.dim
-    out = np.zeros(d * r, dtype=np.complex128)
-    for i in range(r):
-        amp = np.sqrt(max(vals[i], 0.0))
-        out += amp * np.kron(vecs[:, i], _basis_vec(r, i))
+    amp = np.sqrt(np.clip(vals[:r], 0.0, None))
     new_layout = rho.layout + SystemLayout([(label, r)])
-    return PureVec(new_layout, out)
-
-
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.complex128)
-    v[i] = 1.0
-    return v
+    return PureVec(new_layout, (vecs[:, :r] * amp).reshape(-1))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -43,6 +43,7 @@ from .linalg import (
     is_hermitian,
     marginal,
     partial_trace,
+    permute_mat,
     permute_op,
     permute_vec,
     purify,
@@ -144,11 +145,12 @@ def markov_decomposition(ups: DensityOp, a: Sequence[str] = ("A",),
         raise ValidationError(f"I(A:C|B) = {value:.3e} exceeds {markov_tol:.0e}; "
                               "not a Markov state")
     dec = ki_decompose(partial_trace(ups, b + c), b, c, tol=tol, rng=rng)
-    ordered = permute_op(ups, b + a + c)
-    d_a = ordered.layout.dim_of(a)
-    d_c = ordered.layout.dim_of(c)
-    tens = _ki_tensor(dec.gamma_total, ordered.mat, dec.dims, (d_a, d_c))
-    a_layout = ordered.layout.restrict(a)
+    ordered = ups.layout.reorder(b + a + c)
+    d_a = ordered.dim_of(a)
+    d_c = ordered.dim_of(c)
+    tens = _ki_tensor(dec.gamma_total, permute_mat(ups.mat, ups.layout, ordered.labels),
+                      dec.dims, (d_a, d_c))
+    a_layout = ordered.restrict(a)
     terms = []
     model = np.zeros_like(tens)
     for blk in dec.blocks:
@@ -160,8 +162,7 @@ def markov_decomposition(ups: DensityOp, a: Sequence[str] = ("A",),
         phi = np.einsum("lrxcltxd->rctd", sub).reshape(
             blk.dim_r * d_c, blk.dim_r * d_c) / q
         sig_op = DensityOp(a_layout + SystemLayout([("bL", blk.dim_l)]), sigma)
-        phi_op = DensityOp(SystemLayout([("bR", blk.dim_r)]) + ordered.layout.restrict(c),
-                           phi)
+        phi_op = DensityOp(SystemLayout([("bR", blk.dim_r)]) + ordered.restrict(c), phi)
         model[i, :blk.dim_l, :blk.dim_r, :, :, i, :blk.dim_l, :blk.dim_r, :, :] = (
             q * np.einsum("xlym,rctd->lrxcmtyd",
                           sigma.reshape(d_a, blk.dim_l, d_a, blk.dim_l),
@@ -183,15 +184,14 @@ def recovery_check(ups: DensityOp, a: Sequence[str] = ("A",),
     map of the AB marginal.  Both vanish exactly on Markov states.
     """
     a, b, c = list(a), list(b), list(c)
-    order = a + b + c
-    target = permute_op(ups, order)
-    rec_c = petz_channel(partial_trace(ups, b + c), b, c)
-    got1 = apply_channel(rec_c, partial_trace(ups, a + b), output_order=order)
-    rec_a = petz_channel(partial_trace(ups, a + b), b, a)
-    got2 = apply_channel(rec_a, partial_trace(ups, b + c), output_order=order)
+    order = ups.layout.reorder(a + b + c).labels
+    target = permute_mat(ups.mat, ups.layout, order)
+    rho_ab, rho_bc = partial_trace(ups, a + b), partial_trace(ups, b + c)
+    got1 = apply_channel(petz_channel(rho_bc, b, c), rho_ab, output_order=order)
+    got2 = apply_channel(petz_channel(rho_ab, b, a), rho_bc, output_order=order)
     return RecoveryReport(
-        from_ab=trace_norm(got1.mat - target.mat),
-        from_bc=trace_norm(got2.mat - target.mat),
+        from_ab=trace_norm(got1.mat - target),
+        from_bc=trace_norm(got2.mat - target),
     )
 
 

@@ -41,6 +41,9 @@ from .linalg import (
 DEFAULT_DIM_CAP = 4096
 # Largest number of classical block sequences enumerated exactly.
 DEFAULT_SEQUENCE_CAP = 1 << 20
+# Round-off level of a trace distance between unit-trace states; a sample
+# error at or below it predicts no finite Chernoff sample count.
+ERR_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -453,10 +456,11 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     against the normalized Markov target.  Both are trace distances
     between normalized states, averaged over trials.  Both are taken in
     the span of the sampled rows and of a factor of the exact average, so
-    no D x D matrix is formed.  Raises ValidationError, before any work,
-    when trials < 1 or when 2^(n*rate) is not a finite double, and
-    DimensionError, before the first draw, when the N x D sampled
-    amplitudes of one stack exceed dim_cap^2.
+    no D x D matrix is formed.  chernoff_n is inf when err_to_average is
+    at most ERR_ROUNDOFF, the round-off level of the distance.  Raises
+    ValidationError, before any work, when trials < 1 or when 2^(n*rate)
+    is not a finite double, and DimensionError, before the first draw,
+    when the N x D sampled amplitudes of one stack exceed dim_cap^2.
     """
     if trials < 1:
         raise ValidationError(f"trials = {trials} < 1")
@@ -500,7 +504,10 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     err_avg = float(np.mean(err_avg_trials))
     err_full = float(np.mean(err_full_trials))
     d_a = psi.layout.dim_of(a)
-    eps1 = max(err_avg / 2.0, 1e-150)  # eps1 ** 2 must not underflow to 0
-    chernoff = 2.0 * np.log(2.0 * float(d_a) ** (3 * n)) / (lam_min * eps1 ** 2)
+    chernoff = math.inf
+    if err_avg > ERR_ROUNDOFF:
+        eps1 = err_avg / 2.0
+        chernoff = float(np.ceil(2.0 * np.log(2.0 * float(d_a) ** (3 * n))
+                                 / (lam_min * eps1 ** 2)))
     return SimResult(n, delta, rate, n_unitaries, err_avg, err_full,
-                     d_mass, float(np.ceil(chernoff)), seed)
+                     d_mass, chernoff, seed)

@@ -17,7 +17,6 @@ from qmarkov.linalg import (
     purify,
     random_density,
     random_pure,
-    tensor,
 )
 
 
@@ -39,25 +38,6 @@ class TestLayout:
         lay = layout(("A", 2), ("B", 3), ("C", 4))
         assert lay.dim == 24
         assert lay.dim_of(["A", "C"]) == 8
-
-
-class TestTensor:
-    def test_identity(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_diagonal(self):
-        out = tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_product_action(self, rng):
-        # (X kron Y)(v kron w) = Xv kron Yw, checked entrywise
-        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        lhs = tensor(x, y) @ np.kron(v, w)
-        rhs = np.kron(x @ v, y @ w)
-        assert np.allclose(lhs, rhs)
 
 
 class TestPartialTrace:

@@ -14,6 +14,7 @@ from qmarkov.linalg import (
 )
 from qmarkov.markov import build_example
 from qmarkov.protocol import (
+    ERR_ROUNDOFF,
     TypicalSpec,
     _apply_blockwise,
     _average_factor,
@@ -300,6 +301,17 @@ class TestSimulate:
         res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=21, tki=tki)
         assert res.chernoff_n > 0
         assert res.typical_mass == pytest.approx(0.5, abs=1e-12)
+
+    def test_chernoff_infinite_at_roundoff_error(self):
+        # one rank-1 typical block: every sample equals the exact average, so
+        # err_to_average is round-off and predicts no finite sample count
+        psi = build_example("VIC", lam=(0.2, 0.3, 0.5))
+        res = simulate(psi, n=1, delta=1.5, rate=2.0, trials=1, seed=5)
+        assert res.err_to_average <= ERR_ROUNDOFF
+        assert res.chernoff_n == math.inf
+        res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=5)
+        assert res.err_to_average > ERR_ROUNDOFF
+        assert 0 < res.chernoff_n < math.inf
 
     def test_unitary_count_bounded_before_any_draw(self, ghz_tki, monkeypatch):
         def no_draw(*args, **kwargs):
