@@ -38,6 +38,9 @@ EIG_ONE_TOL = 1e-8
 # Singular values below sigma_max * this are treated as null when solving
 # commutator systems.
 NULLSPACE_RTOL = 1e-9
+# Largest commutator system, in entries, a commutant solve builds: the
+# 4096² budget simulate applies to its N x D sampled amplitudes by default.
+COMMUTANT_ENTRY_CAP = 4096 ** 2
 
 
 @dataclass(frozen=True)
@@ -191,9 +194,16 @@ def _commutant_of_family(family: Sequence[np.ndarray], rtol: float = NULLSPACE_R
     """Hilbert-Schmidt-orthonormal basis of {X : [F, X] = 0 for all F}.
 
     Solved as the SVD nullspace of the stacked linear system
-    (F (x) I - I (x) F^T) vec(X) = 0 over the given family.
+    (F (x) I - I (x) F^T) vec(X) = 0 over the given family.  Raises
+    DimensionError, before allocating, when that system would have more
+    than COMMUTANT_ENTRY_CAP entries.
     """
     d = family[0].shape[0]
+    entries = len(family) * d ** 4
+    if entries > COMMUTANT_ENTRY_CAP:
+        raise DimensionError(
+            f"the commutator system of {len(family)} operators at dimension {d} has "
+            f"{entries} entries > cap {COMMUTANT_ENTRY_CAP}")
     eye = np.eye(d)
     stacked = np.vstack([np.kron(f, eye) - np.kron(eye, f.T) for f in family])
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)

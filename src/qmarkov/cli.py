@@ -248,12 +248,10 @@ def _bounds(args, state):
 def _example(args):
     lam = [float(p) for p in args.lam.split(",") if p.strip()]
     psi = build_example(args.family, d=args.d, lam=lam[0] if len(lam) == 1 else lam)
-    text = stateio.dumps(psi)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        stateio.dump(psi, args.out)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(stateio.dumps(psi) + "\n")
     return None, EXIT_OK
 
 

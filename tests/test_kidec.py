@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmarkov import channels
 from qmarkov.kidec import (
     KIBlock,
     KIDecomposition,
@@ -11,6 +12,7 @@ from qmarkov.kidec import (
 )
 from qmarkov.linalg import (
     DensityOp,
+    DimensionError,
     IsometryOp,
     PureVec,
     SystemLayout,
@@ -22,6 +24,7 @@ from qmarkov.linalg import (
     random_pure,
 )
 from qmarkov.markov import build_example, mixed_with_product
+from qmarkov.protocol import DEFAULT_DIM_CAP
 
 
 @pytest.fixture
@@ -354,3 +357,28 @@ class TestSteered:
         st = maxent_op(2)
         out = steered_states(st, [np.zeros((2, 2))], ["A"], ["C"])
         assert out == []
+
+
+class TestCommutantCap:
+    """The commutator system is bounded before it is built: np.kron is
+    patched to fail, so an uncapped solve fails fast instead of allocating."""
+
+    @pytest.fixture(autouse=True)
+    def no_kron(self, monkeypatch):
+        def kron(*args):
+            raise AssertionError("np.kron called: the commutator system was built")
+        monkeypatch.setattr(np, "kron", kron)
+
+    def test_cap_is_the_simulator_budget(self):
+        assert channels.COMMUTANT_ENTRY_CAP == DEFAULT_DIM_CAP ** 2
+
+    def test_oversized_family_rejected(self):
+        # two members at d = 64: 2 * 64**4 entries, twice the cap
+        with pytest.raises(DimensionError, match="2 operators at dimension 64"):
+            channels._commutant_of_family([np.eye(64), np.eye(64)])
+
+    def test_ki_decompose_rejects_oversized_a(self, rng):
+        # full-rank A of dimension 64 against a qubit C: 8 family members
+        rho = random_density(layout(("A", 64), ("C", 2)), rng)
+        with pytest.raises(DimensionError, match="> cap 16777216"):
+            ki_decompose(rho, ["A"], ["C"])

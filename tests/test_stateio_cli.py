@@ -6,11 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmarkov import cli, stateio
 from qmarkov.cli import build_parser, main
-from qmarkov.linalg import (DensityOp, PureVec, layout, marginal, random_density,
-                            random_pure)
+from qmarkov.linalg import (DensityOp, PureVec, SystemLayout, layout, marginal,
+                            random_density, random_pure)
 from qmarkov.markov import build_example
 from qmarkov.selftest import CriterionResult
 
@@ -105,6 +107,113 @@ class TestStateFiles:
         doc["data"][0][0] *= 1 + 5e-7
         back = stateio.loads(json.dumps(doc))
         assert abs(np.linalg.norm(back.vec) - 1.0) <= 1e-12
+
+    def test_boolean_version_rejected(self):
+        doc = json.loads(stateio.dumps(build_example("VIC", lam=(0.5, 0.5))))
+        doc["version"] = True                      # == 1 in Python
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(json.dumps(doc))
+        assert err.value.code == "SCHEMA_VERSION"
+
+    def test_boolean_layout_dimension_rejected(self):
+        doc = {"version": 1, "kind": "pure", "layout": [["A", 2], ["B", True]],
+               "data": [[1, 0], [0, 0]]}          # valid if B were a dim-1 factor
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(json.dumps(doc))
+        assert err.value.code == "SCHEMA_LAYOUT"
+
+
+FILES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# each replaces one [re, im] entry, or one of its two numbers
+BAD_ENTRIES = [float("nan"), float("inf"), True, 10 ** 400, "x", None, [1], [1, 2, 3],
+               [[1, 2], [3, 4]]]
+
+
+@st.composite
+def saved_states(draw, kinds=("pure", "mixed")):
+    """Random states on 1-3 factors of dims 1-3 with some signed-zero
+    entries, whose norm or trace is exactly 1 in double precision (the
+    loader's normalization is then the identity)."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    lay = SystemLayout(list(zip("ABC", dims)))
+    d = lay.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zeros = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    zeros[0] = False
+    if draw(st.sampled_from(kinds)) == "pure":
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        x[zeros] = complex(-0.0, -0.0)
+        scale = np.linalg.norm
+    else:
+        x = random_density(lay, rng).mat.copy()
+        x.imag[np.diag_indices(d)] = -0.0
+        if zeros.any():   # pinching index 0 off the rest keeps x PSD
+            x[0, 1:] = x[1:, 0] = complex(-0.0, -0.0)
+        scale = lambda m: np.trace(m).real
+    for _ in range(4):
+        x = x / scale(x)
+    assume(scale(x) == 1.0)
+    return PureVec(lay, x) if x.ndim == 1 else DensityOp(lay, x)
+
+
+def _array_of(state):
+    return state.vec if isinstance(state, PureVec) else state.mat
+
+
+class TestStateFileProperties:
+    @FILES
+    @given(saved_states())
+    def test_round_trip_is_bit_exact(self, state):
+        back = stateio.loads(stateio.dumps(state))
+        assert (type(back), back.layout) == (type(state), state.layout)
+        assert _array_of(back).tobytes() == _array_of(state).tobytes()  # -0.0 kept
+
+    @FILES
+    @given(saved_states(), st.sampled_from(BAD_ENTRIES), st.data())
+    def test_bad_entry_named(self, state, bad, data):
+        doc = json.loads(stateio.dumps(state))
+        d = state.layout.dim
+        index = [data.draw(st.integers(0, d - 1)) for _ in range(_array_of(state).ndim)]
+        row = doc["data"] if len(index) == 1 else doc["data"][index[0]]
+        if data.draw(st.booleans()):
+            row[index[-1]] = bad
+        else:
+            row[index[-1]][data.draw(st.integers(0, 1))] = bad
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(json.dumps(doc))
+        where = "".join(f"[{i}]" for i in index)
+        assert err.value.code == "SCHEMA_ENTRY"
+        assert str(err.value).startswith(f"SCHEMA_ENTRY: data{where}: ")
+
+    @FILES
+    @given(saved_states(), st.data())
+    def test_short_row_named(self, state, data):
+        doc = json.loads(stateio.dumps(state))
+        d = state.layout.dim
+        if isinstance(state, PureVec):
+            doc["data"].pop(data.draw(st.integers(0, d - 1)))
+            message = f"SCHEMA_LEN: pure data length {d - 1} != {d}"
+        else:
+            short = data.draw(st.sets(st.integers(0, d - 1), min_size=1))
+            for i in short:
+                doc["data"][i].pop()
+            message = f"SCHEMA_LEN: row {min(short)} length != {d}"
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(json.dumps(doc))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_accepted_file_walks_no_entry(self, kind, monkeypatch):
+        lay = layout(("A", 4), ("B", 4), ("C", 4))
+        rng = np.random.default_rng(64)
+        state = random_pure(lay, rng) if kind == "pure" else random_density(lay, rng)
+        text = stateio.dumps(state)
+
+        def walked(entry):
+            raise AssertionError("an accepted file was checked entry by entry")
+        monkeypatch.setattr(stateio, "_entry_fault", walked)
+        back = stateio.loads(text)
+        assert np.max(np.abs(_array_of(back) - _array_of(state))) <= 1e-15
 
 
 def run_cli(capsys, monkeypatch, argv, stdin_text=None):
@@ -432,4 +541,19 @@ class TestCliErrors:
         code, out, err = run_cli(capsys, monkeypatch, ["entropy", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("state file error: SCHEMA_ENTRY: data[0]: entry out of")
+        assert "Traceback" not in err
+
+    def test_oversized_ki_decompose(self, tmp_path, capsys, monkeypatch):
+        # A = (A, B) of dimension 64: a commutator system of 8 * 64**4 entries
+        path = str(tmp_path / "big.json")
+        stateio.dump(random_density(layout(("A", 8), ("B", 8), ("C", 2)),
+                                    np.random.default_rng(8)), path)
+
+        def kron(*args):
+            raise AssertionError("np.kron called: the commutator system was built")
+        monkeypatch.setattr(np, "kron", kron)
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["ki-decompose", path, "--A", "A,B", "--C", "C"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the commutator system of 8 operators at dimension 64")
         assert "Traceback" not in err
