@@ -38,9 +38,17 @@ EIG_ONE_TOL = 1e-8
 # Singular values below sigma_max * this are treated as null when solving
 # commutator systems.
 NULLSPACE_RTOL = 1e-9
-# Largest commutator system, in entries, a commutant solve builds: the
-# 4096² budget simulate applies to its N x D sampled amplitudes by default.
+# Family members whose commutator rows a commutant solve folds into its
+# R factor per QR step.
+COMMUTANT_CHUNK = 8
+# Largest array, in entries, a commutant solve allocates, the (chunk + 1)·d⁴
+# stack of R over one chunk: the 4096² budget simulate applies to its N x D
+# sampled amplitudes by default.
 COMMUTANT_ENTRY_CAP = 4096 ** 2
+# Largest len(family)·d⁶ a commutant solve takes on, its QR work in units of
+# d⁶ per member.  One unit took 0.6-0.8 ns (one OpenBLAS thread, 2-core
+# x86-64 VM), so the bound is under a minute of solving.
+COMMUTANT_WORK_CAP = 2 ** 36
 
 
 @dataclass(frozen=True)
@@ -194,27 +202,60 @@ def _commutant_of_family(family: Sequence[np.ndarray], rtol: float = NULLSPACE_R
     """Hilbert-Schmidt-orthonormal basis of {X : [F, X] = 0 for all F}.
 
     Solved as the SVD nullspace of the stacked linear system
-    (F (x) I - I (x) F^T) vec(X) = 0 over the given family.  Raises
-    DimensionError, before allocating, when that system would have more
-    than COMMUTANT_ENTRY_CAP entries.
+    (F (x) I - I (x) F^T) vec(X) = 0 over the given family, taken from the
+    system's d² x d² R factor (see _commutator_r).  Raises DimensionError,
+    before allocating, when one QR step would allocate more than
+    COMMUTANT_ENTRY_CAP entries or the family exceeds COMMUTANT_WORK_CAP.
     """
     d = family[0].shape[0]
-    entries = len(family) * d ** 4
+    entries = min(len(family), COMMUTANT_CHUNK + 1) * d ** 4
     if entries > COMMUTANT_ENTRY_CAP:
         raise DimensionError(
-            f"the commutator system of {len(family)} operators at dimension {d} has "
-            f"{entries} entries > cap {COMMUTANT_ENTRY_CAP}")
-    eye = np.eye(d)
-    stacked = np.vstack([np.kron(f, eye) - np.kron(eye, f.T) for f in family])
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    smax = svals[0] if svals.size else 0.0
+            f"the commutator system of {len(family)} operators at dimension {d} needs "
+            f"{entries} entries per QR step > cap {COMMUTANT_ENTRY_CAP}")
+    work = len(family) * d ** 6
+    if work > COMMUTANT_WORK_CAP:
+        raise DimensionError(
+            f"the commutator system of {len(family)} operators at dimension {d} needs "
+            f"{work} units of QR work (members x d^6) > cap {COMMUTANT_WORK_CAP}")
+    _, svals, vh = np.linalg.svd(_commutator_r(family), full_matrices=False)
+    smax = svals[0]
     # floor the cutoff at the family scale: when every member commutes with
     # everything, smax itself is eigensolver noise
     scale = max(float(np.linalg.norm(f)) for f in family)
     rank = int(np.sum(svals > max(smax, scale) * rtol))
-    # rows of vh past the numerical rank span the nullspace of the system;
-    # the system has at least d² rows, so the thin vh still has all d² of them
+    # rows of vh past the numerical rank span the nullspace of the system
     return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
+
+
+def _commutator_rows(f: np.ndarray) -> np.ndarray:
+    """Rows F (x) I - I (x) F^T of an (n, d, d) stack of members, as (n·d², d²).
+
+    Row (i, j), column (k, l) of member n is F[i, k] δ[j, l] - δ[i, k] F[l, j],
+    written through the two diagonal views of a zero block.
+    """
+    n, d, _ = f.shape
+    rows = np.zeros((n, d, d, d, d), dtype=np.complex128)
+    np.einsum("nijkj->nijk", rows)[...] = f[:, :, None, :]
+    np.einsum("nijil->nijl", rows)[...] -= f.transpose(0, 2, 1)[:, None]
+    return rows.reshape(n * d * d, d * d)
+
+
+def _commutator_r(family: Sequence[np.ndarray]) -> np.ndarray:
+    """d² x d² R factor of the stacked system (F (x) I - I (x) F^T) over the family.
+
+    The sequential form of TSQR (Demmel, Grigori, Hoemmen & Langou,
+    arXiv:0808.2664): the rows of each COMMUTANT_CHUNK members are stacked
+    under the R so far and reduced to a new R, so the whole system is never
+    held.  R†R is the system's Gram matrix, so R has the system's singular
+    values and right singular vectors.
+    """
+    d = family[0].shape[0]
+    r = np.zeros((0, d * d), dtype=np.complex128)
+    for start in range(0, len(family), COMMUTANT_CHUNK):
+        chunk = np.asarray(family[start:start + COMMUTANT_CHUNK], dtype=np.complex128)
+        r = np.linalg.qr(np.vstack([r, _commutator_rows(chunk)]), mode="r")
+    return r
 
 
 def commutant_basis(ch: KrausChannel, rtol: float = NULLSPACE_RTOL) -> list[np.ndarray]:

@@ -13,6 +13,7 @@ apply to the input; 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -292,7 +293,9 @@ def _self_test(args):
     return None, EXIT_OK if all(r.passed for r in results) else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The command-line parser, built once per process from COMMANDS."""
     parser = Parser(prog="qmarkov", description=__doc__,
                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

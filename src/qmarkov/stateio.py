@@ -96,6 +96,8 @@ def loads(text: str) -> PureVec | DensityOp:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise StateFileError("SCHEMA_JSON", str(err)) from err
+    except RecursionError as err:
+        raise StateFileError("SCHEMA_JSON", "nesting too deep") from err
     if not isinstance(doc, dict):
         raise StateFileError("SCHEMA_JSON", "top level must be an object")
     for key in ("version", "kind", "layout", "data"):

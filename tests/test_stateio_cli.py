@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import re
 import sys
 from unittest import mock
 
@@ -71,6 +72,11 @@ class TestStateFiles:
         with pytest.raises(stateio.StateFileError) as err:
             stateio.loads("{}")
         assert err.value.code == "SCHEMA_FIELD"
+
+    def test_nesting_too_deep(self):
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads("[" * 100000)
+        assert err.value.code == "SCHEMA_JSON"
 
     @pytest.mark.parametrize("kind, data, where", [
         ("pure", [[float("nan"), 0], [0, 0]], "data[0]"),
@@ -454,6 +460,29 @@ def test_command_options_pinned():
         assert got - {"-h", "--help"} == OPTIONS[name], name
 
 
+def test_parser_reused_across_calls(state_files, capsys, monkeypatch):
+    """One process runs several commands on the parser it built once, and
+    each gives the report and exit code of a call on a freshly built parser."""
+    argvs = [["entropy", "{vib}"], ["bounds", "{vib}", "--json"],
+             ["markov-cost", "{via2}", "--route", "both", "--seed", "3"],
+             ["qcmi", "{vib}", "--A", "Z"], ["bounds", "{rand}", "--tol", "1"],
+             ["ki-decompose", "{vic}"], ["entropy", "{vib}", "--json"]]
+    argvs = [[arg.format(**state_files) for arg in argv] for argv in argvs]
+
+    def masked(argv):
+        code, out, err = run_cli(capsys, monkeypatch, argv)
+        return code, re.sub(r'(wall_time_s"?(?: = |: ))"?[0-9.]+"?', r"\1T", out), err
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(masked(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 1, cli.EXIT_USAGE, 0, 0]
+    parser = build_parser()
+    assert [masked(argv) for argv in argvs] == fresh
+    assert build_parser() is parser
+
+
 class TestCliErrors:
     def test_unknown_label(self, state_files, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch,
@@ -541,6 +570,14 @@ class TestCliErrors:
         code, out, err = run_cli(capsys, monkeypatch, ["entropy", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("state file error: SCHEMA_ENTRY: data[0]: entry out of")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_state_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, monkeypatch, ["entropy", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("state file error: SCHEMA_JSON")
         assert "Traceback" not in err
 
     def test_oversized_ki_decompose(self, tmp_path, capsys, monkeypatch):

@@ -2,9 +2,11 @@
 
 Marginals and entropies of a pure state come from the reshaped vector,
 and the nullspace solves compute only the SVD factors they read.  The
-dense definitions they replaced serve as oracles here.  Reorders and
-partial traces share one axis kernel, checked against per-index einsums,
-and internal reorders permute arrays without rebuilding a DensityOp.
+commutant solve folds its commutator system into a d² x d² R factor chunk
+by chunk.  The dense definitions they replaced serve as oracles here.
+Reorders and partial traces share one axis kernel, checked against
+per-index einsums, and internal reorders permute arrays without
+rebuilding a DensityOp.
 """
 
 import sys
@@ -14,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkov import cli, stateio
+from qmarkov import channels, cli, stateio
 from qmarkov.channels import NULLSPACE_RTOL, _commutant_of_family, channel_E
 from qmarkov.entropy import qcmi, qmi
 from qmarkov.kidec import _center_basis, ki_decompose, validate_ki
 from qmarkov.linalg import (
     DensityOp,
+    DimensionError,
     PureVec,
     SystemLayout,
     layout,
@@ -162,6 +165,121 @@ class TestThinSvd:
                for row in _full_nullspace(system, 1.0)]
         assert 1 < len(center) == len(ref) <= len(comm)
         assert np.max(np.abs(_projector(center) - _projector(ref))) <= 1e-10
+
+
+CHUNK = channels.COMMUTANT_CHUNK
+
+
+def _stacked_system(family) -> np.ndarray:
+    """The whole commutator system, one np.kron pair per member."""
+    d = family[0].shape[0]
+    eye = np.eye(d)
+    return np.vstack([np.kron(f, eye) - np.kron(eye, f.T) for f in family])
+
+
+def _oracle(family):
+    """Singular values and nullspace basis of the stacked system's thin SVD,
+    at the solver's cutoff."""
+    d = family[0].shape[0]
+    _, svals, vh = np.linalg.svd(_stacked_system(family), full_matrices=False)
+    scale = max(np.linalg.norm(f) for f in family)
+    rank = int(np.sum(svals > max(svals[0], scale) * NULLSPACE_RTOL))
+    return svals, [row.conj().reshape(d, d) for row in vh[rank:]]
+
+
+def _complex_gaussian(rng, *shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@st.composite
+def families(draw) -> list[np.ndarray]:
+    """Families of d x d members, d = 1-6, whose lengths straddle the chunk.
+
+    random: generic members.  block: two diagonal blocks in a random basis.
+    adjoint: U (X ⊗ I_m) U† and their adjoints, with a commutant of
+    dimension m².  identity: every member the identity, a zero system.
+    """
+    d = draw(st.integers(1, 6))
+    length = draw(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]))
+    kind = draw(st.sampled_from(["random", "block", "adjoint", "identity"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(_complex_gaussian(rng, d, d))[0]
+    if kind == "random":
+        members = list(_complex_gaussian(rng, length, d, d))
+    elif kind == "block":
+        split = draw(st.integers(1, max(1, d - 1)))
+        x = _complex_gaussian(rng, length, d, d)
+        x[:, :split, split:] = x[:, split:, :split] = 0
+        members = [u @ m @ u.conj().T for m in x]
+    elif kind == "adjoint":
+        m = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]))
+        x = [u @ np.kron(a, np.eye(m)) @ u.conj().T
+             for a in _complex_gaussian(rng, (length + 1) // 2, d // m, d // m)]
+        pairs = [(a, a.conj().T) for a in x[:length // 2]]
+        members = [y for p in pairs for y in p] + [x[-1] + x[-1].conj().T] * (length % 2)
+    else:
+        members = [np.eye(d, dtype=complex)] * length
+    return members
+
+
+class TestStreamedCommutant:
+    """The chunked R factor against the thin SVD of the stacked system."""
+
+    @PROPERTY
+    @given(families())
+    def test_rows_are_the_kron_rows(self, family):
+        assert np.array_equal(channels._commutator_rows(np.asarray(family)),
+                              _stacked_system(family))
+
+    @PROPERTY
+    @given(families())
+    def test_matches_stacked_svd(self, family):
+        d = family[0].shape[0]
+        ref_svals, ref_null = _oracle(family)
+        svals = np.linalg.svd(channels._commutator_r(family), compute_uv=False)
+        assert svals.shape == (d * d,)
+        assert np.max(np.abs(svals - ref_svals)) <= 1e-14 * ref_svals[0]
+        comm = _commutant_of_family(family)
+        assert len(comm) == len(ref_null) >= 1
+        assert np.max(np.abs(_projector(comm) - _projector(ref_null))) <= 1e-10
+
+
+class TestCommutantBounds:
+    """COMMUTANT_ENTRY_CAP bounds one QR step, (chunk + 1)·d⁴ entries, not the
+    len·d⁴ of the whole system; COMMUTANT_WORK_CAP refuses a long family
+    before any QR."""
+
+    def test_long_family_solved_under_step_cap(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        u = np.linalg.qr(_complex_gaussian(rng, 4, 4))[0]
+        x = [u @ np.kron(a, np.eye(2)) @ u.conj().T
+             for a in _complex_gaussian(rng, 2 * CHUNK, 2, 2)]
+        family = x + [a.conj().T for a in x]
+        step = (CHUNK + 1) * 4 ** 4
+        assert len(family) * 4 ** 4 > step       # refused by a whole-system cap
+        monkeypatch.setattr(channels, "COMMUTANT_ENTRY_CAP", step - 1)
+        with pytest.raises(DimensionError, match=f"{len(family)} operators at dimension 4"):
+            _commutant_of_family(family)
+        monkeypatch.setattr(channels, "COMMUTANT_ENTRY_CAP", step)
+        comm = _commutant_of_family(family)
+        _, ref = _oracle(family)
+        assert len(comm) == len(ref) == 4
+        assert np.max(np.abs(_projector(comm) - _projector(ref))) <= 1e-10
+
+    def test_work_bound_refuses_before_qr(self, monkeypatch):
+        def qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called: the solve started")
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        n = channels.COMMUTANT_WORK_CAP // 8 ** 6 + 1
+        with pytest.raises(DimensionError, match=f"{n} operators at dimension 8"):
+            _commutant_of_family([np.eye(8)] * n)
+
+    @pytest.mark.parametrize("n, d", [(512, 16), (8192, 8)])
+    def test_random_state_families_within_bounds(self, monkeypatch, n, d):
+        # the families of random (16,64,16) and (8,512,64) pure states
+        monkeypatch.setattr(channels, "_commutator_r",
+                            lambda family: np.zeros((d * d, d * d)))
+        assert len(_commutant_of_family([np.eye(d)] * n)) == d * d
 
 
 ROWS, COLS = "abcd", "ABCD"
