@@ -323,18 +323,24 @@ def purify(rho: DensityOp, ref_label: str = "R") -> PureVec:
     return PureVec(new_layout, (vecs[:, :r] * amp).reshape(-1))
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+def haar_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from standard normal real and imaginary
+    parts of shape (..., d, d): QR of the complex Gaussian matrices, one
+    stacked call for all of them.
 
     The R-diagonal phase correction makes the distribution exactly Haar.
     """
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     if d < 1:
         raise DimensionError(f"dimension {d} < 1")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    re = rng.standard_normal((d, d))
+    return haar_from_normals(re, rng.standard_normal((d, d)))
 
 
 def random_pure(layout_: SystemLayout, rng: np.random.Generator) -> PureVec:

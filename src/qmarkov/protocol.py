@@ -8,6 +8,11 @@ trivial elsewhere.  The ensemble average of the projected state is its
 Haar twirl, an exactly computable (subnormalized) Markov state; the
 simulator measures how fast finite samples of unitaries approach it.
 
+The simulator compares sampled and exact states in per-sequence
+coordinates: a block unitary only mixes the aR^n index of a typical block,
+so on each block sequence every vector it meets lies in aR^n tensor the
+row space of the full block, of dimension at most aR^n squared.
+
 All dense objects live on a per-copy labeled layout with the factors
 grouped by role ("a0.1", ..., "a0.n", "aR.1", ..., "C.n"); factors of
 dimension one are dropped.
@@ -31,6 +36,7 @@ from .linalg import (
     PureVec,
     SystemLayout,
     ValidationError,
+    haar_from_normals,
     haar_unitary,
     partial_trace,
     permute_vec,
@@ -292,13 +298,20 @@ def _ki_power(tki: TripartiteKI, n: int, dim_cap: int) -> PureVec:
     return permute_vec(psi, protocol_layout(tki, n).labels)
 
 
-def _project(tki: TripartiteKI, spec: TypicalSpec, blocks: BlockStructure,
-             dim_cap: int) -> PureVec:
+def _project(psi_n: PureVec, tki: TripartiteKI,
+             blocks: BlockStructure) -> PureVec:
     """The n-copy state projected onto the typical region, unnormalized."""
-    psi_n = _ki_power(tki, spec.n, dim_cap)
-    projected = _apply_blockwise(psi_n, tki, spec.n,
+    projected = _apply_blockwise(psi_n, tki, blocks.spec.n,
                                  {e.seq: e.projector for e in blocks.entries})
     return PureVec(psi_n.layout, projected, normalized=False)
+
+
+def _weight(projected: PureVec) -> float:
+    """Squared norm of the projected vector; a vanishing one raises."""
+    d = float(np.real(np.vdot(projected.vec, projected.vec)))
+    if d <= 1e-15:
+        raise ValidationError("projected state has vanishing weight")
+    return d
 
 
 def build_protocol_state(tki: TripartiteKI, spec: TypicalSpec,
@@ -311,11 +324,8 @@ def build_protocol_state(tki: TripartiteKI, spec: TypicalSpec,
     the block structure, and the captured weight (its squared norm).
     """
     blocks = build_blocks(tki, spec, max_sequences)
-    projected = _project(tki, spec, blocks, dim_cap)
-    d = float(np.real(np.vdot(projected.vec, projected.vec)))
-    if d <= 1e-15:
-        raise ValidationError("projected state has vanishing weight")
-    return projected, blocks, d
+    projected = _project(_ki_power(tki, spec.n, dim_cap), tki, blocks)
+    return projected, blocks, _weight(projected)
 
 
 def _block_view(psi: PureVec, tki: TripartiteKI, n: int) -> np.ndarray:
@@ -349,7 +359,9 @@ def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
     quantum subspace and identity on its complement.
 
     Returned as a map from block sequence to the unitary on the n-fold
-    quantum factor; non-typical sequences act as the identity.
+    quantum factor; non-typical sequences act as the identity.  Draws the
+    sequences one at a time; ``simulate`` draws its N unitaries in one
+    batch that consumes the generator exactly as N calls of this function.
     """
     darn = tki.base.dims[2] ** blocks.spec.n
     out = {}
@@ -361,6 +373,69 @@ def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
         u = haar_unitary(entry.rank, rng)
         out[entry.seq] = np.eye(darn) + b @ (u - np.eye(entry.rank)) @ b.conj().T
     return out
+
+
+def _draw_block_unitaries(blocks: BlockStructure, darn: int,
+                          rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` random block unitaries at once, per typical sequence a
+    stack (count, r_s, r_s) of Haar unitaries on its typical subspace; when
+    darn = 1 each is a stack (count, 1, 1) of phases.
+
+    One generator call draws them all: row i holds, sequence by sequence,
+    the real and then the imaginary parts of draw i, the order in which
+    ``sample_block_unitary`` consumes them.
+    """
+    if darn == 1:
+        phases = np.exp(2j * np.pi * rng.random((count, len(blocks.entries))))
+        return list(phases.T[:, :, None, None])
+    ranks = [e.rank for e in blocks.entries]
+    normals = rng.standard_normal((count, 2 * sum(r * r for r in ranks)))
+    out, start = [], 0
+    for r in ranks:
+        re, im = np.split(normals[:, start:start + 2 * r * r], 2, axis=1)
+        out.append(haar_from_normals(re.reshape(count, r, r), im.reshape(count, r, r)))
+        start += 2 * r * r
+    return out
+
+
+def _sequence_coordinates(psi_n: PureVec, tki: TripartiteKI, blocks: BlockStructure,
+                          ) -> tuple[np.ndarray, float]:
+    """The blocks of the full n-copy state in orthonormal coordinates.
+
+    Per typical sequence s, read the block M_s as an aR^n x (aL^n rest)
+    matrix and take W_s from a thin QR of M_s^dagger, so the rows of M_s lie
+    in the span of the columns of conj(W_s).  A block unitary acts on the
+    aR^n side only, so every vector the simulator compares is, on s, a
+    matrix Z with Z = Z W_s W_s^dagger, and Z -> Z W_s is an isometry: a
+    vector of length aR^n aL^n rest becomes aR^n x k_s coordinates,
+    k_s = min(aR^n, aL^n rest).  Returns the stack of G_s = M_s W_s and the
+    norm of the full vector on the remaining sequences, which block
+    unitaries leave alone.
+    """
+    tens = _block_view(psi_n, tki, blocks.spec.n)
+    seq_shape = (tki.base.dims[0],) * blocks.spec.n
+    flats = [np.ravel_multi_index(e.seq, seq_shape) for e in blocks.entries]
+    _, daln, darn, rest = tens.shape
+    m = tens[flats].transpose(0, 2, 1, 3).reshape(len(flats), darn, daln * rest)
+    w = np.linalg.qr(m.conj().transpose(0, 2, 1))[0]
+    others = np.ones(len(tens), dtype=bool)
+    others[flats] = False
+    return m @ w, float(np.linalg.norm(tens[others]))
+
+
+def _coordinate_factor(bases: list[np.ndarray], pg: list[np.ndarray]) -> np.ndarray:
+    """``_average_factor`` in the coordinates of ``_sequence_coordinates``:
+    block s holds the columns basis_s tensor (row of P_s G_s) / sqrt(r_s)."""
+    darn, k = pg[0].shape
+    widths = [darn * basis.shape[1] for basis in bases]
+    y = np.zeros((len(bases) * darn * k, sum(widths)), dtype=np.complex128)
+    col = 0
+    for i, (basis, pg_s, width) in enumerate(zip(bases, pg, widths)):
+        y[i * darn * k:(i + 1) * darn * k, col:col + width] = np.einsum(
+            "pj,rq->pqrj", basis / np.sqrt(basis.shape[1]), pg_s,
+        ).reshape(darn * k, width)
+        col += width
+    return y
 
 
 def _average_factor(tki: TripartiteKI, blocks: BlockStructure,
@@ -403,7 +478,7 @@ def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
     """
     if blocks is None:
         blocks = build_blocks(tki, spec, max_sequences)
-    projected = _project(tki, spec, blocks, dim_cap)
+    projected = _project(_ki_power(tki, spec.n, dim_cap), tki, blocks)
     y = _average_factor(tki, blocks, projected)
     return DensityOp(projected.layout, y @ y.conj().T, trace_of_one=False)
 
@@ -454,16 +529,27 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     compares the sample average of the projected state against the exact
     ensemble average, err_full compares the randomized full n-copy state
     against the normalized Markov target.  Both are trace distances
-    between normalized states, averaged over trials.  Both are taken in
-    the span of the sampled rows and of a factor of the exact average, so
-    no D x D matrix is formed.  chernoff_n is inf when err_to_average is
-    at most ERR_ROUNDOFF, the round-off level of the distance.  Raises
-    ValidationError, before any work, when trials < 1 or when 2^(n*rate)
-    is not a finite double, and DimensionError, before the first draw,
-    when the N x D sampled amplitudes of one stack exceed dim_cap^2.
+    between normalized states, averaged over trials.
+
+    Each trial draws its N unitaries in one generator call, in the order
+    of N ``sample_block_unitary`` calls.  The unitaries act on the aR^n
+    side of each typical block only, so the sampled vectors, the projected
+    ones and a factor of the exact average all lie in aR^n x (row space of
+    the full block M_s) on each sequence s, plus one direction for the
+    full vector off the typical blocks.  Both trace norms are taken there,
+    on at most sum_s aR^n k_s (+1) rows, k_s = min(aR^n, aL^n rest), and
+    never on more than D; no D x D matrix and no N x D array is formed.
+
+    chernoff_n is inf when err_to_average is at most ERR_ROUNDOFF, the
+    round-off level of the distance.  Raises ValidationError, before any
+    work, when trials < 1, when rate < 0 (rate 0 is one unitary) or when
+    2^(n*rate) is not a finite double, and DimensionError, before the
+    first draw, when N x D exceeds dim_cap^2.
     """
     if trials < 1:
         raise ValidationError(f"trials = {trials} < 1")
+    if rate < 0:
+        raise ValidationError(f"rate = {rate} < 0")
     try:
         n_unitaries = math.ceil(2.0 ** (n * rate))
     except (OverflowError, ValueError):  # ceil of inf or nan
@@ -481,25 +567,37 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
             f"{n_unitaries:.4g} unitaries at dimension {dim} need "
             f"{n_unitaries * dim:.4g} sampled amplitudes > dim_cap^2 = {dim_cap ** 2}")
     spec = TypicalSpec(n, delta)
-    psi_prime, blocks, d_mass = build_protocol_state(tki, spec, dim_cap)
-    y = _average_factor(tki, blocks, psi_prime)
-    lam_min = _factor_min_eigenvalue(y, d_mass)
-    y_unit = y / np.sqrt(d_mass)
-    psi_unit = PureVec(psi_prime.layout, psi_prime.vec / np.sqrt(d_mass))
+    blocks = build_blocks(tki, spec)
     psi_full = _ki_power(tki, n, dim_cap)
+    d_mass = _weight(_project(psi_full, tki, blocks))
+    g, norm_rest = _sequence_coordinates(psi_full, tki, blocks)
+    bases = [e.basis for e in blocks.entries]
+    h = [basis.conj().T @ g_s for basis, g_s in zip(bases, g)]
+    pg = [basis @ h_s for basis, h_s in zip(bases, h)]  # projected blocks P_s G_s
+    y = _coordinate_factor(bases, pg)
+    lam_min = _factor_min_eigenvalue(y, d_mass)
+    y_avg = y / np.sqrt(d_mass)
+    y_full = y_avg
+    if norm_rest > 0:  # one more coordinate: the full vector off the typical blocks
+        y_full = np.vstack([y_avg, np.zeros((1, y.shape[1]))])
 
     err_avg_trials, err_full_trials = [], []
-    # rows V_i psi / sqrt(N): the sample average is X X^dagger with X = rows^T
-    rows_avg = np.empty((n_unitaries, dim), dtype=np.complex128)
-    rows_full = np.empty_like(rows_avg)
+    # columns V_i psi in the coordinates: the sample average is X X^dagger / N
+    x_avg = np.empty((len(y), n_unitaries), dtype=np.complex128)
+    x_full = np.empty((len(y_full), n_unitaries), dtype=np.complex128)
+    x_full[len(y):] = norm_rest
+    darn, k = g.shape[1:]
+    rows = darn * k
     scale = 1.0 / np.sqrt(n_unitaries)
     for _ in range(trials):
-        for i in range(n_unitaries):
-            v = sample_block_unitary(blocks, tki, rng)
-            rows_avg[i] = _apply_blockwise(psi_unit, tki, n, v)
-            rows_full[i] = _apply_blockwise(psi_full, tki, n, v, default_identity=True)
-        err_avg_trials.append(factored_trace_norm(rows_avg.T * scale, y_unit))
-        err_full_trials.append(factored_trace_norm(rows_full.T * scale, y_unit))
+        draws = _draw_block_unitaries(blocks, darn, rng, n_unitaries)
+        for i, (u, basis, h_s) in enumerate(zip(draws, bases, h)):
+            # V_s = (I - P_s) + B_s U B_s^dagger, with P_s G_s = B_s h_s
+            moved = (basis @ (u @ h_s)).reshape(n_unitaries, rows).T
+            x_avg[i * rows:(i + 1) * rows] = moved
+            x_full[i * rows:(i + 1) * rows] = moved + (g[i] - pg[i]).reshape(rows, 1)
+        err_avg_trials.append(factored_trace_norm(x_avg * (scale / np.sqrt(d_mass)), y_avg))
+        err_full_trials.append(factored_trace_norm(x_full * scale, y_full))
 
     err_avg = float(np.mean(err_avg_trials))
     err_full = float(np.mean(err_full_trials))

@@ -185,6 +185,16 @@ class TestHaar:
         with pytest.raises(ValueError):
             haar_unitary(0, rng)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_matches_per_matrix_formula(self, d):
+        # the stream and the arithmetic of one unstacked QR, bit for bit
+        rng = np.random.default_rng(1000 + d)
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        assert np.array_equal(haar_unitary(d, np.random.default_rng(1000 + d)),
+                              q * (diag / np.abs(diag)))
+
 
 class TestEigh:
     def test_identity(self):

@@ -9,16 +9,20 @@ from qmarkov.linalg import (
     DensityOp,
     DimensionError,
     PureVec,
+    SystemLayout,
     ValidationError,
+    haar_unitary,
     partial_trace,
 )
 from qmarkov.markov import build_example
+from qmarkov import protocol
 from qmarkov.protocol import (
     ERR_ROUNDOFF,
     TypicalSpec,
     _apply_blockwise,
     _average_factor,
     _block_view,
+    _draw_block_unitaries,
     _factor_min_eigenvalue,
     _ki_power,
     a_side_labels,
@@ -281,7 +285,8 @@ class TestSimulate:
         assert gap <= 2 * np.sqrt(1 - d) + 1e-9
 
     @pytest.mark.parametrize("trials, rate", [(0, 3.0), (-2, 3.0), (1, 1e6),
-                                              (1, float("inf")), (1, float("nan"))])
+                                              (1, float("inf")), (1, float("nan")),
+                                              (1, -1.0)])
     def test_rejects_bad_counts_before_any_work(self, trials, rate, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("simulate started work before checking its arguments")
@@ -316,13 +321,23 @@ class TestSimulate:
     def test_unitary_count_bounded_before_any_draw(self, ghz_tki, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("simulate drew a unitary before checking N x D")
-        monkeypatch.setattr("qmarkov.protocol.sample_block_unitary", no_draw)
+        for target in ("qmarkov.protocol.sample_block_unitary",
+                       "qmarkov.protocol._draw_block_unitaries",
+                       "qmarkov.protocol.haar_from_normals",
+                       "qmarkov.linalg.haar_from_normals"):
+            monkeypatch.setattr(target, no_draw)
         psi, tki = ghz_tki
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
         with pytest.raises(DimensionError, match="dim_cap"):
-            simulate(psi, n=2, delta=1.0, rate=30.0, trials=1, seed=1, tki=tki)
+            simulate(psi, n=2, delta=1.0, rate=30.0, trials=1, rng=rng, tki=tki)
         # D = 64 at n = 2: N x D = 128 x 64 exceeds 64^2, 64 x 64 does not
         with pytest.raises(DimensionError):
-            simulate(psi, n=2, delta=1.0, rate=3.5, trials=1, seed=1, tki=tki, dim_cap=64)
+            simulate(psi, n=2, delta=1.0, rate=3.5, trials=1, rng=rng, tki=tki, dim_cap=64)
+        assert rng.bit_generator.state == state
+        # under the bound the stubs are on the path
+        with pytest.raises(AssertionError, match="drew a unitary"):
+            simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, rng=rng, tki=tki)
 
     def test_bound_is_n_times_d(self, ghz_tki):
         psi, tki = ghz_tki
@@ -341,6 +356,57 @@ class TestSimulate:
         psi = build_example("VIB", d=2, lam=0.3)
         res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=0)
         assert res.n_unitaries == 64 and 0 < res.err_to_average < 2
+
+    def test_benchmark_case_in_sequence_coordinates(self, monkeypatch):
+        # VIB(2, 0.3), n = 2, rate 3: the projection is the only full-length
+        # block application, and both trace norms see fewer than D rows
+        applied, rows = [], []
+        apply, norm = protocol._apply_blockwise, protocol.factored_trace_norm
+
+        def counted_apply(*args, **kwargs):
+            applied.append(1)
+            return apply(*args, **kwargs)
+
+        def counted_norm(x, y):
+            rows.append(x.shape[0])
+            return norm(x, y)
+
+        monkeypatch.setattr("qmarkov.protocol._apply_blockwise", counted_apply)
+        monkeypatch.setattr("qmarkov.protocol.factored_trace_norm", counted_norm)
+        psi = build_example("VIB", d=2, lam=0.3)
+        res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=2, seed=0)
+        assert res.n_unitaries == 64
+        assert len(applied) == 1
+        assert len(rows) == 4 and max(rows) < 1024
+
+
+# VIB(2, 0.5) at delta 1.5 has typical ranks 4, 2, 2, 1; the VIC states have
+# a trivial aR factor and take the phase branch
+STREAM_CASES = {
+    "vib_0.3": ("VIB", dict(d=2, lam=0.3), 2, 1.0),
+    "vib_0.5_unequal_ranks": ("VIB", dict(d=2, lam=0.5), 2, 1.5),
+    "vic_3": ("VIC", dict(lam=(0.2, 0.3, 0.5)), 2, 1.0),
+    "ghz": ("VIC", dict(lam=(0.5, 0.5)), 2, 1.0),
+}
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("case", list(STREAM_CASES))
+    def test_batched_draws_equal_sequential_calls(self, case):
+        family, kw, n, delta = STREAM_CASES[case]
+        tki = ki_tripartite(build_example(family, **kw), rng=np.random.default_rng(0))
+        blocks = build_blocks(tki, TypicalSpec(n, delta))
+        darn = tki.base.dims[2] ** n
+        batched_rng, sequential_rng = np.random.default_rng(7), np.random.default_rng(7)
+        draws = _draw_block_unitaries(blocks, darn, batched_rng, 5)
+        for i in range(5):
+            v = sample_block_unitary(blocks, tki, sequential_rng)
+            for entry, u in zip(blocks.entries, draws):
+                b = entry.basis
+                expect = u[i] if darn == 1 else (
+                    np.eye(darn) + b @ (u[i] - np.eye(entry.rank)) @ b.conj().T)
+                assert np.array_equal(v[entry.seq], expect)
+        assert batched_rng.bit_generator.state == sequential_rng.bit_generator.state
 
 
 def _einsum_average(tki, psi_p, blocks):
@@ -375,19 +441,51 @@ def _dense_simulate(tki, n, delta, rate, seed):
     return errs[0], errs[1], min_nonzero_eigenvalue(bar), bar
 
 
+def _skewed_state():
+    """A generic (3, 2, 2) state whose A marginal has spectrum (0.5, 0.45,
+    0.05): its one block keeps the weak window's eigenvalue patterns only,
+    so the projected blocks P_s M_s span less than the full ones."""
+    rng = np.random.default_rng(3)
+    schmidt = haar_unitary(4, rng)[:, :3]
+    vec = np.einsum("ai,i,xi->ax", haar_unitary(3, rng), np.sqrt([0.5, 0.45, 0.05]),
+                    schmidt)
+    return PureVec(SystemLayout([("A", 3), ("B", 2), ("C", 2)]), vec.reshape(-1))
+
+
 ORACLE_STATES = {
-    "ghz": ("VIC", dict(lam=(0.5, 0.5))),
-    "vib_0.3": ("VIB", dict(d=2, lam=0.3)),
-    "vib_0.5": ("VIB", dict(d=2, lam=0.5)),
-    "vic_3": ("VIC", dict(lam=(0.2, 0.3, 0.5))),
+    "ghz": lambda: build_example("VIC", lam=(0.5, 0.5)),
+    "vib_0.3": lambda: build_example("VIB", d=2, lam=0.3),
+    "vib_0.5": lambda: build_example("VIB", d=2, lam=0.5),
+    "vic_3": lambda: build_example("VIC", lam=(0.2, 0.3, 0.5)),
+    "via": lambda: build_example("VIA", d=2, lam=0.6),
+    "skewed": _skewed_state,
 }
 
 
 @pytest.fixture(scope="module", params=list(ORACLE_STATES))
 def oracle_state(request):
-    family, kw = ORACLE_STATES[request.param]
-    psi = build_example(family, **kw)
+    psi = ORACLE_STATES[request.param]()
     return psi, ki_tripartite(psi, rng=np.random.default_rng(0))
+
+
+def _check_against_dense(psi, tki, n, delta):
+    try:
+        oracle = [_dense_simulate(tki, n, delta, 2.0, seed) for seed in (11, 12)]
+    except ValidationError:  # empty typical region: both paths refuse it
+        with pytest.raises(ValidationError):
+            simulate(psi, n=n, delta=delta, rate=2.0, trials=1, seed=11, tki=tki)
+        return
+    spec = TypicalSpec(n, delta)
+    psi_p, blocks, d = build_protocol_state(tki, spec)
+    y = _average_factor(tki, blocks, psi_p)
+    bar = oracle[0][3]
+    assert np.max(np.abs(y @ y.conj().T - bar)) <= 1e-12
+    assert np.max(np.abs(average_markov_state(tki, spec).mat - bar)) <= 1e-12
+    assert abs(_factor_min_eigenvalue(y, d) - oracle[0][2]) <= 1e-12
+    for seed, (err_avg, err_full, _, _) in zip((11, 12), oracle):
+        res = simulate(psi, n=n, delta=delta, rate=2.0, trials=1, seed=seed, tki=tki)
+        assert abs(res.err_to_average - err_avg) <= 1e-12
+        assert abs(res.err_full - err_full) <= 1e-12
 
 
 class TestDenseOracle:
@@ -396,24 +494,14 @@ class TestDenseOracle:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("delta", [1.0, 1.5])
     def test_factored_matches_dense(self, oracle_state, n, delta):
-        psi, tki = oracle_state
-        try:
-            oracle = [_dense_simulate(tki, n, delta, 2.0, seed) for seed in (11, 12)]
-        except ValidationError:  # empty typical region: both paths refuse it
-            with pytest.raises(ValidationError):
-                simulate(psi, n=n, delta=delta, rate=2.0, trials=1, seed=11, tki=tki)
-            return
-        spec = TypicalSpec(n, delta)
-        psi_p, blocks, d = build_protocol_state(tki, spec)
-        y = _average_factor(tki, blocks, psi_p)
-        bar = oracle[0][3]
-        assert np.max(np.abs(y @ y.conj().T - bar)) <= 1e-12
-        assert np.max(np.abs(average_markov_state(tki, spec).mat - bar)) <= 1e-12
-        assert abs(_factor_min_eigenvalue(y, d) - oracle[0][2]) <= 1e-12
-        for seed, (err_avg, err_full, _, _) in zip((11, 12), oracle):
-            res = simulate(psi, n=n, delta=delta, rate=2.0, trials=1, seed=seed, tki=tki)
-            assert abs(res.err_to_average - err_avg) <= 1e-12
-            assert abs(res.err_full - err_full) <= 1e-12
+        _check_against_dense(*oracle_state, n, delta)
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5])
+    def test_three_copies_match_dense(self, ghz_tki, delta):
+        # GHZ is the oracle state whose three-copy space is small, D = 512
+        psi, tki = ghz_tki
+        assert protocol.protocol_layout(tki, 3).dim == 512
+        _check_against_dense(psi, tki, 3, delta)
 
     def test_factor_checks(self, oracle_state):
         psi, tki = oracle_state

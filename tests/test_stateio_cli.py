@@ -546,6 +546,7 @@ class TestCliErrors:
         (["--trials", "-1", "--rate", "3"], "trials = -1 < 1"),
         (["--rate", "1e6"], "2^(n*rate) = 2^2e+06 unitaries is not a finite double"),
         (["--rate", "30"], "1.153e+18 unitaries at dimension 64 need 7.379e+19 sampled"),
+        (["--rate", "-1"], "rate = -1.0 < 0"),
     ])
     def test_simulate_rejects_bad_counts(self, args, message, state_files, capsys,
                                          monkeypatch):
