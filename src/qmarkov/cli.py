@@ -30,6 +30,7 @@ from .kidec import ki_decompose, ki_tripartite, validate_ki
 from .linalg import LabelError, PureVec, ValidationError
 from .markov import (
     build_example,
+    check_routes_agree,
     markov_cost_algorithm,
     markov_cost_formula,
     markov_decomposition,
@@ -181,13 +182,16 @@ def _markov_cost(args, state):
     rep, code = {"route": args.route}, EXIT_OK
     if args.route in ("formula", "both"):
         tki = ki_tripartite(psi, a, b, c, rng=np.random.default_rng(args.seed))
-        rep["m_formula_bits"] = _sig(markov_cost_formula(tki))
+        m_f = markov_cost_formula(tki)
+        rep["m_formula_bits"] = _sig(m_f)
     if args.route in ("algorithm", "both"):
         m_a = markov_cost_algorithm(psi, a, b, c)
         if m_a is None:
             rep["m_algorithm_bits"], code = NOT_APPLICABLE_TEXT, EXIT_NOT_APPLICABLE
         else:
             rep["m_algorithm_bits"] = _sig(m_a)
+    if args.route == "both":
+        check_routes_agree(m_f, m_a)
     return rep, code
 
 

@@ -7,10 +7,14 @@ per block, and an irreducible quantum factor entangled with C.
 
 The decomposition is computed from the fixed-point *-algebra of the
 adjoint of the recovery-and-discard channel (channels.channel_E), i.e.
-the commutant of its Kraus family.  That algebra is a direct sum of full
-matrix algebras tensored with identities; its center yields the block
-projectors, and random elements of the block-restricted algebra yield the
-tensor factorization inside each block.
+the commutant of its Kraus family.  That algebra is the direct sum over
+blocks j of M_{dim_l} (x) I_{dim_r}, and one random element of each kind
+exposes it: a Hermitian element x has one eigenspace of dimension dim_r
+per pair (block, redundant index), and a general element y links two of
+those eigenspaces by a nonzero multiple of a unitary when they lie in the
+same block and by zero otherwise.  The links group the eigenspaces into
+blocks, and their polar factors give every eigenspace of a block the same
+quantum-factor basis (Murota, Kanno, Kojima & Kojima, JJIAM 27, 125).
 """
 
 from __future__ import annotations
@@ -41,6 +45,13 @@ from .linalg import (
 # Gap threshold for splitting eigenvalue clusters of random algebra
 # elements into invariant subspaces.
 CLUSTER_GAP = 1e-6
+# Two eigenspaces lie in one block when the smallest singular value of
+# their link exceeds this fraction of the random element's norm; across
+# blocks the link vanishes up to round-off.
+LINK_RTOL = 1e-8
+# Independent draws of the random commutant elements before giving up; a
+# draw fails only on a measure-zero (numerically: rare) coincidence.
+KI_ATTEMPTS = 4
 # Relative eigenvalue cutoff when choosing purifier ranks; amplitudes of
 # dropped modes are at most the square root of this.
 PURIFIER_RTOL = 1e-13
@@ -135,125 +146,64 @@ def _random_in_span(basis: Sequence[np.ndarray], rng: np.random.Generator,
     return x
 
 
-def _cluster(vals: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
-    """Group sorted-ascending eigenvalue indices split at gaps > gap."""
+def _cluster(vals: np.ndarray) -> list[np.ndarray]:
+    """Group sorted-ascending eigenvalue indices split at gaps > CLUSTER_GAP."""
     order = np.argsort(vals)
     groups: list[list[int]] = [[order[0]]]
     for prev, cur in zip(order[:-1], order[1:]):
-        if vals[cur] - vals[prev] > gap:
+        if vals[cur] - vals[prev] > CLUSTER_GAP:
             groups.append([])
         groups[-1].append(cur)
     return [np.array(g) for g in groups]
 
 
-def _center_basis(comm: Sequence[np.ndarray], rtol: float = NULLSPACE_RTOL,
-                  ) -> list[np.ndarray]:
-    """Basis of the center: commutant elements commuting with the whole
-    commutant.  Solved in the coordinates of the commutant basis."""
-    k = len(comm)
-    d = comm[0].shape[0]
-    cols = []
-    for i in range(k):
-        col = np.concatenate([(comm[i] @ b - b @ comm[i]).reshape(-1) for b in comm])
-        cols.append(col)
-    system = np.array(cols).T      # k·d² × k, so the thin vh is all k × k
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > max(smax, 1.0) * rtol))
-    out = []
-    for i in range(rank, k):
-        coeff = vh[i].conj()
-        out.append(sum(c * b for c, b in zip(coeff, comm)))
-    return out
+def _block_structure(comm: Sequence[np.ndarray], rng: np.random.Generator,
+                     ) -> list[np.ndarray]:
+    """Blocks of the commutant ``comm`` from one Hermitian and one general
+    random element of it.
 
-
-def _central_partition(center: Sequence[np.ndarray],
-                       rng: np.random.Generator, retries: int = 6,
-                       ) -> list[np.ndarray]:
-    """Column bases of the minimal central blocks, stable across two
-    independent random draws."""
-    def draw() -> list[np.ndarray]:
-        z = _random_in_span(center, rng, hermitian=True)
-        vals, vecs = np.linalg.eigh(z)
-        return [vecs[:, g] for g in _cluster(vals)]
-
-    for _ in range(retries):
-        first, second = draw(), draw()
-        if len(first) != len(second):
-            continue
-        projs1 = [b @ b.conj().T for b in first]
-        projs2 = [b @ b.conj().T for b in second]
-        used: set[int] = set()
-        ok = True
-        for p in projs1:
-            match = next((i for i, q in enumerate(projs2)
-                          if i not in used and p.shape == q.shape
-                          and np.max(np.abs(p - q)) <= 1e-7), None)
-            if match is None:
-                ok = False
-                break
-            used.add(match)
-        if ok:
-            return first
-    raise ValidationError("central block structure unstable across random draws")
-
-
-def _factor_block(comm: Sequence[np.ndarray], block_cols: np.ndarray,
-                  rng: np.random.Generator, retries: int = 8,
-                  ) -> tuple[int, int, np.ndarray]:
-    """Split one block into redundant (x) irreducible factors.
-
-    Returns (dim_l, dim_r, u) with u unitary mapping block coordinates to
-    the product basis, row (mu*dim_r + q) reading off component (mu, q).
+    Returns one array per block, of shape (dim_l, r, dim_r): slice mu holds
+    the columns of redundant index mu, in a quantum-factor basis shared by
+    the whole block.  Raises ValidationError when the draw misses part of
+    the structure, i.e. when sum_j dim_l² differs from dim(comm).
     """
-    d_block = block_cols.shape[1]
-    restricted = [block_cols.conj().T @ x @ block_cols for x in comm]
-    stacked = np.array([x.reshape(-1) for x in restricted])
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > smax * NULLSPACE_RTOL))
-    dim_l = int(round(np.sqrt(rank)))
-    if dim_l * dim_l != rank or d_block % dim_l != 0:
-        raise ValidationError(
-            f"restricted commutant dimension {rank} is not a square dividing {d_block}")
-    dim_r = d_block // dim_l
-    if dim_l == 1:
-        return 1, d_block, np.eye(d_block, dtype=np.complex128)
-    # top rows of vh span the row space, i.e. the restricted algebra
-    basis = [vh[i].reshape(d_block, d_block) for i in range(rank)]
-    for _ in range(retries):
-        y = _random_in_span(basis, rng, hermitian=True)
-        vals, vecs = np.linalg.eigh(y)
-        groups = _cluster(vals)
-        if len(groups) != dim_l or any(len(g) != dim_r for g in groups):
-            continue
-        w = _random_in_span(basis, rng, hermitian=False)
-        v_first = vecs[:, groups[0]]
-        aligned = [v_first]
-        ok = True
-        for g in groups[1:]:
-            v = vecs[:, g]
-            m = v.conj().T @ w @ v_first
-            uu, ss, vvh = np.linalg.svd(m)
-            if ss[-1] < 1e-8 * max(1.0, ss[0]):
-                ok = False
+    x = _random_in_span(comm, rng, hermitian=True)
+    y = _random_in_span(comm, rng, hermitian=False)
+    floor = LINK_RTOL * np.linalg.norm(y)
+    vals, vecs = np.linalg.eigh(x)
+    blocks: list[list[np.ndarray]] = []
+    for g in _cluster(vals):
+        v = vecs[:, g]
+        for blk in blocks:
+            first = blk[0]
+            if first.shape != v.shape:
+                continue
+            uu, ss, vvh = np.linalg.svd(v.conj().T @ y @ first)
+            if ss[-1] > floor:
+                # the link is c·U; its polar factor U maps the first
+                # eigenspace's basis onto this one's
+                blk.append(v @ (uu @ vvh))
                 break
-            aligned.append(v @ (uu @ vvh))
-        if not ok:
-            continue
-        u = np.zeros((d_block, d_block), dtype=np.complex128)
-        for mu, v in enumerate(aligned):
-            for q in range(dim_r):
-                u[mu * dim_r + q, :] = v[:, q].conj()
-        return dim_l, dim_r, u
-    raise ValidationError("failed to factor a commutant block after retries")
+        else:
+            blocks.append([v])
+    found = sum(len(blk) ** 2 for blk in blocks)
+    if found != len(comm):
+        raise ValidationError(
+            f"random commutant elements expose blocks of total dimension {found}, "
+            f"but the commutant has dimension {len(comm)}")
+    return [np.stack(blk) for blk in blocks]
 
 
 def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
                  c: Sequence[str] = ("C",), tol: float = 1e-7,
-                 rng: np.random.Generator | None = None,
-                 max_retries: int = 4) -> KIDecomposition:
+                 rng: np.random.Generator | None = None) -> KIDecomposition:
     """Compute the KI decomposition of system A with respect to psi_ac.
+
+    The blocks come from random elements of the commutant of channel_E's
+    Kraus family on the support of the A-marginal (see the module
+    docstring).  A draw that misses part of the block structure, or whose
+    decomposition leaves a reconstruction residual above ``tol``, is
+    redrawn, up to KI_ATTEMPTS draws in all.
 
     Blocks are sorted by descending weight, ties broken by descending
     quantum-factor then redundant-factor dimension.  Deterministic for a
@@ -270,15 +220,13 @@ def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
     chan = channel_E(psi_ac, a, c)
     kraus_s = [q.conj().T @ k @ q for k in chan.kraus]
     comm = _commutant_of_family(kraus_s + [k.conj().T for k in kraus_s])
-    center = _center_basis(comm)
-    last_err: Exception | None = None
-    for _ in range(max_retries):
+    for _ in range(KI_ATTEMPTS):
         try:
-            dec = _assemble(mat, rho_a, d_c, a_layout, c_layout, q, comm, center, rng, tol)
-            return dec
+            return _assemble(mat, rho_a, d_c, a_layout, c_layout, q,
+                             _block_structure(comm, rng), tol)
         except ValidationError as err:
             last_err = err
-    raise ValidationError(f"KI decomposition failed after {max_retries} attempts: {last_err}")
+    raise ValidationError(f"KI decomposition failed after {KI_ATTEMPTS} attempts: {last_err}")
 
 
 def _ki_tensor(gamma_total: np.ndarray, mat: np.ndarray, dims: tuple[int, ...],
@@ -304,32 +252,28 @@ def _block_model(blocks: Sequence[KIBlock], dims: tuple[int, int, int],
     return model
 
 
-def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, comm, center, rng, tol,
-              ) -> KIDecomposition:
+def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, cols, tol) -> KIDecomposition:
+    """Decomposition from the (dim_l, r, dim_r) column arrays of
+    _block_structure."""
     r = q.shape[1]
-    block_cols = _central_partition(center, rng)
-    raw = []
-    for cols in block_cols:
-        dim_l, dim_r, u = _factor_block(comm, cols, rng)
-        raw.append((cols, dim_l, dim_r, u))
     # weights determine the presentation order of the blocks
     rho_supp = q.conj().T @ rho_a @ q
-    weights = [float(np.trace(cols.conj().T @ rho_supp @ cols).real)
-               for cols, *_ in raw]
+    weights = [float(np.einsum("lia,ij,lja->", v.conj(), rho_supp, v).real) for v in cols]
     # round weights so the declared tie-break applies to numerically equal p
-    order = sorted(range(len(raw)),
-                   key=lambda i: (-round(weights[i], 9), -raw[i][2], -raw[i][1]))
-    raw = [raw[i] for i in order]
+    order = sorted(range(len(cols)), key=lambda i: (
+        -round(weights[i], 9), -cols[i].shape[2], -cols[i].shape[0]))
+    cols = [cols[i] for i in order]
 
-    dims = (len(raw), max(t[1] for t in raw), max(t[2] for t in raw))
+    dims = (len(cols), max(v.shape[0] for v in cols), max(v.shape[2] for v in cols))
     gamma_supp = np.zeros((*dims, r), dtype=np.complex128)
-    for j, (cols, dim_l, dim_r, u) in enumerate(raw):
-        gamma_supp[j, :dim_l, :dim_r, :] = (u @ cols.conj().T).reshape(dim_l, dim_r, r)
+    for j, v in enumerate(cols):
+        gamma_supp[j, :v.shape[0], :v.shape[2], :] = v.conj().transpose(0, 2, 1)
     gamma_supp = gamma_supp.reshape(-1, r)
     tens = _ki_tensor(gamma_supp @ q.conj().T, mat, dims, (d_c,))
 
     blocks = []
-    for j, (_, dim_l, dim_r, _) in enumerate(raw):
+    for j, v in enumerate(cols):
+        dim_l, _, dim_r = v.shape
         sub = tens[j, :dim_l, :dim_r, :, j, :dim_l, :dim_r, :]
         p = float(np.einsum("lrclrc->", sub).real)
         if p <= 1e-12:
@@ -372,8 +316,7 @@ def _phi_slices(block: KIBlock, d_c: int) -> list[np.ndarray]:
     return [t[:, k, :, l] for k in range(d_c) for l in range(d_c)]
 
 
-def validate_ki(dec: KIDecomposition, psi_ac: DensityOp, tol: float = 1e-7,
-                ) -> KIValidationReport:
+def validate_ki(dec: KIDecomposition, psi_ac: DensityOp) -> KIValidationReport:
     """Residual report for a claimed decomposition (report-only).
 
     Irreducibility: the commutant of the C-sliced block state must be

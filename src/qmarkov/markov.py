@@ -195,6 +195,14 @@ def recovery_check(ups: DensityOp, a: Sequence[str] = ("A",),
     )
 
 
+def check_routes_agree(m_formula: float, m_algorithm: float | None) -> None:
+    """Raise ValidationError when the spectral route applies and its cost
+    differs from the block formula's by more than TWO_ROUTE_TOL."""
+    if m_algorithm is not None and abs(m_formula - m_algorithm) > TWO_ROUTE_TOL:
+        raise ValidationError(
+            f"routes disagree: formula {m_formula} vs spectral {m_algorithm}")
+
+
 def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
                  b: Sequence[str] = ("B",), c: Sequence[str] = ("C",),
                  rng: np.random.Generator | None = None,
@@ -214,9 +222,7 @@ def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
     if not (cond - bound_tol <= m_formula <= total + bound_tol):
         raise ValidationError(
             f"cost {m_formula} violates bounds [{cond}, {total}]")
-    if m_algorithm is not None and abs(m_formula - m_algorithm) > TWO_ROUTE_TOL:
-        raise ValidationError(
-            f"routes disagree: formula {m_formula} vs spectral {m_algorithm}")
+    check_routes_agree(m_formula, m_algorithm)
     return CostReport(m_formula, m_algorithm, cond, total, adjoint, blocks)
 
 

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmarkov import channels
+from qmarkov import channels, kidec
 from qmarkov.kidec import (
+    KI_ATTEMPTS,
     KIBlock,
     KIDecomposition,
     ki_decompose,
@@ -16,6 +21,7 @@ from qmarkov.linalg import (
     IsometryOp,
     PureVec,
     SystemLayout,
+    ValidationError,
     haar_unitary,
     layout,
     marginal,
@@ -210,6 +216,85 @@ class TestHardBlockStructures:
         dec = ki_decompose(st, ["A"], ["C"], rng=rng)
         assert block_signature(dec) == [(0.2, 1, 1), (0.3, 1, 2), (0.5, 2, 1)]
         assert validate_ki(dec, st).ok(1e-7)
+
+
+# (dim_l, dim_r) per block: a 1x1 block, redundant factors alone, quantum
+# factors alone, and both in one block
+PLANTED = ((1, 1), (2, 2), (1, 2), (2, 1), (3, 1))
+
+
+def planted_state(seed):
+    """sum_j p_j omega_j (x) phi_j over the PLANTED blocks of A (dimension 12)
+    against a qubit C, in a Haar-random basis of A; returns the state and
+    its block signature."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(len(PLANTED)))
+    d_a, d_c = sum(dl * dr for dl, dr in PLANTED), 2
+    tens = np.zeros((d_a, d_c, d_a, d_c), dtype=np.complex128)
+    start = 0
+    for pj, (dl, dr) in zip(p, PLANTED):
+        omega = random_density(layout(("L", dl)), rng).mat
+        phi = random_density(layout(("R", dr), ("C", d_c)), rng).mat
+        stop = start + dl * dr
+        tens[start:stop, :, start:stop, :] = pj * np.kron(omega, phi).reshape(
+            stop - start, d_c, stop - start, d_c)
+        start = stop
+    big = np.kron(haar_unitary(d_a, rng), np.eye(d_c))
+    mat = tens.reshape(d_a * d_c, -1)
+    state = DensityOp(layout(("A", d_a), ("C", d_c)), big @ mat @ big.conj().T)
+    sig = sorted((round(pj, 6), dl, dr) for pj, (dl, dr) in zip(p, PLANTED))
+    return state, sig
+
+
+class TestOneDraw:
+    """Each attempt reads the blocks off one Hermitian and one general random
+    element of the commutant; the answer must not depend on the draw."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+    def test_structure_independent_of_draw(self, state_seed, draw_seed):
+        state, sig = planted_state(state_seed)
+        dec = ki_decompose(state, ["A"], ["C"], rng=np.random.default_rng(draw_seed))
+        assert block_signature(dec) == sig
+        assert validate_ki(dec, state).ok(1e-7)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Stub for _random_in_span: ``calls`` records the hermitian flag of
+        every draw, and the first ``fail`` draws return zero, a fully
+        degenerate element."""
+        draws = SimpleNamespace(calls=[], fail=0)
+        real = kidec._random_in_span
+
+        def draw(basis, rng, hermitian):
+            draws.calls.append(hermitian)
+            if len(draws.calls) <= draws.fail:
+                return np.zeros_like(basis[0])
+            return real(basis, rng, hermitian)
+        monkeypatch.setattr(kidec, "_random_in_span", draw)
+        return draws
+
+    def test_one_attempt_two_draws(self, draws, rng):
+        state, sig = planted_state(0)
+        dec = ki_decompose(state, ["A"], ["C"], rng=rng)
+        assert draws.calls == [True, False]
+        assert block_signature(dec) == sig
+
+    def test_degenerate_draw_redrawn(self, draws, rng):
+        state, sig = planted_state(1)
+        draws.fail = 2
+        dec = ki_decompose(state, ["A"], ["C"], rng=rng)
+        assert draws.calls == [True, False] * 2
+        assert block_signature(dec) == sig
+        assert validate_ki(dec, state).ok(1e-7)
+
+    def test_always_degenerate_raises(self, draws, rng):
+        state, _ = planted_state(2)
+        draws.fail = 2 * KI_ATTEMPTS
+        with pytest.raises(ValidationError,
+                           match=f"failed after {KI_ATTEMPTS} attempts: random commutant"):
+            ki_decompose(state, ["A"], ["C"], rng=rng)
+        assert len(draws.calls) == 2 * KI_ATTEMPTS
 
 
 class TestValidateKi:

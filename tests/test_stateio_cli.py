@@ -557,6 +557,24 @@ class TestCliErrors:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-5])
+    def test_markov_cost_routes_disagree(self, eps, tmp_path, capsys, monkeypatch):
+        # just above VIA's Markov point the formula gives 2 bits and the
+        # spectral route 0: both routes together must fail as bounds does
+        path = str(tmp_path / "via.json")
+        stateio.dump(build_example("VIA", d=2, lam=0.25 + eps), path)
+        code, out, err = run_cli(capsys, monkeypatch, ["markov-cost", path, "--route", "both"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: routes disagree: formula ")
+        assert err.endswith(" vs spectral 0.0\n")
+        assert "Traceback" not in err
+        assert run_cli(capsys, monkeypatch, ["bounds", path]) == (1, "", err)
+        for route, key, value in (("formula", "m_formula_bits", "2"),
+                                  ("algorithm", "m_algorithm_bits", "0")):
+            code, out, _ = run_cli(capsys, monkeypatch, ["markov-cost", path, "--route", route])
+            fields = dict(line.split(" = ") for line in out.strip().splitlines())
+            assert (code, fields["route"], fields[key]) == (0, route, value)
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_is_markov_rejects_non_finite_tol(self, tol, state_files, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qmarkov import channels, cli, stateio
 from qmarkov.channels import NULLSPACE_RTOL, _commutant_of_family, channel_E
 from qmarkov.entropy import qcmi, qmi
-from qmarkov.kidec import _center_basis, ki_decompose, validate_ki
+from qmarkov.kidec import ki_decompose, validate_ki
 from qmarkov.linalg import (
     DensityOp,
     DimensionError,
@@ -155,16 +155,6 @@ class TestThinSvd:
         ref = [row.reshape(d, d) for row in ref]
         assert 1 < len(comm) == len(ref) < d * d
         assert np.max(np.abs(_projector(comm) - _projector(ref))) <= 1e-10
-
-    def test_center_span(self, family):
-        comm = _commutant_of_family(family)
-        center = _center_basis(comm)
-        system = np.array([np.concatenate([(x @ y - y @ x).reshape(-1) for y in comm])
-                           for x in comm]).T
-        ref = [sum(c * x for c, x in zip(row, comm))
-               for row in _full_nullspace(system, 1.0)]
-        assert 1 < len(center) == len(ref) <= len(comm)
-        assert np.max(np.abs(_projector(center) - _projector(ref))) <= 1e-10
 
 
 CHUNK = channels.COMMUTANT_CHUNK
