@@ -71,7 +71,7 @@ def _read_state(path: str | None):
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
-    return stateio.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+    return stateio.loads(raw), hashlib.sha256(raw).hexdigest()
 
 
 def _parts(args, state) -> list[list[str]]:
@@ -200,6 +200,8 @@ def _markov_cost(args, state):
 def _is_markov(args, state):
     if not math.isfinite(args.tol):
         raise ValidationError(f"--tol must be finite, got {args.tol}")
+    if args.tol < 0:
+        raise ValidationError(f"--tol must be non-negative, got {args.tol}")
     a, b, c = _parts(args, state)
     value = qcmi(state, a, b, c)
     return {"qcmi_bits": _sig(value), "is_markov": str(value <= args.tol).lower(),

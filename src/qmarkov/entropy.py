@@ -61,13 +61,13 @@ def binary_entropy(x: float) -> float:
 
 
 def vn_entropy(rho: DensityOp) -> float:
-    """Von Neumann entropy in bits: Shannon entropy of the spectrum.
+    """Von Neumann entropy in bits: Shannon entropy of the spectrum that
+    validating ``rho`` computed.
 
     Eigenvalues below 1e-12 are dropped to avoid kernel-noise logs;
     small negatives within tolerance are clamped to zero.
     """
-    vals = np.linalg.eigvalsh(rho.mat)
-    return shannon(np.clip(vals, 0.0, None))
+    return shannon(np.clip(rho.spectrum, 0.0, None))
 
 
 def _entropy_of(state: DensityOp | PureVec, labels: Iterable[str]) -> float:

@@ -115,11 +115,14 @@ class DensityOp:
 
     ``trace_of_one=False`` admits subnormalized operators (still Hermitian
     PSD); a few protocol-level objects are deliberately subnormalized.
+    ``spectrum`` holds the ascending, read-only eigenvalues of the Hermitian
+    part that validation computed, so entropies need no second eigensolve.
     """
 
     layout: SystemLayout
     mat: np.ndarray = field(repr=False)
     trace_of_one: bool = True
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, layout: SystemLayout, mat, trace_of_one: bool = True,
                  tol: float = HERM_TOL):
@@ -129,7 +132,9 @@ class DensityOp:
             raise DimensionError(f"matrix shape {mat.shape} != layout dim {d}")
         if np.max(np.abs(mat - mat.conj().T)) > tol:
             raise ValidationError("density operator is not Hermitian within tolerance")
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
+        spectrum = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+        spectrum.flags.writeable = False
+        lo = float(spectrum[0])
         if lo < -max(tol, tol * max(1.0, abs(np.trace(mat).real))):
             raise ValidationError(f"density operator has negative eigenvalue {lo}")
         if trace_of_one and abs(np.trace(mat) - 1.0) > 1e-6:
@@ -137,6 +142,7 @@ class DensityOp:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "trace_of_one", bool(trace_of_one))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:

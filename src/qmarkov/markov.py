@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
-    apply_channel,
+    _apply_kraus,
     ergodic_projector,
     petz_channel,
     reshuffle,
@@ -182,16 +182,20 @@ def recovery_check(ups: DensityOp, a: Sequence[str] = ("A",),
     ``from_ab``: rebuild C from the AB marginal via the Petz map of the BC
     marginal.  ``from_bc``: rebuild A from the BC marginal via the Petz
     map of the AB marginal.  Both vanish exactly on Markov states.
+
+    The two reconstructions stay raw arrays: they are built from the
+    validated state, its partial traces and Kraus families whose
+    completeness ``KrausChannel`` checks, so they are not re-validated.
     """
     a, b, c = list(a), list(b), list(c)
     order = ups.layout.reorder(a + b + c).labels
     target = permute_mat(ups.mat, ups.layout, order)
     rho_ab, rho_bc = partial_trace(ups, a + b), partial_trace(ups, b + c)
-    got1 = apply_channel(petz_channel(rho_bc, b, c), rho_ab, output_order=order)
-    got2 = apply_channel(petz_channel(rho_ab, b, a), rho_bc, output_order=order)
+    got1, _ = _apply_kraus(petz_channel(rho_bc, b, c), rho_ab.mat, rho_ab.layout, order)
+    got2, _ = _apply_kraus(petz_channel(rho_ab, b, a), rho_bc.mat, rho_bc.layout, order)
     return RecoveryReport(
-        from_ab=trace_norm(got1.mat - target),
-        from_bc=trace_norm(got2.mat - target),
+        from_ab=trace_norm(got1 - target),
+        from_bc=trace_norm(got2 - target),
     )
 
 

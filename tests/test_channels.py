@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarkov.channels import (
     KrausChannel,
@@ -13,19 +15,22 @@ from qmarkov.channels import (
     reshuffle,
     transfer_matrices,
 )
+from qmarkov.entropy import trace_norm
 from qmarkov.linalg import (
     DensityOp,
+    SystemLayout,
     ValidationError,
     is_hermitian,
     layout,
     marginal,
     partial_trace,
+    permute_mat,
     pinv_sqrt,
     psd_sqrt,
     random_density,
     random_pure,
 )
-from qmarkov.markov import build_example
+from qmarkov.markov import build_example, recovery_check
 
 
 @pytest.fixture
@@ -352,3 +357,103 @@ class TestApply:
         ch = KrausChannel(layout(("A", 2)), layout(("A", 2)), [np.eye(2)])
         with pytest.raises(ValidationError):
             apply_channel(ch, rho)
+
+
+def apply_per_kraus(ch, rho, output_order=None):
+    """The per-Kraus einsum loop apply_channel used before its two stacked
+    products: sum_k K_k rho K_k† one operator at a time, as a raw matrix."""
+    in_labels = list(ch.in_layout.labels)
+    rest = [l for l in rho.layout.labels if l not in set(in_labels)]
+    d_in, d_out = ch.in_layout.dim, ch.out_layout.dim
+    d_rest = rho.dim // d_in
+    m = permute_mat(rho.mat, rho.layout, in_labels).reshape(d_in, d_rest, d_in, d_rest)
+    out = np.zeros((d_out, d_rest, d_out, d_rest), dtype=np.complex128)
+    for k in ch.kraus:
+        km = np.einsum("oi,irjs->orjs", k, m)
+        out += np.einsum("orjs,pj->orps", km, k.conj())
+    out_layout = ch.out_layout + rho.layout.restrict(rest)
+    out = out.reshape(d_out * d_rest, d_out * d_rest)
+    if output_order is not None:
+        out = permute_mat(out, out_layout, output_order)
+    return out
+
+
+def assert_matches_per_kraus(ch, rho, output_order=None):
+    got = apply_channel(ch, rho, output_order)
+    want = apply_per_kraus(ch, rho, output_order)
+    assert isinstance(got, DensityOp)
+    assert np.max(np.abs(got.mat - want)) <= 1e-13 * np.linalg.norm(want)
+    return got
+
+
+@st.composite
+def kraus_and_state(draw):
+    """A Kraus family of n operators from input factors I* to output factors
+    O*, trace preserving on a drawn rank-r subspace S of the input; a random
+    state supported on S (x) spectators, over the input factors and up to two
+    spectator factors in drawn order; and an output order, None or drawn."""
+    in_dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    out_dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    rest_dims = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))
+    in_layout = SystemLayout((f"I{i}", d) for i, d in enumerate(in_dims))
+    out_layout = SystemLayout((f"O{i}", d) for i, d in enumerate(out_dims))
+    rest_layout = SystemLayout((f"R{i}", d) for i, d in enumerate(rest_dims))
+    d_in, d_out = in_layout.dim, out_layout.dim
+    r = draw(st.integers(1, d_in))
+    n_min = -(-r // d_out)  # the n·d_out rows of V hold r orthonormal columns
+    n = draw(st.integers(n_min, n_min + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def isometry(rows, cols):
+        z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(z)[0]
+    # K_all = V W†, V an (n d_out) x r isometry, W a d_in x r one: sum K†K = W W†
+    w = isometry(d_in, r)
+    kraus = (isometry(n * d_out, r) @ w.conj().T).reshape(n, d_out, d_in)
+    ch = KrausChannel(in_layout, out_layout, list(kraus))
+    joint = in_layout + rest_layout
+    proj = np.kron(w @ w.conj().T, np.eye(rest_layout.dim))
+    m = proj @ random_density(joint, rng).mat @ proj
+    factors = draw(st.permutations(joint.factors))
+    labels = [l for l, _ in factors]
+    rho = DensityOp(SystemLayout(factors),
+                    permute_mat(m / np.trace(m).real, joint, labels))
+    order = draw(st.one_of(st.none(), st.permutations(out_layout.labels + rest_layout.labels)))
+    return ch, rho, order
+
+
+def _markov_242(rng):
+    """sum_i p_i sigma_i(A) (x) |i><i|(b0) (x) phi_i(bR, C), with B = (b0, bR)."""
+    total = np.zeros((16, 16), dtype=np.complex128)
+    for i, p in enumerate((0.3, 0.7)):
+        e = np.zeros((2, 2))
+        e[i, i] = p
+        sigma = random_density(layout(("A", 2)), rng).mat
+        phi = random_density(layout(("bR", 2), ("C", 2)), rng).mat
+        total += np.kron(sigma, np.kron(e, phi))
+    return DensityOp(layout(("A", 2), ("B", 4), ("C", 2)), total)
+
+
+class TestApplyMatchesPerKraus:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(kraus_and_state())
+    def test_random_families(self, drawn):
+        assert_matches_per_kraus(*drawn)
+
+    @pytest.mark.parametrize("markov", [True, False], ids=["markov", "random"])
+    def test_recovery_check_directions(self, markov, rng):
+        ups = _markov_242(rng) if markov else random_density(
+            layout(("A", 2), ("B", 4), ("C", 2)), rng)
+        rho_ab, rho_bc = partial_trace(ups, ["A", "B"]), partial_trace(ups, ["B", "C"])
+        order = ["A", "B", "C"]
+        got1 = assert_matches_per_kraus(petz_channel(rho_bc, ["B"], ["C"]), rho_ab, order)
+        got2 = assert_matches_per_kraus(petz_channel(rho_ab, ["B"], ["A"]), rho_bc, order)
+        assert_matches_per_kraus(petz_channel(rho_bc, ["B"], ["C"]), rho_ab)
+        assert_matches_per_kraus(petz_channel(rho_ab, ["B"], ["A"]), rho_bc)
+        rec = recovery_check(ups)
+        assert abs(rec.from_ab - trace_norm(got1.mat - ups.mat)) <= 1e-13
+        assert abs(rec.from_bc - trace_norm(got2.mat - ups.mat)) <= 1e-13
+        if markov:
+            assert max(rec.from_ab, rec.from_bc) <= 1e-10
+        else:
+            assert min(rec.from_ab, rec.from_bc) > 1e-3

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,54 @@ class TestVnEntropy:
             sa = vn_entropy(marginal(psi, ["A"]))
             sb = vn_entropy(marginal(psi, ["B"]))
             assert abs(sa - sb) <= 1e-10
+
+
+@st.composite
+def markov_or_random(draw):
+    """A mixed state on (A, b0, bL, bR, C): with B = (b0, bL, bR), either an
+    exact Markov state sum_i p_i sigma_i(A, bL) (x) |i><i|(b0) (x) phi_i(bR, C)
+    or a random state of drawn rank; returns (state, is_markov)."""
+    d_a, d_b0, d_bl, d_br, d_c = (draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                                  draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                                  draw(st.integers(1, 3)))
+    lay = layout(("A", d_a), ("b0", d_b0), ("bL", d_bl), ("bR", d_br), ("C", d_c))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    markov = draw(st.booleans())
+    if not markov:
+        return random_density(lay, rng, rank=draw(st.integers(1, lay.dim))), False
+    p = rng.dirichlet(np.ones(d_b0))
+    total = np.zeros((d_a, d_b0, d_bl, d_br, d_c) * 2, dtype=np.complex128)
+    for i in range(d_b0):
+        sigma = random_density(layout(("A", d_a), ("bL", d_bl)), rng).mat
+        phi = random_density(layout(("bR", d_br), ("C", d_c)), rng).mat
+        total[:, i, :, :, :, :, i] = p[i] * np.einsum(
+            "albm,rcsd->alrcbmsd", sigma.reshape(d_a, d_bl, d_a, d_bl),
+            phi.reshape(d_br, d_c, d_br, d_c))
+    return DensityOp(lay, total.reshape(lay.dim, lay.dim)), True
+
+
+class TestStoredSpectrum:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(markov_or_random())
+    def test_entropy_reads_the_validation_spectrum(self, drawn):
+        rho, markov = drawn
+        if markov:
+            assert qcmi(rho, ["A"], ["b0", "bL", "bR"], ["C"]) <= 1e-9
+        solve, solved = np.linalg.eigvalsh, []
+
+        def recording(m):
+            solved.append(solve(m))
+            return solved[-1]
+        with mock.patch.object(np.linalg, "eigvalsh", recording):
+            op = DensityOp(rho.layout, rho.mat)
+            entropy = vn_entropy(op)
+        assert len(solved) == 1
+        assert np.array_equal(op.spectrum, solved[0])
+        assert op.spectrum.shape == (op.dim,)
+        assert np.all(np.diff(op.spectrum) >= 0)
+        assert not op.spectrum.flags.writeable
+        direct = shannon(np.clip(np.linalg.eigvalsh(op.mat), 0.0, None))
+        assert abs(entropy - direct) <= 1e-12
 
 
 class TestQmi:

@@ -78,6 +78,13 @@ class TestStateFiles:
             stateio.loads("[" * 100000)
         assert err.value.code == "SCHEMA_JSON"
 
+    def test_bytes_must_be_utf8(self):
+        text = stateio.dumps(build_example("VIC", lam=(0.5, 0.5)))
+        assert np.array_equal(stateio.loads(text.encode("utf-8")).vec, stateio.loads(text).vec)
+        with pytest.raises(stateio.StateFileError) as err:
+            stateio.loads(b"\xff\xfe{}")
+        assert err.value.code == "SCHEMA_JSON"
+
     @pytest.mark.parametrize("kind, data, where", [
         ("pure", [[float("nan"), 0], [0, 0]], "data[0]"),
         ("mixed", [[[0.5, 0], [0, 0]], [[0, 0], [float("nan"), 0]]], "data[1][1]"),
@@ -582,6 +589,17 @@ class TestCliErrors:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: --tol must be finite, got {tol}")
 
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300"])
+    def test_is_markov_rejects_negative_tol(self, tol, state_files, capsys, monkeypatch):
+        # VIA(2, 1/4) is an exact Markov state: a negative tol would call it non-Markov
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["is-markov", state_files["via"], f"--tol={tol}"])
+        assert (code, out) == (1, "")
+        assert err == f"error: --tol must be non-negative, got {float(tol)}\n"
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["is-markov", state_files["via"], "--tol", "0"])
+        assert code == 0 and "is_markov = true" in out
+
     def test_huge_integer_state_file(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "huge.json"
         path.write_text('{"version": 1, "kind": "pure", "layout": [["A", 2]], '
@@ -589,6 +607,14 @@ class TestCliErrors:
         code, out, err = run_cli(capsys, monkeypatch, ["entropy", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("state file error: SCHEMA_ENTRY: data[0]: entry out of")
+        assert "Traceback" not in err
+
+    def test_non_utf8_state_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, monkeypatch, ["entropy", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("state file error: SCHEMA_JSON: ")
         assert "Traceback" not in err
 
     def test_deeply_nested_state_file(self, tmp_path, capsys, monkeypatch):
