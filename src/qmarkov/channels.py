@@ -266,32 +266,33 @@ def commutant_basis(ch: KrausChannel, rtol: float = NULLSPACE_RTOL) -> list[np.n
     return _commutant_of_family(family, rtol=rtol)
 
 
-def _apply_kraus(ch: KrausChannel, mat: np.ndarray, layout_: SystemLayout,
-                 output_order: Sequence[str] | None = None,
-                 ) -> tuple[np.ndarray, SystemLayout]:
-    """Raw sum_k K_k X K_k† of a matrix X over ``layout_`` and its layout,
-    with the identity on the factors outside the channel's input.
+def apply_kraus(ch: KrausChannel, mat: np.ndarray, layout: SystemLayout,
+                output_order: Sequence[str] | None = None,
+                ) -> tuple[np.ndarray, SystemLayout]:
+    """Raw sum_k K_k X K_k† of a matrix X over ``layout``, and the output
+    layout; identity acts on the factors outside the channel's input.
+    Unlike ``apply_channel``, the result is not validated as a state.
 
     Two products over the stacked Kraus tensor K (n, d_out, d_in):
     K (n·d_out, d_in) @ X (d_in, rest·d_in·rest), then the result as
     (o, r, s | k, j) @ conj(K) (k, j | p), permuted to (o, r, p, s).
     """
     in_labels = list(ch.in_layout.labels)
-    rest = [l for l in layout_.labels if l not in set(in_labels)]
-    if set(in_labels) - set(layout_.labels):
+    rest = [l for l in layout.labels if l not in set(in_labels)]
+    if set(in_labels) - set(layout.labels):
         raise ValidationError(f"state lacks channel input labels {in_labels}")
     clash = set(ch.out_layout.labels) & set(rest)
     if clash:
         raise ValidationError(f"output labels {sorted(clash)} collide with state labels")
     kraus = np.stack(ch.kraus)
     n, d_out, d_in = kraus.shape
-    d_rest = layout_.dim // d_in
-    m = permute_mat(mat, layout_, in_labels).reshape(d_in, -1)
+    d_rest = layout.dim // d_in
+    m = permute_mat(mat, layout, in_labels).reshape(d_in, -1)
     km = (kraus.reshape(n * d_out, d_in) @ m).reshape(n, d_out, d_rest, d_in, d_rest)
     km = km.transpose(1, 2, 4, 0, 3).reshape(-1, n * d_in)
     out = km @ kraus.conj().transpose(0, 2, 1).reshape(n * d_in, d_out)
     out = out.reshape(d_out, d_rest, d_rest, d_out).transpose(0, 1, 3, 2)
-    out_layout = ch.out_layout + layout_.restrict(rest)
+    out_layout = ch.out_layout + layout.restrict(rest)
     out = out.reshape(d_out * d_rest, d_out * d_rest)
     if output_order is not None:
         ordered = out_layout.reorder(output_order)
@@ -307,5 +308,5 @@ def apply_channel(ch: KrausChannel, rho: DensityOp,
     elsewhere.  Output factors replace the input factors at the front of
     the layout unless ``output_order`` prescribes the final order.
     """
-    out, out_layout = _apply_kraus(ch, rho.mat, rho.layout, output_order)
+    out, out_layout = apply_kraus(ch, rho.mat, rho.layout, output_order)
     return DensityOp(out_layout, out, trace_of_one=rho.trace_of_one)

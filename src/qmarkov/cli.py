@@ -71,7 +71,11 @@ def _read_state(path: str | None):
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
-    return stateio.loads(raw), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise stateio.StateFileError("SCHEMA_JSON", f"not UTF-8 text: {err}") from err
+    return stateio.loads(text), hashlib.sha256(raw).hexdigest()
 
 
 def _parts(args, state) -> list[list[str]]:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
-    _apply_kraus,
+    apply_kraus,
     ergodic_projector,
     petz_channel,
     reshuffle,
@@ -191,8 +191,8 @@ def recovery_check(ups: DensityOp, a: Sequence[str] = ("A",),
     order = ups.layout.reorder(a + b + c).labels
     target = permute_mat(ups.mat, ups.layout, order)
     rho_ab, rho_bc = partial_trace(ups, a + b), partial_trace(ups, b + c)
-    got1, _ = _apply_kraus(petz_channel(rho_bc, b, c), rho_ab.mat, rho_ab.layout, order)
-    got2, _ = _apply_kraus(petz_channel(rho_ab, b, a), rho_bc.mat, rho_bc.layout, order)
+    got1, _ = apply_kraus(petz_channel(rho_bc, b, c), rho_ab.mat, rho_ab.layout, order)
+    got2, _ = apply_kraus(petz_channel(rho_ab, b, a), rho_bc.mat, rho_bc.layout, order)
     return RecoveryReport(
         from_ab=trace_norm(got1 - target),
         from_bc=trace_norm(got2 - target),

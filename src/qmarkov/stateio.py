@@ -91,12 +91,9 @@ def _parse_layout(raw: Any) -> SystemLayout:
         raise StateFileError("SCHEMA_LAYOUT", str(err)) from err
 
 
-def loads(text: str | bytes) -> PureVec | DensityOp:
-    """Parse a state document; bytes must be UTF-8."""
+def loads(text: str) -> PureVec | DensityOp:
     try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except UnicodeDecodeError as err:
-        raise StateFileError("SCHEMA_JSON", f"not UTF-8 text: {err}") from err
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise StateFileError("SCHEMA_JSON", str(err)) from err
     except RecursionError as err:

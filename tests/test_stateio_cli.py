@@ -78,13 +78,6 @@ class TestStateFiles:
             stateio.loads("[" * 100000)
         assert err.value.code == "SCHEMA_JSON"
 
-    def test_bytes_must_be_utf8(self):
-        text = stateio.dumps(build_example("VIC", lam=(0.5, 0.5)))
-        assert np.array_equal(stateio.loads(text.encode("utf-8")).vec, stateio.loads(text).vec)
-        with pytest.raises(stateio.StateFileError) as err:
-            stateio.loads(b"\xff\xfe{}")
-        assert err.value.code == "SCHEMA_JSON"
-
     @pytest.mark.parametrize("kind, data, where", [
         ("pure", [[float("nan"), 0], [0, 0]], "data[0]"),
         ("mixed", [[[0.5, 0], [0, 0]], [[0, 0], [float("nan"), 0]]], "data[1][1]"),
