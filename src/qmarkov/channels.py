@@ -39,15 +39,18 @@ EIG_ONE_TOL = 1e-8
 # commutator systems.
 NULLSPACE_RTOL = 1e-9
 # Family members whose commutator rows a commutant solve folds into its
-# R factor per QR step.
+# R factor per QR step: 4 generators and their adjoints.  Each generator
+# adds 2d² real rows, so a step's real array, stacked under the d² x d² R,
+# has (8 + 1)·d⁴ entries.
 COMMUTANT_CHUNK = 8
 # Largest array, in entries, a commutant solve allocates, the (chunk + 1)·d⁴
 # stack of R over one chunk: the 4096² budget simulate applies to its N x D
 # sampled amplitudes by default.
 COMMUTANT_ENTRY_CAP = 4096 ** 2
 # Largest len(family)·d⁶ a commutant solve takes on, its QR work in units of
-# d⁶ per member.  One unit took 0.6-0.8 ns (one OpenBLAS thread, 2-core
-# x86-64 VM), so the bound is under a minute of solving.
+# d⁶ per member of the adjoint-closed family.  One unit took 0.37-0.68 ns at
+# d = 16-9 (one OpenBLAS thread, 2-core x86-64 VM), so the bound is under a
+# minute of solving.
 COMMUTANT_WORK_CAP = 2 ** 36
 
 
@@ -197,73 +200,110 @@ def cesaro_average(tm: np.ndarray, n: int) -> np.ndarray:
     return acc / n
 
 
-def _commutant_of_family(family: Sequence[np.ndarray], rtol: float = NULLSPACE_RTOL,
+def _commutant_of_family(gens: Sequence[np.ndarray], rtol: float = NULLSPACE_RTOL,
                          ) -> list[np.ndarray]:
-    """Hilbert-Schmidt-orthonormal basis of {X : [F, X] = 0 for all F}.
+    """Hermitian, Hilbert-Schmidt-orthonormal basis of the commutant
+    {X : [G, X] = [G†, X] = 0 for all generators G} of the generators and
+    their adjoints.
 
-    Solved as the SVD nullspace of the stacked linear system
-    (F (x) I - I (x) F^T) vec(X) = 0 over the given family, taken from the
-    system's d² x d² R factor (see _commutator_r).  Raises DimensionError,
-    before allocating, when one QR step would allocate more than
-    COMMUTANT_ENTRY_CAP entries or the family exceeds COMMUTANT_WORK_CAP.
+    That commutant is closed under adjoints, so its Hermitian elements, a
+    real space of the same dimension, span it.  They are solved for in real
+    arithmetic, as the SVD nullspace of the rows of [G, X] over real Y (see
+    _commutator_rows), taken from the system's d² x d² R factor (see
+    _commutator_r); for Hermitian X, [G†, X] = -[G, X]† adds no rows.  More
+    than d² generators are first replaced by d² with the same span and Gram
+    matrix (see _span_generators).  The caps judge the adjoint-closed family of
+    2·len(gens) members as given: raises DimensionError, before any work,
+    when one QR step over it would allocate more than COMMUTANT_ENTRY_CAP
+    entries or the family exceeds COMMUTANT_WORK_CAP.
     """
-    d = family[0].shape[0]
-    entries = min(len(family), COMMUTANT_CHUNK + 1) * d ** 4
+    d = gens[0].shape[0]
+    members = 2 * len(gens)
+    entries = min(members, COMMUTANT_CHUNK + 1) * d ** 4
     if entries > COMMUTANT_ENTRY_CAP:
         raise DimensionError(
-            f"the commutator system of {len(family)} operators at dimension {d} needs "
+            f"the commutator system of {members} operators at dimension {d} needs "
             f"{entries} entries per QR step > cap {COMMUTANT_ENTRY_CAP}")
-    work = len(family) * d ** 6
+    work = members * d ** 6
     if work > COMMUTANT_WORK_CAP:
         raise DimensionError(
-            f"the commutator system of {len(family)} operators at dimension {d} needs "
+            f"the commutator system of {members} operators at dimension {d} needs "
             f"{work} units of QR work (members x d^6) > cap {COMMUTANT_WORK_CAP}")
-    _, svals, vh = np.linalg.svd(_commutator_r(family), full_matrices=False)
-    smax = svals[0]
+    gens = np.asarray(gens, dtype=np.complex128)
     # floor the cutoff at the family scale: when every member commutes with
     # everything, smax itself is eigensolver noise
-    scale = max(float(np.linalg.norm(f)) for f in family)
-    rank = int(np.sum(svals > max(smax, scale) * rtol))
-    # rows of vh past the numerical rank span the nullspace of the system
-    return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
+    scale = float(np.max(np.linalg.norm(gens, axis=(1, 2))))
+    if len(gens) > d * d:
+        gens = _span_generators(gens)
+    _, svals, vh = np.linalg.svd(_commutator_r(gens), full_matrices=False)
+    rank = int(np.sum(svals > max(svals[0], scale) * rtol))
+    # rows of vh past the numerical rank span the nullspace; map each Y to
+    # its Hermitian X
+    y = vh[rank:].reshape(-1, d, d)
+    return list(((1 + 1j) * y + (1 - 1j) * y.transpose(0, 2, 1)) / 2)
 
 
-def _commutator_rows(f: np.ndarray) -> np.ndarray:
-    """Rows F (x) I - I (x) F^T of an (n, d, d) stack of members, as (n·d², d²).
+def _span_generators(gens: np.ndarray) -> np.ndarray:
+    """d² generators sigma_j V_j from the thin SVD of the n x d² matrix of
+    flattened generators.  They span the same space and give every X the
+    same sum of ||[G, X]||², so the commutator system keeps its Gram matrix."""
+    n, d, _ = gens.shape
+    _, s, vh = np.linalg.svd(gens.reshape(n, d * d), full_matrices=False)
+    return (s[:, None] * vh).reshape(-1, d, d)
 
-    Row (i, j), column (k, l) of member n is F[i, k] δ[j, l] - δ[i, k] F[l, j],
-    written through the two diagonal views of a zero block.
+
+def _commutator_rows(g: np.ndarray) -> np.ndarray:
+    """Real rows of [G, X] as a linear map of real Y, for an (n, d, d) stack
+    of generators, as (n·2d², d²): per generator the real part, then the
+    imaginary part.
+
+    X = ((1+i) Y + (1-i) Yᵀ) / 2 maps the real d x d matrices isometrically
+    onto the Hermitian ones.  With P = (1+i) G / 2 and Q = (1-i) G / 2 = -iP,
+    row (i, j), column (k, l) of [G, X] is
+    P[i, k] δ[j, l] - δ[i, k] P[l, j] + Q[i, l] δ[j, k] - δ[i, l] Q[k, j],
+    written through four diagonal views of a zero block, with the real and
+    imaginary parts of P and Q stacked along the part axis s.
     """
-    n, d, _ = f.shape
-    rows = np.zeros((n, d, d, d, d), dtype=np.complex128)
-    np.einsum("nijkj->nijk", rows)[...] = f[:, :, None, :]
-    np.einsum("nijil->nijl", rows)[...] -= f.transpose(0, 2, 1)[:, None]
-    return rows.reshape(n * d * d, d * d)
+    n, d, _ = g.shape
+    p = g * ((1 + 1j) / 2)
+    pp = np.stack([p.real, p.imag], axis=1)
+    qq = np.stack([p.imag, -p.real], axis=1)
+    rows = np.zeros((n, 2, d, d, d, d))
+    np.einsum("nsijkj->nsijk", rows)[...] = pp[:, :, :, None, :]
+    np.einsum("nsijil->nsijl", rows)[...] -= pp.swapaxes(2, 3)[:, :, None]
+    np.einsum("nsijjl->nsijl", rows)[...] += qq[:, :, :, None, :]
+    np.einsum("nsijki->nsijk", rows)[...] -= qq.swapaxes(2, 3)[:, :, None]
+    return rows.reshape(n * 2 * d * d, d * d)
 
 
-def _commutator_r(family: Sequence[np.ndarray]) -> np.ndarray:
-    """d² x d² R factor of the stacked system (F (x) I - I (x) F^T) over the family.
+def _commutator_r(gens: np.ndarray) -> np.ndarray:
+    """Real d² x d² factor R whose RᵀR is the Gram matrix of the complex
+    commutator system (F (x) I - I (x) F^T) over an (n, d, d) stack of
+    generators and their adjoints, restricted to the Hermitian matrices.
 
     The sequential form of TSQR (Demmel, Grigori, Hoemmen & Langou,
-    arXiv:0808.2664): the rows of each COMMUTANT_CHUNK members are stacked
-    under the R so far and reduced to a new R, so the whole system is never
-    held.  R†R is the system's Gram matrix, so R has the system's singular
-    values and right singular vectors.
+    arXiv:0808.2664): the rows of _commutator_rows for COMMUTANT_CHUNK / 2
+    generators at a time are stacked under the R so far and reduced to a new
+    R, so the whole system is never held.  Those rows give sum ||[G, X]||²
+    over the generators; the adjoints, [G†, X] = -[G, X]†, give it again,
+    hence the final factor sqrt(2).  So R has the complex system's singular
+    values, and its null right singular vectors are the Y of a Hermitian
+    basis of that system's nullspace.
     """
-    d = family[0].shape[0]
-    r = np.zeros((0, d * d), dtype=np.complex128)
-    for start in range(0, len(family), COMMUTANT_CHUNK):
-        chunk = np.asarray(family[start:start + COMMUTANT_CHUNK], dtype=np.complex128)
-        r = np.linalg.qr(np.vstack([r, _commutator_rows(chunk)]), mode="r")
-    return r
+    d = gens.shape[1]
+    step = COMMUTANT_CHUNK // 2
+    r = np.zeros((0, d * d))
+    for start in range(0, len(gens), step):
+        r = np.linalg.qr(np.vstack([r, _commutator_rows(gens[start:start + step])]), mode="r")
+    return np.sqrt(2) * r
 
 
 def commutant_basis(ch: KrausChannel, rtol: float = NULLSPACE_RTOL) -> list[np.ndarray]:
-    """HS-orthonormal basis of {X : [K, X] = [K†, X] = 0 for all Kraus K}."""
+    """Hermitian HS-orthonormal basis of {X : [K, X] = [K†, X] = 0 for all
+    Kraus K}."""
     if ch.in_layout.dim != ch.out_layout.dim:
         raise DimensionError("commutant requires a square channel")
-    family = list(ch.kraus) + [k.conj().T for k in ch.kraus]
-    return _commutant_of_family(family, rtol=rtol)
+    return _commutant_of_family(ch.kraus, rtol=rtol)
 
 
 def apply_kraus(ch: KrausChannel, mat: np.ndarray, layout: SystemLayout,

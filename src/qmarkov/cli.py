@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import Callable, NamedTuple, Sequence
@@ -57,6 +58,12 @@ class UsageError(Exception):
 
 
 class Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-9" for an option name and reads only "-1" and
+        # "-.5" as negative numbers; every float form is a value here
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str):  # argparse defaults to exit code 2
         raise UsageError(message)
 
@@ -124,7 +131,8 @@ def _require_pure(state):
 
 class Command(NamedTuple):
     """One CLI command.  ``run(args, *states)`` returns ``(fields, exit
-    code)``; ``fields`` None means the command wrote its own output."""
+    code)``; ``fields`` None means the command wrote its own output.
+    ``check(args)`` refuses bad option values before any state is read."""
     run: Callable
     help: str
     states: tuple[str, ...] = ("state",)
@@ -132,6 +140,7 @@ class Command(NamedTuple):
     seed: bool = False
     json: bool = True
     options: tuple = ()          # (flag, argparse keywords) of its own
+    check: Callable | None = None
 
 
 COMMANDS: dict[str, Command] = {}   # insertion order is the usage order
@@ -199,13 +208,16 @@ def _markov_cost(args, state):
     return rep, code
 
 
-@_command("is-markov", "test I(A:C|B) = 0 within tolerance",
-          options=(("--tol", dict(type=float, default=1e-9)),))
-def _is_markov(args, state):
+def _check_tol(args) -> None:
     if not math.isfinite(args.tol):
         raise ValidationError(f"--tol must be finite, got {args.tol}")
     if args.tol < 0:
         raise ValidationError(f"--tol must be non-negative, got {args.tol}")
+
+
+@_command("is-markov", "test I(A:C|B) = 0 within tolerance", check=_check_tol,
+          options=(("--tol", dict(type=float, default=1e-9)),))
+def _is_markov(args, state):
     a, b, c = _parts(args, state)
     value = qcmi(state, a, b, c)
     return {"qcmi_bits": _sig(value), "is_markov": str(value <= args.tol).lower(),
@@ -332,6 +344,8 @@ def build_parser() -> Parser:
 def _run(args) -> int:
     t0 = time.monotonic()
     cmd = COMMANDS[args.command]
+    if cmd.check is not None:
+        cmd.check(args)
     loaded = [_read_state(getattr(args, name)) for name in cmd.states]
     fields, code = cmd.run(args, *(state for state, _ in loaded))
     if fields is None:

@@ -7,14 +7,17 @@ per block, and an irreducible quantum factor entangled with C.
 
 The decomposition is computed from the fixed-point *-algebra of the
 adjoint of the recovery-and-discard channel (channels.channel_E), i.e.
-the commutant of its Kraus family.  That algebra is the direct sum over
-blocks j of M_{dim_l} (x) I_{dim_r}, and one random element of each kind
-exposes it: a Hermitian element x has one eigenspace of dimension dim_r
-per pair (block, redundant index), and a general element y links two of
-those eigenspaces by a nonzero multiple of a unitary when they lie in the
-same block and by zero otherwise.  The links group the eigenspaces into
-blocks, and their polar factors give every eigenspace of a block the same
-quantum-factor basis (Murota, Kanno, Kojima & Kojima, JJIAM 27, 125).
+the commutant of its Kraus operators and their adjoints.  It is solved
+from the Kraus operators alone, in real arithmetic over Hermitian
+unknowns, and comes as a Hermitian basis (channels._commutant_of_family).
+The algebra is the direct sum over blocks j of M_{dim_l} (x) I_{dim_r},
+and one random element of each kind exposes it: a Hermitian element x
+has one eigenspace of dimension dim_r per pair (block, redundant index),
+and a general element y links two of those eigenspaces by a nonzero
+multiple of a unitary when they lie in the same block and by zero
+otherwise.  The links group the eigenspaces into blocks, and their polar
+factors give every eigenspace of a block the same quantum-factor basis
+(Murota, Kanno, Kojima & Kojima, JJIAM 27, 125).
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
         raise ValidationError("A-marginal has empty support")
     chan = channel_E(psi_ac, a, c)
     kraus_s = [q.conj().T @ k @ q for k in chan.kraus]
-    comm = _commutant_of_family(kraus_s + [k.conj().T for k in kraus_s])
+    comm = _commutant_of_family(kraus_s)
     for _ in range(KI_ATTEMPTS):
         try:
             return _assemble(mat, rho_a, d_c, a_layout, c_layout, q,
@@ -340,7 +343,7 @@ def validate_ki(dec: KIDecomposition, psi_ac: DensityOp) -> KIValidationReport:
     irreducibility = 0.0
     for blk in dec.blocks:
         slices = _phi_slices(blk, d_c)
-        null = _commutant_of_family(slices + [s.conj().T for s in slices])
+        null = _commutant_of_family(slices)
         d = blk.dim_r
         for x in null:
             scalar_part = (np.trace(x) / d) * np.eye(d)

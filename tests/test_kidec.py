@@ -458,9 +458,10 @@ class TestCommutantCap:
         assert channels.COMMUTANT_ENTRY_CAP == DEFAULT_DIM_CAP ** 2
 
     def test_oversized_family_rejected(self):
-        # two members at d = 64: 2 * 64**4 entries, twice the cap
+        # one generator at d = 64, whose adjoint-closed family of two
+        # members needs 2 * 64**4 entries, twice the cap
         with pytest.raises(DimensionError, match="2 operators at dimension 64"):
-            channels._commutant_of_family([np.eye(64), np.eye(64)])
+            channels._commutant_of_family([np.eye(64)])
 
     def test_ki_decompose_rejects_oversized_a(self, rng):
         # full-rank A of dimension 64 against a qubit C: 8 family members

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import re
 import sys
 from unittest import mock
@@ -547,6 +548,7 @@ class TestCliErrors:
         (["--rate", "1e6"], "2^(n*rate) = 2^2e+06 unitaries is not a finite double"),
         (["--rate", "30"], "1.153e+18 unitaries at dimension 64 need 7.379e+19 sampled"),
         (["--rate", "-1"], "rate = -1.0 < 0"),
+        (["--rate", "-1e-3"], "rate = -0.001 < 0"),
     ])
     def test_simulate_rejects_bad_counts(self, args, message, state_files, capsys,
                                          monkeypatch):
@@ -581,6 +583,18 @@ class TestCliErrors:
                                  ["is-markov", state_files["via"], "--tol", tol])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: --tol must be finite, got {tol}")
+
+    @pytest.mark.parametrize("argv", [["--tol", "nan"], ["--tol", "-1"], ["--tol", "-1e-9"],
+                                      ["--tol=-1e-9"]])
+    def test_is_markov_checks_tol_before_reading(self, argv, state_files, capsys,
+                                                 monkeypatch):
+        def read_state(path):
+            raise AssertionError("the state file was read before --tol was checked")
+        monkeypatch.setattr(cli, "_read_state", read_state)
+        code, out, err = run_cli(capsys, monkeypatch, ["is-markov", state_files["via"], *argv])
+        tol = float(argv[-1].removeprefix("--tol="))
+        reason = "finite" if math.isnan(tol) else "non-negative"
+        assert (code, out, err) == (1, "", f"error: --tol must be {reason}, got {tol}\n")
 
     @pytest.mark.parametrize("tol", ["-1", "-1e-300"])
     def test_is_markov_rejects_negative_tol(self, tol, state_files, capsys, monkeypatch):

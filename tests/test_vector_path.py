@@ -2,8 +2,9 @@
 
 Marginals and entropies of a pure state come from the reshaped vector,
 and the nullspace solves compute only the SVD factors they read.  The
-commutant solve folds its commutator system into a d² x d² R factor chunk
-by chunk.  The dense definitions they replaced serve as oracles here.
+commutant solve folds the real commutator rows of the generators, over
+Hermitian unknowns, into a d² x d² R factor chunk by chunk.  The dense
+definitions they replaced serve as oracles here.
 Reorders and partial traces share one axis kernel, checked against
 per-index einsums, and internal reorders permute arrays without
 rebuilding a DensityOp.
@@ -139,25 +140,31 @@ def _full_nullspace(system: np.ndarray, floor: float) -> np.ndarray:
     return vh[rank:].conj()
 
 
+def _adjoint_closed(gens) -> list[np.ndarray]:
+    """The generators followed by their adjoints."""
+    return list(gens) + [g.conj().T for g in gens]
+
+
 class TestThinSvd:
     @pytest.fixture(scope="class")
-    def family(self):
+    def gens(self):
         rho_ac = marginal(_vib_pair(0.3, 0.7), ["A1", "A2", "C1", "C2"])
-        kraus = list(channel_E(rho_ac, ["A1", "A2"], ["C1", "C2"]).kraus)
-        return kraus + [k.conj().T for k in kraus]
+        return list(channel_E(rho_ac, ["A1", "A2"], ["C1", "C2"]).kraus)
 
-    def test_commutant_span(self, family):
-        comm = _commutant_of_family(family)
-        d = family[0].shape[0]
+    def test_commutant_span(self, gens):
+        comm = _commutant_of_family(gens)
+        d = gens[0].shape[0]
         eye = np.eye(d)
-        system = np.vstack([np.kron(f, eye) - np.kron(eye, f.T) for f in family])
-        ref = _full_nullspace(system, max(np.linalg.norm(f) for f in family))
+        system = np.vstack([np.kron(f, eye) - np.kron(eye, f.T)
+                            for f in _adjoint_closed(gens)])
+        ref = _full_nullspace(system, max(np.linalg.norm(f) for f in gens))
         ref = [row.reshape(d, d) for row in ref]
         assert 1 < len(comm) == len(ref) < d * d
         assert np.max(np.abs(_projector(comm) - _projector(ref))) <= 1e-10
 
 
 CHUNK = channels.COMMUTANT_CHUNK
+STEP = CHUNK // 2   # generators per QR step
 
 
 def _stacked_system(family) -> np.ndarray:
@@ -167,14 +174,37 @@ def _stacked_system(family) -> np.ndarray:
     return np.vstack([np.kron(f, eye) - np.kron(eye, f.T) for f in family])
 
 
-def _oracle(family):
-    """Singular values and nullspace basis of the stacked system's thin SVD,
-    at the solver's cutoff."""
-    d = family[0].shape[0]
-    _, svals, vh = np.linalg.svd(_stacked_system(family), full_matrices=False)
-    scale = max(np.linalg.norm(f) for f in family)
+def _oracle(gens):
+    """Singular values and nullspace basis of the thin SVD of the stacked
+    system of the generators and their adjoints, at the solver's cutoff."""
+    d = gens[0].shape[0]
+    _, svals, vh = np.linalg.svd(_stacked_system(_adjoint_closed(gens)),
+                                 full_matrices=False)
+    scale = max(np.linalg.norm(f) for f in gens)
     rank = int(np.sum(svals > max(svals[0], scale) * NULLSPACE_RTOL))
     return svals, [row.conj().reshape(d, d) for row in vh[rank:]]
+
+
+def _hermitian_rows(gens) -> np.ndarray:
+    """Real and imaginary parts of each generator's stacked rows composed
+    with the isometry vec(Y) -> vec(((1+i) Y + (1-i) Yᵀ) / 2)."""
+    d = gens[0].shape[0]
+    eye = np.eye(d * d)
+    swap = eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    iso = ((1 + 1j) * eye + (1 - 1j) * swap) / 2
+    blocks = [_stacked_system([g]) @ iso for g in gens]
+    return np.vstack([part for b in blocks for part in (b.real, b.imag)])
+
+
+def _svals(r: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(r, compute_uv=False)
+
+
+def _floor(svals, gens) -> float:
+    """smax, floored at the largest generator norm as the solver's cutoff
+    is: when every generator is a multiple of the identity up to round-off,
+    every singular value is round-off of that size."""
+    return max(svals[0], max(np.linalg.norm(g) for g in gens))
 
 
 def _complex_gaussian(rng, *shape) -> np.ndarray:
@@ -182,16 +212,17 @@ def _complex_gaussian(rng, *shape) -> np.ndarray:
 
 
 @st.composite
-def families(draw) -> list[np.ndarray]:
-    """Families of d x d members, d = 1-6, whose lengths straddle the chunk.
+def generators(draw) -> list[np.ndarray]:
+    """Generators of dimension d = 1-6, whose counts straddle the QR step
+    and, up to 40, the d² past which the solve compresses them.
 
     random: generic members.  block: two diagonal blocks in a random basis.
-    adjoint: U (X ⊗ I_m) U† and their adjoints, with a commutant of
-    dimension m².  identity: every member the identity, a zero system.
+    tensor: U (X ⊗ I_m) U†, with a commutant of dimension m².  identity:
+    every member the identity, a zero system.
     """
     d = draw(st.integers(1, 6))
-    length = draw(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]))
-    kind = draw(st.sampled_from(["random", "block", "adjoint", "identity"]))
+    length = draw(st.sampled_from([1, STEP - 1, STEP, STEP + 1, 3 * STEP + 1, 40]))
+    kind = draw(st.sampled_from(["random", "block", "tensor", "identity"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = np.linalg.qr(_complex_gaussian(rng, d, d))[0]
     if kind == "random":
@@ -201,75 +232,98 @@ def families(draw) -> list[np.ndarray]:
         x = _complex_gaussian(rng, length, d, d)
         x[:, :split, split:] = x[:, split:, :split] = 0
         members = [u @ m @ u.conj().T for m in x]
-    elif kind == "adjoint":
+    elif kind == "tensor":
         m = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]))
-        x = [u @ np.kron(a, np.eye(m)) @ u.conj().T
-             for a in _complex_gaussian(rng, (length + 1) // 2, d // m, d // m)]
-        pairs = [(a, a.conj().T) for a in x[:length // 2]]
-        members = [y for p in pairs for y in p] + [x[-1] + x[-1].conj().T] * (length % 2)
+        members = [u @ np.kron(a, np.eye(m)) @ u.conj().T
+                   for a in _complex_gaussian(rng, length, d // m, d // m)]
     else:
         members = [np.eye(d, dtype=complex)] * length
     return members
 
 
 class TestStreamedCommutant:
-    """The chunked R factor against the thin SVD of the stacked system."""
+    """The chunked real R factor of the generators against the thin SVD of
+    the stacked complex system of the generators and their adjoints."""
 
     @PROPERTY
-    @given(families())
-    def test_rows_are_the_kron_rows(self, family):
-        assert np.array_equal(channels._commutator_rows(np.asarray(family)),
-                              _stacked_system(family))
+    @given(generators())
+    def test_rows_are_the_kron_rows(self, gens):
+        scale = max(1.0, max(np.max(np.abs(g)) for g in gens))
+        rows = channels._commutator_rows(np.asarray(gens))
+        assert np.max(np.abs(rows - _hermitian_rows(gens))) <= 1e-15 * scale
 
     @PROPERTY
-    @given(families())
-    def test_matches_stacked_svd(self, family):
-        d = family[0].shape[0]
-        ref_svals, ref_null = _oracle(family)
-        svals = np.linalg.svd(channels._commutator_r(family), compute_uv=False)
+    @given(generators())
+    def test_matches_stacked_svd(self, gens):
+        d = gens[0].shape[0]
+        ref_svals, ref_null = _oracle(gens)
+        svals = _svals(channels._commutator_r(np.asarray(gens)))
         assert svals.shape == (d * d,)
-        assert np.max(np.abs(svals - ref_svals)) <= 1e-14 * ref_svals[0]
-        comm = _commutant_of_family(family)
+        assert np.max(np.abs(svals - ref_svals)) <= 1e-14 * _floor(ref_svals, gens)
+        comm = _commutant_of_family(gens)
         assert len(comm) == len(ref_null) >= 1
         assert np.max(np.abs(_projector(comm) - _projector(ref_null))) <= 1e-10
+
+    @PROPERTY
+    @given(generators())
+    def test_basis_hermitian_orthonormal(self, gens):
+        comm = np.asarray(_commutant_of_family(gens))
+        assert np.max(np.abs(comm - comm.conj().transpose(0, 2, 1))) <= 1e-12
+        flat = comm.reshape(len(comm), -1)
+        assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(comm)))) <= 1e-12
+
+    @PROPERTY
+    @given(generators())
+    def test_compressed_generators_same_svals(self, gens):
+        gens = np.asarray(gens)
+        d = gens.shape[1]
+        svals = _svals(channels._commutator_r(gens))
+        compressed = channels._span_generators(gens)
+        assert len(compressed) == min(len(gens), d * d)
+        assert np.max(np.abs(_svals(channels._commutator_r(compressed)) - svals)
+                      ) <= 1e-14 * _floor(svals, gens)
 
 
 class TestCommutantBounds:
     """COMMUTANT_ENTRY_CAP bounds one QR step, (chunk + 1)·d⁴ entries, not the
     len·d⁴ of the whole system; COMMUTANT_WORK_CAP refuses a long family
-    before any QR."""
+    before any SVD or QR.  Both count the adjoint-closed family."""
 
     def test_long_family_solved_under_step_cap(self, monkeypatch):
         rng = np.random.default_rng(11)
         u = np.linalg.qr(_complex_gaussian(rng, 4, 4))[0]
-        x = [u @ np.kron(a, np.eye(2)) @ u.conj().T
-             for a in _complex_gaussian(rng, 2 * CHUNK, 2, 2)]
-        family = x + [a.conj().T for a in x]
+        gens = [u @ np.kron(a, np.eye(2)) @ u.conj().T
+                for a in _complex_gaussian(rng, 2 * CHUNK, 2, 2)]
         step = (CHUNK + 1) * 4 ** 4
-        assert len(family) * 4 ** 4 > step       # refused by a whole-system cap
+        members = 2 * len(gens)
+        assert members * 4 ** 4 > step       # refused by a whole-system cap
         monkeypatch.setattr(channels, "COMMUTANT_ENTRY_CAP", step - 1)
-        with pytest.raises(DimensionError, match=f"{len(family)} operators at dimension 4"):
-            _commutant_of_family(family)
+        with pytest.raises(DimensionError, match=f"{members} operators at dimension 4"):
+            _commutant_of_family(gens)
         monkeypatch.setattr(channels, "COMMUTANT_ENTRY_CAP", step)
-        comm = _commutant_of_family(family)
-        _, ref = _oracle(family)
+        comm = _commutant_of_family(gens)
+        _, ref = _oracle(gens)
         assert len(comm) == len(ref) == 4
         assert np.max(np.abs(_projector(comm) - _projector(ref))) <= 1e-10
 
     def test_work_bound_refuses_before_qr(self, monkeypatch):
-        def qr(*args, **kwargs):
-            raise AssertionError("np.linalg.qr called: the solve started")
-        monkeypatch.setattr(np.linalg, "qr", qr)
-        n = channels.COMMUTANT_WORK_CAP // 8 ** 6 + 1
-        with pytest.raises(DimensionError, match=f"{n} operators at dimension 8"):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a factorization ran: the solve started")
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        n = channels.COMMUTANT_WORK_CAP // (2 * 8 ** 6) + 1
+        with pytest.raises(DimensionError, match=f"{2 * n} operators at dimension 8"):
             _commutant_of_family([np.eye(8)] * n)
 
     @pytest.mark.parametrize("n, d", [(512, 16), (8192, 8)])
     def test_random_state_families_within_bounds(self, monkeypatch, n, d):
-        # the families of random (16,64,16) and (8,512,64) pure states
-        monkeypatch.setattr(channels, "_commutator_r",
-                            lambda family: np.zeros((d * d, d * d)))
-        assert len(_commutant_of_family([np.eye(d)] * n)) == d * d
+        # the families of random (16,64,16) and (8,512,64) pure states: n/2
+        # generators, of which at most d² reach the fold
+        def fold(gens):
+            assert len(gens) <= d * d
+            return np.zeros((d * d, d * d))
+        monkeypatch.setattr(channels, "_commutator_r", fold)
+        assert len(_commutant_of_family([np.eye(d)] * (n // 2))) == d * d
 
 
 ROWS, COLS = "abcd", "ABCD"
