@@ -396,6 +396,13 @@ def steered_states(psi_ac: DensityOp, ops: Sequence[np.ndarray],
     return out
 
 
+def _purifier_rank(op: DensityOp) -> int:
+    """Number of modes a purification of ``op`` keeps: eigenvalues above
+    PURIFIER_RTOL times the largest (at least 1e-12), and at least one."""
+    vals = op.spectrum
+    return max(1, int(np.sum(vals > max(vals[-1], 1e-12) * PURIFIER_RTOL)))
+
+
 def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("B",),
                   c: Sequence[str] = ("C",), tol: float = 1e-7,
                   rng: np.random.Generator | None = None) -> TripartiteKI:
@@ -430,11 +437,11 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
         m_psi = (slice_j.transpose(0, 1, 3, 2).reshape(-1, d_b)) / amp
 
         w_vals, w_vecs = eigh(blk.omega.mat)
-        bl = max(1, int(np.sum(w_vals > max(w_vals[0], 1e-12) * PURIFIER_RTOL)))
+        bl = _purifier_rank(blk.omega)
         om_vec = np.einsum("a,la->la", np.sqrt(np.clip(w_vals[:bl], 0, None)),
                            w_vecs[:, :bl])
         f_vals, f_vecs = eigh(blk.phi.mat)
-        br = max(1, int(np.sum(f_vals > max(f_vals[0], 1e-12) * PURIFIER_RTOL)))
+        br = _purifier_rank(blk.phi)
         g = f_vecs[:, :br].reshape(blk.dim_r, d_c, br)
         ph_vec = np.einsum("b,rcb->rbc", np.sqrt(np.clip(f_vals[:br], 0, None)), g)
 
@@ -461,8 +468,7 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
         gp_total @ qb)
 
     # verify (Gamma (x) Gamma') |psi> against the assembled block form
-    lhs = np.einsum("ax,by,xyc->abc", base.gamma_total,
-                    gp_total, ordered.vec.reshape(d_a, d_b, d_c)).reshape(-1)
+    lhs = np.matmul(gp_total, transformed.reshape(-1, d_b, d_c)).reshape(-1)
     rhs = _ki_pure(base, purified, (d_b0, d_bl, d_br))
     residual = float(np.linalg.norm(lhs - rhs.vec))
     if residual > max(tol, 1e-6):

@@ -8,14 +8,16 @@ trivial elsewhere.  The ensemble average of the projected state is its
 Haar twirl, an exactly computable (subnormalized) Markov state; the
 simulator measures how fast finite samples of unitaries approach it.
 
-The simulator compares sampled and exact states in per-sequence
-coordinates: a block unitary only mixes the aR^n index of a typical block,
-so on each block sequence every vector it meets lies in aR^n tensor the
-row space of the full block, of dimension at most aR^n squared.
+The simulator needs only the A-side block data: the weights p_j and the
+spectra of the quantum-factor marginals phi_j^aR.  In their eigenbases a
+block of the n-copy state is diagonal (it is its own Schmidt form across
+aR^n and the rest), so a sampled block is an r_s x r_s matrix on the
+typical eigenvalue patterns of its sequence, and everything the
+unitaries leave fixed is one direction.
 
-All dense objects live on a per-copy labeled layout with the factors
-grouped by role ("a0.1", ..., "a0.n", "aR.1", ..., "C.n"); factors of
-dimension one are dropped.
+The dense objects of the reference path live on a per-copy labeled
+layout with the factors grouped by role ("a0.1", ..., "a0.n", "aR.1",
+..., "C.n"); factors of dimension one are dropped.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import ProbDist, factored_trace_norm, shannon, vn_entropy
-from .kidec import TripartiteKI
+from .kidec import KIDecomposition, TripartiteKI, _purifier_rank, ki_decompose
 from .linalg import (
-    HERM_TOL,
     DensityOp,
     DimensionError,
     PureVec,
@@ -38,6 +39,7 @@ from .linalg import (
     ValidationError,
     haar_from_normals,
     haar_unitary,
+    marginal,
     partial_trace,
     permute_vec,
 )
@@ -165,22 +167,66 @@ def _renormalize(spectrum) -> ProbDist:
     return ProbDist(s / np.sum(s))
 
 
-def _per_block_bases(tki: TripartiteKI) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block: spectrum of the quantum-factor marginal and its
-    eigenvectors embedded in the padded per-copy space."""
-    d_ar = tki.base.dims[2]
-    out = []
-    for blk in tki.blocks:
-        phi_ar = partial_trace(blk.phi, ["aR"]).mat
-        vals, vecs = np.linalg.eigh(phi_ar)
-        vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
-        padded = np.zeros((d_ar, blk.dim_r), dtype=np.complex128)
-        padded[:blk.dim_r, :] = vecs
-        out.append((np.clip(vals, 0.0, None), padded))
+def _base(ki: TripartiteKI | KIDecomposition) -> KIDecomposition:
+    return ki.base if isinstance(ki, TripartiteKI) else ki
+
+
+def _quantum_marginals(base: KIDecomposition) -> list[DensityOp]:
+    """Per block, the quantum-factor marginal phi_j^aR."""
+    return [partial_trace(blk.phi, ["aR"]) for blk in base.blocks]
+
+
+def _typical_patterns(base: KIDecomposition, marginals: Sequence[DensityOp],
+                      spec: TypicalSpec, max_sequences: int):
+    """Typical block sequences with their typical eigenvalue patterns.
+
+    Yields (seq, prob, patterns, weights) for every typical sequence
+    j_1..j_n that keeps at least one pattern.  A pattern picks, per copy i,
+    an eigenvalue of marginals[j_i], indexed largest first; for every
+    symbol j, its indices on the copies where j occurs form a weakly
+    typical pattern of that spectrum.  weights holds each pattern's
+    conditional probability, the product of its renormalized eigenvalues.
+    """
+    spectra = [np.clip(op.spectrum[::-1], 0.0, None) for op in marginals]
+    pick = strongly_typical_set if spec.mode == "strong" else weakly_typical_set
+    cache: dict[tuple[int, int], list] = {}  # window of symbol j on m copies
+    for seq, prob in pick(_renormalize(base.probs), spec.n, spec.delta, max_sequences):
+        positions: dict[int, list[int]] = {}
+        for pos, j in enumerate(seq):
+            positions.setdefault(j, []).append(pos)
+        symbols = sorted(positions)
+        windows = []
+        for j in symbols:
+            key = (j, len(positions[j]))
+            if key not in cache:
+                cache[key] = _weak_window(spectra[j], key[1], spec.delta)
+            windows.append(cache[key])
+        if not all(windows):
+            continue
+        patterns, weights = [], []
+        for combo in itertools.product(*windows):
+            pattern = [0] * spec.n
+            weight = 1.0
+            for j, (subseq, w) in zip(symbols, combo):
+                for pos, x in zip(positions[j], subseq):
+                    pattern[pos] = x
+                weight *= w
+            patterns.append(pattern)
+            weights.append(weight)
+        yield seq, prob, patterns, np.array(weights)
+
+
+def _typical_blocks(base: KIDecomposition, marginals: Sequence[DensityOp],
+                    spec: TypicalSpec, max_sequences: int) -> list:
+    """``_typical_patterns`` as a list; an entirely empty region raises."""
+    out = list(_typical_patterns(base, marginals, spec, max_sequences))
+    if not out:
+        raise ValidationError(
+            "typical region is empty for these (n, delta); enlarge delta or n")
     return out
 
 
-def build_blocks(tki: TripartiteKI, spec: TypicalSpec,
+def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
                  max_sequences: int = DEFAULT_SEQUENCE_CAP) -> BlockStructure:
     """Typical block sequences with their conditional projectors.
 
@@ -190,63 +236,43 @@ def build_blocks(tki: TripartiteKI, spec: TypicalSpec,
     symbol occurs.  Sequences whose projector is empty are dropped; an
     entirely empty typical region raises.
     """
-    pick = strongly_typical_set if spec.mode == "strong" else weakly_typical_set
-    seqs = pick(_renormalize(tki.base.probs), spec.n, spec.delta, max_sequences)
-    bases = _per_block_bases(tki)
-    d_ar = tki.base.dims[2]
-    dim_total = d_ar ** spec.n
+    base = _base(tki)
+    marginals = _quantum_marginals(base)
+    d_ar = base.dims[2]
+    padded = []  # eigenvectors, largest eigenvalue first, in the padded factor
+    for op in marginals:
+        vecs = np.zeros((d_ar, op.dim), dtype=np.complex128)
+        vecs[:op.dim] = np.linalg.eigh(op.mat)[1][:, ::-1]
+        padded.append(vecs)
     entries = []
-    for seq, prob in seqs:
-        positions: dict[int, list[int]] = {}
-        for pos, j in enumerate(seq):
-            positions.setdefault(j, []).append(pos)
-        per_symbol = {}
-        for j, pos in positions.items():
-            window = _weak_window(bases[j][0][:tki.blocks[j].dim_r],
-                                  len(pos), spec.delta)
-            if not window:
-                per_symbol = None
-                break
-            per_symbol[j] = window
-        if per_symbol is None:
-            continue
+    for seq, prob, patterns, _ in _typical_blocks(base, marginals, spec, max_sequences):
         vectors = []
-        symbols = sorted(per_symbol)
-        for combo in itertools.product(*(per_symbol[j] for j in symbols)):
-            pattern: dict[int, int] = {}
-            for j, (subseq, _) in zip(symbols, combo):
-                for pos, x in zip(positions[j], subseq):
-                    pattern[pos] = x
+        for pattern in patterns:
             vec = np.ones(1, dtype=np.complex128)
-            for pos in range(spec.n):
-                vec = np.kron(vec, bases[seq[pos]][1][:, pattern[pos]])
+            for j, x in zip(seq, pattern):
+                vec = np.kron(vec, padded[j][:, x])
             vectors.append(vec)
-        if not vectors:
-            continue
         entries.append(BlockEntry(seq, prob, np.array(vectors).T))
-    if not entries:
-        raise ValidationError(
-            "typical region is empty for these (n, delta); enlarge delta or n")
-    return BlockStructure(spec, tuple(entries), dim_total)
+    return BlockStructure(spec, tuple(entries), d_ar ** spec.n)
 
 
-def typical_mass(tki: TripartiteKI, spec: TypicalSpec,
+def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
                  max_sequences: int = DEFAULT_SEQUENCE_CAP) -> float:
     """Weight of the projected n-copy state, computed combinatorially."""
-    pick = strongly_typical_set if spec.mode == "strong" else weakly_typical_set
-    seqs = pick(_renormalize(tki.base.probs), spec.n, spec.delta, max_sequences)
-    bases = _per_block_bases(tki)
-    total = 0.0
-    for seq, prob in seqs:
-        counts: dict[int, int] = {}
-        for j in seq:
-            counts[j] = counts.get(j, 0) + 1
-        cond = 1.0
-        for j, m in counts.items():
-            spectrum = bases[j][0][:tki.blocks[j].dim_r]
-            cond *= sum(w for _, w in _weak_window(spectrum, m, spec.delta))
-        total += prob * cond
-    return float(total)
+    base = _base(tki)
+    return float(sum(prob * np.sum(weights) for _, prob, _, weights in
+                     _typical_patterns(base, _quantum_marginals(base), spec, max_sequences)))
+
+
+def _n_copy_dim(base: KIDecomposition, n: int) -> int:
+    """Dimension D of the grouped n-copy layout, (a0 aL aR b0 bL bR C)^n,
+    from the block data alone: b0 = a0, and bL and bR are the largest
+    purifier ranks of the blocks' omega_j and phi_j, as ki_tripartite
+    chooses them."""
+    d_a0, d_al, d_ar = base.dims
+    d_bl = max(_purifier_rank(blk.omega) for blk in base.blocks)
+    d_br = max(_purifier_rank(blk.phi) for blk in base.blocks)
+    return (d_a0 * d_al * d_ar * d_a0 * d_bl * d_br * base.c_layout.dim) ** n
 
 
 def protocol_layout(tki: TripartiteKI, n: int) -> SystemLayout:
@@ -306,9 +332,8 @@ def _project(psi_n: PureVec, tki: TripartiteKI,
     return PureVec(psi_n.layout, projected, normalized=False)
 
 
-def _weight(projected: PureVec) -> float:
-    """Squared norm of the projected vector; a vanishing one raises."""
-    d = float(np.real(np.vdot(projected.vec, projected.vec)))
+def _checked_weight(d: float) -> float:
+    """The weight of the projected state; a vanishing one raises."""
     if d <= 1e-15:
         raise ValidationError("projected state has vanishing weight")
     return d
@@ -325,7 +350,7 @@ def build_protocol_state(tki: TripartiteKI, spec: TypicalSpec,
     """
     blocks = build_blocks(tki, spec, max_sequences)
     projected = _project(_ki_power(tki, spec.n, dim_cap), tki, blocks)
-    return projected, blocks, _weight(projected)
+    return projected, blocks, _checked_weight(float(np.vdot(projected.vec, projected.vec).real))
 
 
 def _block_view(psi: PureVec, tki: TripartiteKI, n: int) -> np.ndarray:
@@ -375,20 +400,20 @@ def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
     return out
 
 
-def _draw_block_unitaries(blocks: BlockStructure, darn: int,
+def _draw_block_unitaries(ranks: Sequence[int], darn: int,
                           rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """``count`` random block unitaries at once, per typical sequence a
-    stack (count, r_s, r_s) of Haar unitaries on its typical subspace; when
-    darn = 1 each is a stack (count, 1, 1) of phases.
+    """``count`` random block unitaries at once, per typical sequence (of
+    typical rank r_s, in ``ranks``) a stack (count, r_s, r_s) of Haar
+    unitaries on its typical subspace; when darn = 1 each is a stack
+    (count, 1, 1) of phases.
 
     One generator call draws them all: row i holds, sequence by sequence,
     the real and then the imaginary parts of draw i, the order in which
     ``sample_block_unitary`` consumes them.
     """
     if darn == 1:
-        phases = np.exp(2j * np.pi * rng.random((count, len(blocks.entries))))
+        phases = np.exp(2j * np.pi * rng.random((count, len(ranks))))
         return list(phases.T[:, :, None, None])
-    ranks = [e.rank for e in blocks.entries]
     normals = rng.standard_normal((count, 2 * sum(r * r for r in ranks)))
     out, start = [], 0
     for r in ranks:
@@ -396,46 +421,6 @@ def _draw_block_unitaries(blocks: BlockStructure, darn: int,
         out.append(haar_from_normals(re.reshape(count, r, r), im.reshape(count, r, r)))
         start += 2 * r * r
     return out
-
-
-def _sequence_coordinates(psi_n: PureVec, tki: TripartiteKI, blocks: BlockStructure,
-                          ) -> tuple[np.ndarray, float]:
-    """The blocks of the full n-copy state in orthonormal coordinates.
-
-    Per typical sequence s, read the block M_s as an aR^n x (aL^n rest)
-    matrix and take W_s from a thin QR of M_s^dagger, so the rows of M_s lie
-    in the span of the columns of conj(W_s).  A block unitary acts on the
-    aR^n side only, so every vector the simulator compares is, on s, a
-    matrix Z with Z = Z W_s W_s^dagger, and Z -> Z W_s is an isometry: a
-    vector of length aR^n aL^n rest becomes aR^n x k_s coordinates,
-    k_s = min(aR^n, aL^n rest).  Returns the stack of G_s = M_s W_s and the
-    norm of the full vector on the remaining sequences, which block
-    unitaries leave alone.
-    """
-    tens = _block_view(psi_n, tki, blocks.spec.n)
-    seq_shape = (tki.base.dims[0],) * blocks.spec.n
-    flats = [np.ravel_multi_index(e.seq, seq_shape) for e in blocks.entries]
-    _, daln, darn, rest = tens.shape
-    m = tens[flats].transpose(0, 2, 1, 3).reshape(len(flats), darn, daln * rest)
-    w = np.linalg.qr(m.conj().transpose(0, 2, 1))[0]
-    others = np.ones(len(tens), dtype=bool)
-    others[flats] = False
-    return m @ w, float(np.linalg.norm(tens[others]))
-
-
-def _coordinate_factor(bases: list[np.ndarray], pg: list[np.ndarray]) -> np.ndarray:
-    """``_average_factor`` in the coordinates of ``_sequence_coordinates``:
-    block s holds the columns basis_s tensor (row of P_s G_s) / sqrt(r_s)."""
-    darn, k = pg[0].shape
-    widths = [darn * basis.shape[1] for basis in bases]
-    y = np.zeros((len(bases) * darn * k, sum(widths)), dtype=np.complex128)
-    col = 0
-    for i, (basis, pg_s, width) in enumerate(zip(bases, pg, widths)):
-        y[i * darn * k:(i + 1) * darn * k, col:col + width] = np.einsum(
-            "pj,rq->pqrj", basis / np.sqrt(basis.shape[1]), pg_s,
-        ).reshape(darn * k, width)
-        col += width
-    return y
 
 
 def _average_factor(tki: TripartiteKI, blocks: BlockStructure,
@@ -483,6 +468,16 @@ def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
     return DensityOp(projected.layout, y @ y.conj().T, trace_of_one=False)
 
 
+def _spectral_average(base: KIDecomposition, spec: TypicalSpec,
+                      ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per typical sequence s, the squared amplitudes a_s^2 of its typical
+    patterns; and the diagonal of the exact average in ``simulate``'s
+    coordinates, where entry (t, t') of sequence s is a_s[t']^2 / r_s."""
+    amp2 = [prob * weights for _, prob, _, weights in _typical_blocks(
+        base, _quantum_marginals(base), spec, DEFAULT_SEQUENCE_CAP)]
+    return amp2, np.concatenate([np.tile(w / len(w), len(w)) for w in amp2])
+
+
 def _smallest_above(vals: np.ndarray, rtol: float) -> float:
     """Smallest of ascending eigenvalues above rtol times the largest."""
     return float(np.min(vals[vals > float(vals[-1]) * rtol]))
@@ -490,19 +485,6 @@ def _smallest_above(vals: np.ndarray, rtol: float) -> float:
 
 def min_nonzero_eigenvalue(mat: np.ndarray, rtol: float = 1e-12) -> float:
     return _smallest_above(np.linalg.eigvalsh((mat + mat.conj().T) / 2), rtol)
-
-
-def _factor_min_eigenvalue(y: np.ndarray, trace: float, rtol: float = 1e-12) -> float:
-    """Smallest nonzero eigenvalue of Y Y^dagger, read from the Gram matrix
-    Y^dagger Y (same nonzero spectrum).  Checks what a factor can get wrong:
-    its squared Frobenius norm must be ``trace`` and the Gram matrix PSD."""
-    norm2 = float(np.vdot(y, y).real)
-    if abs(norm2 - trace) > 1e-10:
-        raise ValidationError(f"average factor has trace {norm2} != {trace}")
-    vals = np.linalg.eigvalsh(y.conj().T @ y)
-    if vals[0] < -HERM_TOL:
-        raise ValidationError(f"average factor Gram matrix has eigenvalue {vals[0]}")
-    return _smallest_above(vals, rtol)
 
 
 def min_eig_lower_bound(tki: TripartiteKI, n: int, delta: float, d_a: int) -> float:
@@ -522,7 +504,7 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
              a: Sequence[str] = ("A",), b: Sequence[str] = ("B",),
              c: Sequence[str] = ("C",), dim_cap: int = DEFAULT_DIM_CAP,
              rng: np.random.Generator | None = None,
-             tki: TripartiteKI | None = None) -> SimResult:
+             tki: TripartiteKI | KIDecomposition | None = None) -> SimResult:
     """Run the finite-sample protocol and measure convergence.
 
     Draws ceil(2^(n*rate)) block unitaries per trial; err_to_average
@@ -531,20 +513,28 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     against the normalized Markov target.  Both are trace distances
     between normalized states, averaged over trials.
 
-    Each trial draws its N unitaries in one generator call, in the order
-    of N ``sample_block_unitary`` calls.  The unitaries act on the aR^n
-    side of each typical block only, so the sampled vectors, the projected
-    ones and a factor of the exact average all lie in aR^n x (row space of
-    the full block M_s) on each sequence s, plus one direction for the
-    full vector off the typical blocks.  Both trace norms are taken there,
-    on at most sum_s aR^n k_s (+1) rows, k_s = min(aR^n, aL^n rest), and
-    never on more than D; no D x D matrix and no N x D array is formed.
+    Only the A-side decomposition is used (``tki`` may be either kind; by
+    default it is computed from the AC marginal, and the B side, which the
+    unitaries never touch, is not built, so ``b`` is not read).  In the eigenbases of the
+    phi_j^aR, block s of the n-copy state is diagonal with amplitudes
+    a_s[x] = sqrt(prob_s prod_i lambda_{j_i}[x_i]) over the patterns x, and
+    P_s keeps the typical ones.  A sample is then, per sequence, the
+    r_s x r_s matrix U_s diag(a_s) on the typical patterns; everything the
+    unitaries leave fixed (the other patterns and sequences) is one
+    coordinate of norm sqrt(1 - typical_mass).  The exact average is
+    diagonal with entries a_s[x]^2 / r_s, so it has the factor
+    Y = diag(sqrt(.)), and its smallest nonzero eigenvalue is the smallest
+    entry above 1e-12 times the largest.  Both trace norms are taken on
+    sum_s r_s^2 (+1) rows; no D x D matrix, no N x D array and no n-copy
+    vector is formed.  Each trial draws its N unitaries in one generator
+    call, in the order of N ``sample_block_unitary`` calls.
 
     chernoff_n is inf when err_to_average is at most ERR_ROUNDOFF, the
     round-off level of the distance.  Raises ValidationError, before any
     work, when trials < 1, when rate < 0 (rate 0 is one unitary) or when
-    2^(n*rate) is not a finite double, and DimensionError, before the
-    first draw, when N x D exceeds dim_cap^2.
+    2^(n*rate) is not a finite double.  Raises DimensionError, before the
+    first draw, when N x D exceeds dim_cap^2 or the n-copy dimension D of
+    the decomposed state, (a0 aL aR b0 bL bR C)^n, exceeds dim_cap.
     """
     if trials < 1:
         raise ValidationError(f"trials = {trials} < 1")
@@ -557,45 +547,36 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
                               "double") from None
     if rng is None:
         rng = np.random.default_rng(seed)
-    from .kidec import ki_tripartite
-
-    if tki is None:
-        tki = ki_tripartite(psi, a, b, c)
-    dim = protocol_layout(tki, n).dim
+    base = ki_decompose(marginal(psi, [*a, *c]), a, c) if tki is None else _base(tki)
+    dim = _n_copy_dim(base, n)
     if n_unitaries * dim > dim_cap ** 2:
         raise DimensionError(
             f"{n_unitaries:.4g} unitaries at dimension {dim} need "
             f"{n_unitaries * dim:.4g} sampled amplitudes > dim_cap^2 = {dim_cap ** 2}")
-    spec = TypicalSpec(n, delta)
-    blocks = build_blocks(tki, spec)
-    psi_full = _ki_power(tki, n, dim_cap)
-    d_mass = _weight(_project(psi_full, tki, blocks))
-    g, norm_rest = _sequence_coordinates(psi_full, tki, blocks)
-    bases = [e.basis for e in blocks.entries]
-    h = [basis.conj().T @ g_s for basis, g_s in zip(bases, g)]
-    pg = [basis @ h_s for basis, h_s in zip(bases, h)]  # projected blocks P_s G_s
-    y = _coordinate_factor(bases, pg)
-    lam_min = _factor_min_eigenvalue(y, d_mass)
-    y_avg = y / np.sqrt(d_mass)
-    y_full = y_avg
-    if norm_rest > 0:  # one more coordinate: the full vector off the typical blocks
-        y_full = np.vstack([y_avg, np.zeros((1, y.shape[1]))])
+    amp2, avg = _spectral_average(base, TypicalSpec(n, delta))
+    if dim > dim_cap:
+        raise DimensionError(f"the n-copy state has dimension {dim} > cap {dim_cap}")
+    d_mass = _checked_weight(float(sum(np.sum(w) for w in amp2)))
+    ranks = [len(w) for w in amp2]
+    amps = [np.sqrt(w) for w in amp2]
+    lam_min = _smallest_above(np.sort(avg), 1e-12)
+    y_avg = np.diag(np.sqrt(avg / d_mass))
+    rest = 1.0 - d_mass  # squared norm of what the unitaries leave fixed
+    y_full = np.vstack([y_avg, np.zeros((1, len(avg)))]) if rest > 0 else y_avg
 
     err_avg_trials, err_full_trials = [], []
     # columns V_i psi in the coordinates: the sample average is X X^dagger / N
-    x_avg = np.empty((len(y), n_unitaries), dtype=np.complex128)
     x_full = np.empty((len(y_full), n_unitaries), dtype=np.complex128)
-    x_full[len(y):] = norm_rest
-    darn, k = g.shape[1:]
-    rows = darn * k
+    x_full[len(avg):] = np.sqrt(max(rest, 0.0))
+    x_avg = x_full[:len(avg)]
+    darn = base.dims[2] ** n
     scale = 1.0 / np.sqrt(n_unitaries)
     for _ in range(trials):
-        draws = _draw_block_unitaries(blocks, darn, rng, n_unitaries)
-        for i, (u, basis, h_s) in enumerate(zip(draws, bases, h)):
-            # V_s = (I - P_s) + B_s U B_s^dagger, with P_s G_s = B_s h_s
-            moved = (basis @ (u @ h_s)).reshape(n_unitaries, rows).T
-            x_avg[i * rows:(i + 1) * rows] = moved
-            x_full[i * rows:(i + 1) * rows] = moved + (g[i] - pg[i]).reshape(rows, 1)
+        draws = _draw_block_unitaries(ranks, darn, rng, n_unitaries)
+        start = 0
+        for u, a_s, r in zip(draws, amps, ranks):
+            x_avg[start:start + r * r] = (u * a_s).reshape(n_unitaries, r * r).T
+            start += r * r
         err_avg_trials.append(factored_trace_norm(x_avg * (scale / np.sqrt(d_mass)), y_avg))
         err_full_trials.append(factored_trace_norm(x_full * scale, y_full))
 

@@ -23,8 +23,9 @@ from qmarkov.protocol import (
     _average_factor,
     _block_view,
     _draw_block_unitaries,
-    _factor_min_eigenvalue,
     _ki_power,
+    _n_copy_dim,
+    _spectral_average,
     a_side_labels,
     average_markov_state,
     b_side_labels,
@@ -290,7 +291,9 @@ class TestSimulate:
     def test_rejects_bad_counts_before_any_work(self, trials, rate, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("simulate started work before checking its arguments")
-        monkeypatch.setattr("qmarkov.kidec.ki_tripartite", no_work)
+        for target in ("qmarkov.kidec.ki_tripartite", "qmarkov.kidec.ki_decompose",
+                       "qmarkov.protocol.ki_decompose"):
+            monkeypatch.setattr(target, no_work)
         psi = build_example("VIC", lam=(0.5, 0.5))
         with pytest.raises(ValidationError):
             simulate(psi, n=2, delta=1.0, rate=rate, trials=trials, seed=1)
@@ -349,7 +352,9 @@ class TestSimulate:
             raise AssertionError("simulate built or decomposed a D x D matrix")
         for target in ("qmarkov.protocol.average_markov_state",
                        "qmarkov.protocol.min_nonzero_eigenvalue",
-                       "qmarkov.protocol.DensityOp", "qmarkov.entropy.trace_norm"):
+                       "qmarkov.protocol.DensityOp", "qmarkov.entropy.trace_norm",
+                       "qmarkov.kidec.ki_tripartite", "qmarkov.protocol._ki_power",
+                       "qmarkov.protocol._apply_blockwise"):
             monkeypatch.setattr(target, dense)
         # protocol does not import trace_norm; the stub catches a re-import
         monkeypatch.setattr("qmarkov.protocol.trace_norm", dense, raising=False)
@@ -358,8 +363,8 @@ class TestSimulate:
         assert res.n_unitaries == 64 and 0 < res.err_to_average < 2
 
     def test_benchmark_case_in_sequence_coordinates(self, monkeypatch):
-        # VIB(2, 0.3), n = 2, rate 3: the projection is the only full-length
-        # block application, and both trace norms see fewer than D rows
+        # VIB(2, 0.3), n = 2, rate 3: no full-length block application, and
+        # both trace norms see sum_s r_s^2 = 9 typical rows (+1 fixed one)
         applied, rows = [], []
         apply, norm = protocol._apply_blockwise, protocol.factored_trace_norm
 
@@ -376,8 +381,8 @@ class TestSimulate:
         psi = build_example("VIB", d=2, lam=0.3)
         res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=2, seed=0)
         assert res.n_unitaries == 64
-        assert len(applied) == 1
-        assert len(rows) == 4 and max(rows) < 1024
+        assert applied == []
+        assert rows == [9, 10, 9, 10]
 
 
 # VIB(2, 0.5) at delta 1.5 has typical ranks 4, 2, 2, 1; the VIC states have
@@ -398,7 +403,8 @@ class TestBatchedDraws:
         blocks = build_blocks(tki, TypicalSpec(n, delta))
         darn = tki.base.dims[2] ** n
         batched_rng, sequential_rng = np.random.default_rng(7), np.random.default_rng(7)
-        draws = _draw_block_unitaries(blocks, darn, batched_rng, 5)
+        draws = _draw_block_unitaries([e.rank for e in blocks.entries], darn,
+                                      batched_rng, 5)
         for i in range(5):
             v = sample_block_unitary(blocks, tki, sequential_rng)
             for entry, u in zip(blocks.entries, draws):
@@ -462,6 +468,19 @@ ORACLE_STATES = {
 }
 
 
+def _random_393():
+    rng = np.random.default_rng(393)
+    vec = rng.normal(size=81) + 1j * rng.normal(size=81)
+    return PureVec(SystemLayout([("A", 3), ("B", 9), ("C", 3)]), vec / np.linalg.norm(vec))
+
+
+# states whose two-copy space exceeds the dense oracle's reach
+SINGLE_COPY_STATES = {
+    "vib3_0.5": lambda: build_example("VIB", d=3, lam=0.5),
+    "random_393": _random_393,
+}
+
+
 @pytest.fixture(scope="module", params=list(ORACLE_STATES))
 def oracle_state(request):
     psi = ORACLE_STATES[request.param]()
@@ -481,11 +500,18 @@ def _check_against_dense(psi, tki, n, delta):
     bar = oracle[0][3]
     assert np.max(np.abs(y @ y.conj().T - bar)) <= 1e-12
     assert np.max(np.abs(average_markov_state(tki, spec).mat - bar)) <= 1e-12
-    assert abs(_factor_min_eigenvalue(y, d) - oracle[0][2]) <= 1e-12
-    for seed, (err_avg, err_full, _, _) in zip((11, 12), oracle):
+    d_a = psi.layout.dim_of(["A"])
+    for seed, (err_avg, err_full, lam_min, _) in zip((11, 12), oracle):
         res = simulate(psi, n=n, delta=delta, rate=2.0, trials=1, seed=seed, tki=tki)
         assert abs(res.err_to_average - err_avg) <= 1e-12
         assert abs(res.err_full - err_full) <= 1e-12
+        assert abs(res.typical_mass - d) <= 1e-12
+        # chernoff_n carries lambda_min: the dense one predicts the same count
+        if err_avg <= ERR_ROUNDOFF:
+            assert res.chernoff_n == math.inf
+            continue
+        expect = math.ceil(2.0 * math.log(2.0 * d_a ** (3 * n)) / (lam_min * (err_avg / 2) ** 2))
+        assert res.chernoff_n == pytest.approx(expect, rel=1e-9, abs=1)
 
 
 class TestDenseOracle:
@@ -503,19 +529,55 @@ class TestDenseOracle:
         assert protocol.protocol_layout(tki, 3).dim == 512
         _check_against_dense(psi, tki, 3, delta)
 
-    def test_factor_checks(self, oracle_state):
-        psi, tki = oracle_state
-        psi_p, blocks, d = build_protocol_state(tki, TypicalSpec(2, 1.5))
-        y = _average_factor(tki, blocks, psi_p)
-        with pytest.raises(ValidationError, match="trace"):
-            _factor_min_eigenvalue(y * 1.01, d)
+    @pytest.mark.parametrize("delta", [1.0, 1.5])
+    @pytest.mark.parametrize("state", list(SINGLE_COPY_STATES))
+    def test_single_copy_larger_states(self, state, delta):
+        psi = SINGLE_COPY_STATES[state]()
+        _check_against_dense(psi, ki_tripartite(psi, rng=np.random.default_rng(0)), 1, delta)
 
-    def test_min_eigenvalue_rule_on_spread_spectrum(self, rng):
-        # eigenvalues 1, 1e-5, 1e-9 and an exact zero: the rtol * top rule
-        # keeps 1e-9 on both the Gram and the dense side
-        spectrum = np.array([1.0, 1e-5, 1e-9, 0.0])
-        u = np.linalg.qr(rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4)))[0]
-        y = u * np.sqrt(spectrum)
-        lam = _factor_min_eigenvalue(y, float(np.sum(spectrum)))
-        assert lam == pytest.approx(1e-9, rel=1e-6)
-        assert abs(lam - min_nonzero_eigenvalue(y @ y.conj().T)) <= 1e-15
+    def test_factor_checks(self, oracle_state):
+        # the diagonal factor of simulate: its entries are the nonzero
+        # spectrum of the dense average and sum to the typical mass
+        psi, tki = oracle_state
+        spec = TypicalSpec(2, 1.5)
+        try:
+            psi_p, _, d = build_protocol_state(tki, spec)
+        except ValidationError:  # empty typical region: both paths refuse it
+            with pytest.raises(ValidationError):
+                _spectral_average(tki.base, spec)
+            return
+        _, avg = _spectral_average(tki.base, spec)
+        dense = np.linalg.eigvalsh(average_markov_state(tki, spec).mat)[::-1]
+        assert abs(np.sum(avg) - d) <= 1e-12
+        assert np.max(np.abs(np.sort(avg)[::-1] - dense[:len(avg)])) <= 1e-12
+        assert np.max(np.abs(dense[len(avg):]), initial=0.0) <= 1e-12
+
+
+class TestBlockData:
+    """simulate reads only the A-side block data."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dimension_from_block_data(self, oracle_state, n):
+        _, tki = oracle_state
+        assert _n_copy_dim(tki.base, n) == protocol.protocol_layout(tki, n).dim
+
+    def test_either_decomposition(self):
+        psi = build_example("VIB", d=2, lam=0.3)
+        tki = ki_tripartite(psi)
+        runs = [simulate(psi, n=2, delta=1.0, rate=3.0, trials=2, seed=4, **kw)
+                for kw in ({}, {"tki": tki}, {"tki": tki.base})]
+        assert runs[0] == runs[1] == runs[2]
+        spec = TypicalSpec(2, 1.0)
+        assert typical_mass(tki, spec) == typical_mass(tki.base, spec) == runs[0].typical_mass
+
+    @pytest.mark.parametrize("case", list(STREAM_CASES))
+    def test_rng_stream_is_sequential_draws(self, case):
+        family, kw, n, delta = STREAM_CASES[case]
+        psi = build_example(family, **kw)
+        tki = ki_tripartite(psi, rng=np.random.default_rng(0))
+        used, reference = np.random.default_rng(9), np.random.default_rng(9)
+        res = simulate(psi, n=n, delta=delta, rate=1.5, trials=3, rng=used, tki=tki)
+        blocks = build_blocks(tki, TypicalSpec(n, delta))
+        for _ in range(res.n_unitaries * 3):
+            sample_block_unitary(blocks, tki, reference)
+        assert used.bit_generator.state == reference.bit_generator.state
