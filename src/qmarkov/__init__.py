@@ -14,7 +14,6 @@ from .channels import (
     apply_channel,
     cesaro_average,
     channel_E,
-    commutant_basis,
     ergodic_projector,
     petz_channel,
     reshuffle,
@@ -36,7 +35,6 @@ from .kidec import (
     TripartiteKI,
     ki_decompose,
     ki_tripartite,
-    steered_states,
     validate_ki,
 )
 from .linalg import (
@@ -69,7 +67,6 @@ from .markov import (
     markov_decomposition,
     mixed_with_product,
     recovery_check,
-    cost_matches_qcmi,
 )
 from .protocol import (
     BlockStructure,

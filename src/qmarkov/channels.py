@@ -298,14 +298,6 @@ def _commutator_r(gens: np.ndarray) -> np.ndarray:
     return np.sqrt(2) * r
 
 
-def commutant_basis(ch: KrausChannel, rtol: float = NULLSPACE_RTOL) -> list[np.ndarray]:
-    """Hermitian HS-orthonormal basis of {X : [K, X] = [K†, X] = 0 for all
-    Kraus K}."""
-    if ch.in_layout.dim != ch.out_layout.dim:
-        raise DimensionError("commutant requires a square channel")
-    return _commutant_of_family(ch.kraus, rtol=rtol)
-
-
 def apply_kraus(ch: KrausChannel, mat: np.ndarray, layout: SystemLayout,
                 output_order: Sequence[str] | None = None,
                 ) -> tuple[np.ndarray, SystemLayout]:

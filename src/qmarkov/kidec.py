@@ -374,28 +374,6 @@ def _intertwiner_norm(bi: KIBlock, bj: KIBlock, d_c: int) -> float:
     return 1.0 if null_dim > 0 else 0.0
 
 
-def steered_states(psi_ac: DensityOp, ops: Sequence[np.ndarray],
-                   a: Sequence[str] = ("A",), c: Sequence[str] = ("C",),
-                   weight_floor: float = 1e-12,
-                   ) -> list[tuple[float, DensityOp]]:
-    """States of A prepared by measuring C: Tr_C[M Psi M†], normalized.
-
-    Zero-weight entries are dropped.
-    """
-    mat, _, d_a, d_c, a_layout, _ = _split_bipartite(psi_ac, a, c)
-    tens = mat.reshape(d_a, d_c, d_a, d_c)
-    out = []
-    for m in ops:
-        m = np.asarray(m, dtype=np.complex128)
-        conj = np.einsum("ka,iajb,lb->ikjl", m, tens, m.conj())
-        rho = np.einsum("ikjk->ij", conj)
-        w = float(np.trace(rho).real)
-        if w <= weight_floor:
-            continue
-        out.append((w, DensityOp(a_layout, rho / w)))
-    return out
-
-
 def _purifier_rank(op: DensityOp) -> int:
     """Number of modes a purification of ``op`` keeps: eigenvalues above
     PURIFIER_RTOL times the largest (at least 1e-12), and at least one."""
@@ -408,34 +386,33 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
                   rng: np.random.Generator | None = None) -> TripartiteKI:
     """Joint KI decomposition of a pure tripartite state on A and B.
 
-    The B-side isometry is solved per block by matching the state against
-    the canonical purifications of the block factors (a linear
-    least-squares realization of the purification-equivalence step).
+    T is the block form sum_j sqrt(p_j) |j>|j> omega_j phi_j, from canonical
+    purifications of the block factors, as a matrix with rows
+    (a0, aL, aR, C) and columns (b0, bL, bR); it has r = sum_j bl_j br_j
+    nonzero columns, the purifier ranks.  X = (Gamma (x) I)|psi> is the
+    same kind of matrix with columns B.  As psi is pure, rho_B shares its
+    nonzero spectrum with the AC marginal, so supp(rho_B) is the span of
+    the r leading right singular vectors of X, and X_s = U_r S_r from the
+    thin SVD U S V† is the state in that basis.  Gamma' minimizes ||X_s Z - T||
+    over isometries: an orthogonal Procrustes problem (Schönemann 1966),
+    solved by the polar factor of X_s† T, so Gamma' is isometric by
+    construction.  This is the Uhlmann step of Hayden, Jozsa, Petz & Winter
+    (arXiv:quant-ph/0304007).  ``residual`` is the fit error,
+    ||(Gamma (x) Gamma')|psi> - T||; above max(tol, 1e-6) it raises
+    ValidationError.
     """
     if not psi.normalized:
         raise ValidationError("tripartite decomposition requires a normalized pure state")
     a, b, c = list(a), list(b), list(c)
     base = ki_decompose(marginal(psi, a + c), a, c, tol=tol, rng=rng)
-    ordered = permute_vec(psi, a + b + c)
+    ordered = permute_vec(psi, a + c + b)
     d_a = ordered.layout.dim_of(a)
     d_b = ordered.layout.dim_of(b)
     d_c = ordered.layout.dim_of(c)
-    d_a0, d_al, d_ar = base.dims
-
-    transformed = (base.gamma_total @ ordered.vec.reshape(d_a, d_b * d_c)).reshape(
-        d_a0, d_al, d_ar, d_b, d_c)
-
-    rho_b = marginal(psi, b)
-    qb = support_basis(rho_b.mat)
 
     purified: list[tuple[PureVec, PureVec]] = []
-    b_maps = []
+    ranks = []
     for blk in base.blocks:
-        j = blk.index
-        slice_j = transformed[j, :blk.dim_l, :blk.dim_r, :, :]
-        amp = np.sqrt(blk.p)
-        m_psi = (slice_j.transpose(0, 1, 3, 2).reshape(-1, d_b)) / amp
-
         w_vals, w_vecs = eigh(blk.omega.mat)
         bl = _purifier_rank(blk.omega)
         om_vec = np.einsum("a,la->la", np.sqrt(np.clip(w_vals[:bl], 0, None)),
@@ -444,34 +421,28 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
         br = _purifier_rank(blk.phi)
         g = f_vecs[:, :br].reshape(blk.dim_r, d_c, br)
         ph_vec = np.einsum("b,rcb->rbc", np.sqrt(np.clip(f_vals[:br], 0, None)), g)
-
-        target = np.einsum("la,rbc->lrcab", om_vec, ph_vec).reshape(-1, bl * br)
-        g_t = np.linalg.pinv(m_psi, rcond=1e-10) @ target
-        b_maps.append(g_t.T.reshape(bl, br, d_b))
         purified.append((
             PureVec(SystemLayout([("aL", blk.dim_l), ("bL", bl)]), om_vec.reshape(-1)),
             PureVec(SystemLayout([("aR", blk.dim_r), ("bR", br)]) + base.c_layout,
                     ph_vec.reshape(-1)),
         ))
+        ranks.append((bl, br))
+    b_dims = (base.dims[0], max(bl for bl, _ in ranks), max(br for _, br in ranks))
+    r = sum(bl * br for bl, br in ranks)
 
-    d_b0 = d_a0
-    d_bl = max(g.shape[0] for g in b_maps)
-    d_br = max(g.shape[1] for g in b_maps)
-    gp_total = np.zeros((d_b0, d_bl, d_br, d_b), dtype=np.complex128)
-    for j, gmap in enumerate(b_maps):
-        gp_total[j, :gmap.shape[0], :gmap.shape[1], :] = gmap
-    gp_total = gp_total.reshape(-1, d_b)
-
+    x = (base.gamma_total @ ordered.vec.reshape(d_a, -1)).reshape(-1, d_b)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    x_s = u[:, :r] * s[:r]
+    t = _ki_pure(base, purified, b_dims).vec.reshape(-1, int(np.prod(b_dims)), d_c)
+    t = t.transpose(0, 2, 1).reshape(x.shape[0], -1)
+    pu, _, pvh = np.linalg.svd(x_s.conj().T @ t, full_matrices=False)
+    z = pu @ pvh
     gamma_prime = IsometryOp(
-        SystemLayout([("suppB", qb.shape[1])]),
-        SystemLayout([("b0", d_b0), ("bL", d_bl), ("bR", d_br)]),
-        gp_total @ qb)
-
-    # verify (Gamma (x) Gamma') |psi> against the assembled block form
-    lhs = np.matmul(gp_total, transformed.reshape(-1, d_b, d_c)).reshape(-1)
-    rhs = _ki_pure(base, purified, (d_b0, d_bl, d_br))
-    residual = float(np.linalg.norm(lhs - rhs.vec))
+        SystemLayout([("suppB", x_s.shape[1])]),
+        SystemLayout(zip(("b0", "bL", "bR"), b_dims)),
+        z.T)
+    residual = float(np.linalg.norm(x_s @ z - t))
     if residual > max(tol, 1e-6):
         raise ValidationError(f"B-side isometry residual {residual:.3e} exceeds tolerance")
-    return TripartiteKI(base, gamma_prime, qb, tuple(purified),
-                        (d_b0, d_bl, d_br), residual=residual)
+    return TripartiteKI(base, gamma_prime, vh[:r].T, tuple(purified), b_dims,
+                        residual=residual)

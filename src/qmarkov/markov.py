@@ -230,16 +230,6 @@ def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
     return CostReport(m_formula, m_algorithm, cond, total, adjoint, blocks)
 
 
-def cost_matches_qcmi(psi: PureVec, a: Sequence[str] = ("A",),
-                   b: Sequence[str] = ("B",), c: Sequence[str] = ("C",),
-                   tol: float = TWO_ROUTE_TOL,
-                   rng: np.random.Generator | None = None) -> bool:
-    """Whether the cost coincides with I(A:C|B) (value-level test)."""
-    tki = ki_tripartite(psi, a, b, c, rng=rng)
-    cond = qcmi(psi, a, b, c)
-    return abs(markov_cost_formula(tki) - cond) <= tol
-
-
 def build_example(family: str, d: int | None = None, lam=None) -> PureVec:
     """Construct one of the three closed-form tripartite families.
 

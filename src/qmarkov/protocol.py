@@ -531,8 +531,9 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
 
     chernoff_n is inf when err_to_average is at most ERR_ROUNDOFF, the
     round-off level of the distance.  Raises ValidationError, before any
-    work, when trials < 1, when rate < 0 (rate 0 is one unitary) or when
-    2^(n*rate) is not a finite double.  Raises DimensionError, before the
+    work, when trials < 1, when rate < 0 (rate 0 is one unitary), when
+    n < 1, when delta is not positive (nan included) or when 2^(n*rate) is
+    not a finite double.  Raises DimensionError, before the
     first draw, when N x D exceeds dim_cap^2 or the n-copy dimension D of
     the decomposed state, (a0 aL aR b0 bL bR C)^n, exceeds dim_cap.
     """
@@ -540,6 +541,7 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
         raise ValidationError(f"trials = {trials} < 1")
     if rate < 0:
         raise ValidationError(f"rate = {rate} < 0")
+    spec = TypicalSpec(n, delta)
     try:
         n_unitaries = math.ceil(2.0 ** (n * rate))
     except (OverflowError, ValueError):  # ceil of inf or nan
@@ -553,7 +555,7 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
         raise DimensionError(
             f"{n_unitaries:.4g} unitaries at dimension {dim} need "
             f"{n_unitaries * dim:.4g} sampled amplitudes > dim_cap^2 = {dim_cap ** 2}")
-    amp2, avg = _spectral_average(base, TypicalSpec(n, delta))
+    amp2, avg = _spectral_average(base, spec)
     if dim > dim_cap:
         raise DimensionError(f"the n-copy state has dimension {dim} > cap {dim_cap}")
     d_mass = _checked_weight(float(sum(np.sum(w) for w in amp2)))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,6 @@ from qmarkov.kidec import (
     KIDecomposition,
     ki_decompose,
     ki_tripartite,
-    steered_states,
     validate_ki,
 )
 from qmarkov.linalg import (
@@ -29,7 +29,7 @@ from qmarkov.linalg import (
     random_density,
     random_pure,
 )
-from qmarkov.markov import build_example, mixed_with_product
+from qmarkov.markov import TWO_ROUTE_TOL, bounds_check, build_example, mixed_with_product
 from qmarkov.protocol import DEFAULT_DIM_CAP
 
 
@@ -134,8 +134,6 @@ class TestKiDecompose:
         gt = dec.gamma_total
         p_supp = dec.support @ dec.support.conj().T
         d_a0, d_al, d_ar = dec.dims
-        ops = [np.diag(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-               for _ in range(20)]
         for _ in range(20):
             blockdiag = np.zeros((d_a0 * d_al * d_ar,) * 2, dtype=np.complex128)
             for blk in dec.blocks:
@@ -156,10 +154,6 @@ class TestKiDecompose:
             v = gt.conj().T @ blockdiag @ gt + (np.eye(d_a) - p_supp)
             big = np.kron(v, np.eye(2))
             assert np.max(np.abs(big @ st.mat @ big.conj().T - st.mat)) <= 1e-8
-            # and it fixes every steered state
-            for w, steered in steered_states(st, ops, ["A"], ["C"]):
-                out = v @ steered.mat @ v.conj().T
-                assert np.max(np.abs(out - steered.mat)) <= 1e-8
 
 
 class TestHardBlockStructures:
@@ -408,40 +402,59 @@ class TestTripartite:
                 "ab,rcsd->arcbsd", om_b, ph_bc.reshape(br, 2, br, 2))
         assert np.max(np.abs(tens - model)) <= 1e-8
 
+    def test_noise_window_returns_values(self):
+        # complex noise of size 3e-11 on VIB(2, 0.2), which a pseudo-inverse
+        # of the state's blocks scales up by 1e4-1e5: the polar factor stays
+        # isometric, and both routes give the same cost
+        psi = build_example("VIB", d=2, lam=0.2)
+        noise = np.random.default_rng(0)
+        for _ in range(3):
+            v = psi.vec + 3e-11 * (noise.standard_normal(psi.vec.shape)
+                                   + 1j * noise.standard_normal(psi.vec.shape))
+            noisy = PureVec(psi.layout, v / np.linalg.norm(v))
+            assert ki_tripartite(noisy, rng=np.random.default_rng(1)).residual <= 1e-8
+            rep = bounds_check(noisy, rng=np.random.default_rng(1))
+            assert rep.m_algorithm is not None
+            assert abs(rep.m_formula - rep.m_algorithm) <= TWO_ROUTE_TOL
 
-class TestSteered:
-    def test_identity_returns_marginal(self, rng):
-        psi = random_pure(layout(("A", 2), ("B", 2), ("C", 2)), rng)
-        st = marginal(psi, ["A", "C"])
-        out = steered_states(st, [np.eye(2)], ["A"], ["C"])
-        assert len(out) == 1
-        w, rho = out[0]
-        assert w == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(rho.mat, marginal(psi, ["A"]).mat)
+    @pytest.mark.parametrize("weight", [1e-9, 1e-11])
+    def test_faint_b_mode_kept(self, weight):
+        # a faint third B level; at weight 1e-11 it lies below RANK_RTOL in
+        # rho_B but above the purifier cutoff: supp(B) takes the block form's
+        # rank, so the fit keeps that mode instead of losing sqrt(weight)
+        amps = np.random.default_rng(3).standard_normal((2, 2, 2, 2)) @ [1, 1j]
+        t = np.zeros((2, 3, 2), dtype=np.complex128)
+        t[:, :2, :] = np.sqrt(1 - weight) * amps / np.linalg.norm(amps)
+        t[0, 2, 1] = np.sqrt(weight)
+        tki = ki_tripartite(PureVec(layout(("A", 2), ("B", 3), ("C", 2)), t.reshape(-1)))
+        assert tki.support_b.shape[1] == 3
+        assert tki.residual <= 1e-8
 
-    def test_projective_steering_on_entangled_pair(self):
-        st = maxent_op(2)
-        m = np.zeros((2, 2))
-        m[0, 0] = 1.0
-        out = steered_states(st, [m], ["A"], ["C"])
-        assert len(out) == 1
-        w, rho = out[0]
-        assert w == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(rho.mat, np.diag([1.0, 0.0]))
+    def test_residual_gate_rejects_a_wrong_target(self, monkeypatch, rng):
+        psi = build_example("VIB", d=2, lam=0.3)
+        ki_pure = kidec._ki_pure
 
-    def test_product_not_steerable(self, rng):
-        rho = random_density(layout(("A", 2)), rng)
-        sig = random_density(layout(("C", 2)), rng)
-        st = DensityOp(layout(("A", 2), ("C", 2)), np.kron(rho.mat, sig.mat))
-        ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-               for _ in range(5)]
-        for w, steered in steered_states(st, ops, ["A"], ["C"]):
-            assert np.max(np.abs(steered.mat - rho.mat)) <= 1e-9
+        def swapped_weights(base, purified, b_dims):
+            b0, b1 = base.blocks
+            blocks = (replace(b0, p=b1.p), replace(b1, p=b0.p))
+            return ki_pure(replace(base, blocks=blocks), purified, b_dims)
 
-    def test_zero_weight_dropped(self):
-        st = maxent_op(2)
-        out = steered_states(st, [np.zeros((2, 2))], ["A"], ["C"])
-        assert out == []
+        monkeypatch.setattr(kidec, "_ki_pure", swapped_weights)
+        with pytest.raises(ValidationError, match="B-side isometry residual"):
+            ki_tripartite(psi, rng=rng)
+
+    def test_any_valid_target_fits(self, monkeypatch, rng):
+        # relabelling b0 is another valid Gamma', so the fit stays exact
+        psi = build_example("VIB", d=2, lam=0.3)
+        ki_pure = kidec._ki_pure
+
+        def reversed_b0(base, purified, b_dims):
+            out = ki_pure(base, purified, b_dims)
+            t = out.vec.reshape(*base.dims, *b_dims, -1)
+            return PureVec(out.layout, t[:, :, :, ::-1].reshape(-1))
+
+        monkeypatch.setattr(kidec, "_ki_pure", reversed_b0)
+        assert ki_tripartite(psi, rng=rng).residual <= 1e-13
 
 
 class TestCommutantCap:

@@ -285,10 +285,14 @@ class TestSimulate:
         # the projection loss obeys the gentle measurement bound
         assert gap <= 2 * np.sqrt(1 - d) + 1e-9
 
-    @pytest.mark.parametrize("trials, rate", [(0, 3.0), (-2, 3.0), (1, 1e6),
-                                              (1, float("inf")), (1, float("nan")),
-                                              (1, -1.0)])
-    def test_rejects_bad_counts_before_any_work(self, trials, rate, monkeypatch):
+    @pytest.mark.parametrize("n, delta, trials, rate", [
+        *(pytest.param(2, 1.0, trials, rate, id=f"{trials}-{rate}")
+          for trials, rate in [(0, 3.0), (-2, 3.0), (1, 1e6), (1, float("inf")),
+                               (1, float("nan")), (1, -1.0)]),
+        *(pytest.param(n, delta, 1, 3.0, id=f"n={n}-delta={delta}")
+          for n, delta in [(0, 1.0), (-3, 1.0), (2, 0.0), (2, float("nan"))]),
+    ])
+    def test_rejects_bad_counts_before_any_work(self, n, delta, trials, rate, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("simulate started work before checking its arguments")
         for target in ("qmarkov.kidec.ki_tripartite", "qmarkov.kidec.ki_decompose",
@@ -296,7 +300,7 @@ class TestSimulate:
             monkeypatch.setattr(target, no_work)
         psi = build_example("VIC", lam=(0.5, 0.5))
         with pytest.raises(ValidationError):
-            simulate(psi, n=2, delta=1.0, rate=rate, trials=trials, seed=1)
+            simulate(psi, n=n, delta=delta, rate=rate, trials=trials, seed=1)
 
     def test_seed_reproducibility(self, ghz_tki):
         psi, tki = ghz_tki

@@ -549,6 +549,8 @@ class TestCliErrors:
         (["--rate", "30"], "1.153e+18 unitaries at dimension 64 need 7.379e+19 sampled"),
         (["--rate", "-1"], "rate = -1.0 < 0"),
         (["--rate", "-1e-3"], "rate = -0.001 < 0"),
+        (["--n", "0", "--rate", "3"], "n = 0 < 1"),
+        (["--delta", "0", "--rate", "3"], "delta = 0.0 must be positive"),
     ])
     def test_simulate_rejects_bad_counts(self, args, message, state_files, capsys,
                                          monkeypatch):
