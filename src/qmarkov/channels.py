@@ -38,20 +38,14 @@ EIG_ONE_TOL = 1e-8
 # Singular values below sigma_max * this are treated as null when solving
 # commutator systems.
 NULLSPACE_RTOL = 1e-9
-# Family members whose commutator rows a commutant solve folds into its
-# R factor per QR step: 4 generators and their adjoints.  Each generator
-# adds 2d² real rows, so a step's real array, stacked under the d² x d² R,
-# has (8 + 1)·d⁴ entries.
-COMMUTANT_CHUNK = 8
-# Largest array, in entries, a commutant solve allocates, the (chunk + 1)·d⁴
-# stack of R over one chunk: the 4096² budget simulate applies to its N x D
-# sampled amplitudes by default.
-COMMUTANT_ENTRY_CAP = 4096 ** 2
-# Largest len(family)·d⁶ a commutant solve takes on, its QR work in units of
-# d⁶ per member of the adjoint-closed family.  One unit took 0.37-0.68 ns at
-# d = 16-9 (one OpenBLAS thread, 2-core x86-64 VM), so the bound is under a
-# minute of solving.
-COMMUTANT_WORK_CAP = 2 ** 36
+# Largest d² a commutant solve takes on: its unknowns are the d² real
+# parameters of a Hermitian d x d matrix, and it eigensolves their d² x d²
+# Gram matrix.  At the cap (d = 45) that eigensolve took 1.8 s (one OpenBLAS
+# thread, 2-core x86-64 VM) and each complex d⁴ array holds 67 MB.
+COMMUTANT_UNKNOWNS_CAP = 2048
+# Eigenvalues of that Gram matrix up to this fraction of its scale mark the
+# candidates whose singular values the second stage of the solve resolves.
+COMMUTANT_CANDIDATE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -207,95 +201,79 @@ def _commutant_of_family(gens: Sequence[np.ndarray], rtol: float = NULLSPACE_RTO
     their adjoints.
 
     That commutant is closed under adjoints, so its Hermitian elements, a
-    real space of the same dimension, span it.  They are solved for in real
-    arithmetic, as the SVD nullspace of the rows of [G, X] over real Y (see
-    _commutator_rows), taken from the system's d² x d² R factor (see
-    _commutator_r); for Hermitian X, [G†, X] = -[G, X]† adds no rows.  More
-    than d² generators are first replaced by d² with the same span and Gram
-    matrix (see _span_generators).  The caps judge the adjoint-closed family of
-    2·len(gens) members as given: raises DimensionError, before any work,
-    when one QR step over it would allocate more than COMMUTANT_ENTRY_CAP
-    entries or the family exceeds COMMUTANT_WORK_CAP.
+    real space of the same dimension, span it.  They are solved for over the
+    real d x d matrices Y, through the isometry X = ((1+i) Y + (1-i) Yᵀ) / 2,
+    in two stages.
+
+    1. The d² x d² real Gram matrix H of the commutator system, whose
+       quadratic form is sum ||[F, X]||² over F in gens and their adjoints,
+       in closed form from W = sum vec(G)* vec(G)ᵀ, one (d² x n)(n x d²)
+       product (see _commutator_gram), and one eigh of H.  Its eigenvalues
+       are the system's squared singular values, resolved only down to
+       round-off of the largest.
+    2. The eigenvectors with eigenvalue at most COMMUTANT_CANDIDATE_RTOL
+       times max(lambda_max, scale²) are the k candidates; scale, the
+       largest generator norm, keeps the cut when every generator is nearly
+       scalar and lambda_max is itself round-off.  Their commutators, formed
+       directly, make a real (n·2d²) x k matrix whose SVD gives the
+       singular values unsquared, and the rank rule keeps those at most
+       max(sqrt(lambda_max), scale)·rtol.  When n·k > d², the generators are
+       first replaced by the rows sigma_j v_j of their own thin SVD with
+       sigma_j above round-off: the same span and Gram matrix, so the same
+       commutators' singular values, in at most d² members.
+
+    Raises DimensionError, before any work, when d² exceeds
+    COMMUTANT_UNKNOWNS_CAP.
     """
     d = gens[0].shape[0]
-    members = 2 * len(gens)
-    entries = min(members, COMMUTANT_CHUNK + 1) * d ** 4
-    if entries > COMMUTANT_ENTRY_CAP:
+    if d * d > COMMUTANT_UNKNOWNS_CAP:
         raise DimensionError(
-            f"the commutator system of {members} operators at dimension {d} needs "
-            f"{entries} entries per QR step > cap {COMMUTANT_ENTRY_CAP}")
-    work = members * d ** 6
-    if work > COMMUTANT_WORK_CAP:
-        raise DimensionError(
-            f"the commutator system of {members} operators at dimension {d} needs "
-            f"{work} units of QR work (members x d^6) > cap {COMMUTANT_WORK_CAP}")
+            f"the commutator system of {2 * len(gens)} operators at dimension {d} has "
+            f"{d * d} real unknowns > cap {COMMUTANT_UNKNOWNS_CAP}")
     gens = np.asarray(gens, dtype=np.complex128)
-    # floor the cutoff at the family scale: when every member commutes with
-    # everything, smax itself is eigensolver noise
-    scale = float(np.max(np.linalg.norm(gens, axis=(1, 2))))
-    if len(gens) > d * d:
-        gens = _span_generators(gens)
-    _, svals, vh = np.linalg.svd(_commutator_r(gens), full_matrices=False)
-    rank = int(np.sum(svals > max(svals[0], scale) * rtol))
-    # rows of vh past the numerical rank span the nullspace; map each Y to
-    # its Hermitian X
-    y = vh[rank:].reshape(-1, d, d)
-    return list(((1 + 1j) * y + (1 - 1j) * y.transpose(0, 2, 1)) / 2)
+    n = len(gens)
+    flat = gens.reshape(n, d * d)
+    scale = float(np.max(np.linalg.norm(flat, axis=1)))
+    vals, vecs = np.linalg.eigh(_commutator_gram(flat, d))
+    top = max(float(vals[-1]), 0.0)
+    k = int(np.searchsorted(vals, COMMUTANT_CANDIDATE_RTOL * max(top, scale * scale),
+                            side="right"))
+    # each candidate's Hermitian X = ((1+i) Y + (1-i) Yᵀ) / 2
+    y = vecs[:, :k].T.reshape(k, d, d) * ((1 + 1j) / 2)
+    x = y + y.conj().transpose(0, 2, 1)
+    if n * k > d * d:
+        # the family's span in at most d² members bounds the array below
+        _, sv, vh = np.linalg.svd(flat, full_matrices=False)
+        keep = sv >= sv[0] * d * np.finfo(float).eps
+        gens = (sv[keep, None] * vh[keep]).reshape(-1, d, d)
+    comm = gens @ x[:, None] - x[:, None] @ gens
+    _, sv, vh = np.linalg.svd(comm.view(np.float64).reshape(k, -1).T, full_matrices=False)
+    # the adjoints' commutators, [G†, X] = -[G, X]†, double the sum of squares
+    rank = int(np.count_nonzero(sv * np.sqrt(2) > max(np.sqrt(top), scale) * rtol))
+    return list((vh[rank:] @ x.reshape(k, d * d)).reshape(-1, d, d))
 
 
-def _span_generators(gens: np.ndarray) -> np.ndarray:
-    """d² generators sigma_j V_j from the thin SVD of the n x d² matrix of
-    flattened generators.  They span the same space and give every X the
-    same sum of ||[G, X]||², so the commutator system keeps its Gram matrix."""
-    n, d, _ = gens.shape
-    _, s, vh = np.linalg.svd(gens.reshape(n, d * d), full_matrices=False)
-    return (s[:, None] * vh).reshape(-1, d, d)
+def _commutator_gram(flat: np.ndarray, d: int) -> np.ndarray:
+    """Real d² x d² H with vec(Y)ᵀ H vec(Y) = sum ||[F, X]||² over the n
+    flattened generators and their adjoints, X = ((1+i) Y + (1-i) Yᵀ) / 2.
 
-
-def _commutator_rows(g: np.ndarray) -> np.ndarray:
-    """Real rows of [G, X] as a linear map of real Y, for an (n, d, d) stack
-    of generators, as (n·2d², d²): per generator the real part, then the
-    imaginary part.
-
-    X = ((1+i) Y + (1-i) Yᵀ) / 2 maps the real d x d matrices isometrically
-    onto the Hermitian ones.  With P = (1+i) G / 2 and Q = (1-i) G / 2 = -iP,
-    row (i, j), column (k, l) of [G, X] is
-    P[i, k] δ[j, l] - δ[i, k] P[l, j] + Q[i, l] δ[j, k] - δ[i, l] Q[k, j],
-    written through four diagonal views of a zero block, with the real and
-    imaginary parts of P and Q stacked along the part axis s.
+    For Hermitian X the sum is x† M x, x = vec(X) row-major, with
+    M = 2 (S (x) I - K - K†), S = sum G†G + GG† and K = sum G† (x) Gᵀ.
+    Both are index shuffles of W = sum vec(G)* vec(G)ᵀ, as a tensor
+    W[k, i, l, j] = sum conj(G[k, i]) G[l, j]: K[i, j, k, l] = W[k, i, l, j],
+    K†[i, j, k, l] = W[j, l, i, k], and S is two partial traces of W.  With
+    Π the swap vec(Y) -> vec(Yᵀ), x = J vec(Y) for J = ((1+i) I + (1-i) Π) / 2,
+    and H = Re(J† M J) = Re M' + Π Re M' Π - Π Im M' + Im M' Π for
+    M' = M / 2: index swaps of M'.
     """
-    n, d, _ = g.shape
-    p = g * ((1 + 1j) / 2)
-    pp = np.stack([p.real, p.imag], axis=1)
-    qq = np.stack([p.imag, -p.real], axis=1)
-    rows = np.zeros((n, 2, d, d, d, d))
-    np.einsum("nsijkj->nsijk", rows)[...] = pp[:, :, :, None, :]
-    np.einsum("nsijil->nsijl", rows)[...] -= pp.swapaxes(2, 3)[:, :, None]
-    np.einsum("nsijjl->nsijl", rows)[...] += qq[:, :, :, None, :]
-    np.einsum("nsijki->nsijk", rows)[...] -= qq.swapaxes(2, 3)[:, :, None]
-    return rows.reshape(n * 2 * d * d, d * d)
-
-
-def _commutator_r(gens: np.ndarray) -> np.ndarray:
-    """Real d² x d² factor R whose RᵀR is the Gram matrix of the complex
-    commutator system (F (x) I - I (x) F^T) over an (n, d, d) stack of
-    generators and their adjoints, restricted to the Hermitian matrices.
-
-    The sequential form of TSQR (Demmel, Grigori, Hoemmen & Langou,
-    arXiv:0808.2664): the rows of _commutator_rows for COMMUTANT_CHUNK / 2
-    generators at a time are stacked under the R so far and reduced to a new
-    R, so the whole system is never held.  Those rows give sum ||[G, X]||²
-    over the generators; the adjoints, [G†, X] = -[G, X]†, give it again,
-    hence the final factor sqrt(2).  So R has the complex system's singular
-    values, and its null right singular vectors are the Y of a Hermitian
-    basis of that system's nullspace.
-    """
-    d = gens.shape[1]
-    step = COMMUTANT_CHUNK // 2
-    r = np.zeros((0, d * d))
-    for start in range(0, len(gens), step):
-        r = np.linalg.qr(np.vstack([r, _commutator_rows(gens[start:start + step])]), mode="r")
-    return np.sqrt(2) * r
+    w = (flat.conj().T @ flat).reshape(d, d, d, d)
+    m = w.transpose(1, 3, 0, 2) + w.transpose(2, 0, 3, 1)
+    s = np.einsum("aiaj->ij", w) + np.einsum("jbib->ij", w)
+    np.einsum("ijkj->ijk", m)[...] -= s[:, None, :]
+    # m is -M'; H from its real and imaginary parts
+    re, im = m.real, m.imag
+    h = im.transpose(1, 0, 2, 3) - im.transpose(0, 1, 3, 2) - re - re.transpose(1, 0, 3, 2)
+    return h.reshape(d * d, d * d)
 
 
 def apply_kraus(ch: KrausChannel, mat: np.ndarray, layout: SystemLayout,

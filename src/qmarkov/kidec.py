@@ -8,8 +8,10 @@ per block, and an irreducible quantum factor entangled with C.
 The decomposition is computed from the fixed-point *-algebra of the
 adjoint of the recovery-and-discard channel (channels.channel_E), i.e.
 the commutant of its Kraus operators and their adjoints.  It is solved
-from the Kraus operators alone, in real arithmetic over Hermitian
-unknowns, and comes as a Hermitian basis (channels._commutant_of_family).
+from the Kraus operators alone, over Hermitian unknowns, and comes as a
+Hermitian basis (channels._commutant_of_family): one eigensolve of the
+commutator system's d² x d² Gram matrix picks the candidates, and one SVD of
+their commutators applies the rank rule to unsquared singular values.
 The algebra is the direct sum over blocks j of M_{dim_l} (x) I_{dim_r},
 and one random element of each kind exposes it: a Hermitian element x
 has one eigenspace of dimension dim_r per pair (block, redundant index),
@@ -221,8 +223,7 @@ def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
     if r == 0:
         raise ValidationError("A-marginal has empty support")
     chan = channel_E(psi_ac, a, c)
-    kraus_s = [q.conj().T @ k @ q for k in chan.kraus]
-    comm = _commutant_of_family(kraus_s)
+    comm = _commutant_of_family(q.conj().T @ np.stack(chan.kraus) @ q)
     for _ in range(KI_ATTEMPTS):
         try:
             return _assemble(mat, rho_a, d_c, a_layout, c_layout, q,

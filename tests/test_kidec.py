@@ -30,7 +30,6 @@ from qmarkov.linalg import (
     random_pure,
 )
 from qmarkov.markov import TWO_ROUTE_TOL, bounds_check, build_example, mixed_with_product
-from qmarkov.protocol import DEFAULT_DIM_CAP
 
 
 @pytest.fixture
@@ -458,26 +457,31 @@ class TestTripartite:
 
 
 class TestCommutantCap:
-    """The commutator system is bounded before it is built: np.kron is
-    patched to fail, so an uncapped solve fails fast instead of allocating."""
+    """The commutant solve is bounded before it starts: np.kron, and
+    np.linalg.eigh on more rows than the cap admits unknowns, are patched to
+    fail, so an uncapped solve fails fast instead of building and
+    eigensolving a d² x d² Gram matrix.  The state's own eigensolves, of at
+    most d_A·d_C rows, still run."""
 
     @pytest.fixture(autouse=True)
-    def no_kron(self, monkeypatch):
+    def no_work(self, monkeypatch):
         def kron(*args):
             raise AssertionError("np.kron called: the commutator system was built")
-        monkeypatch.setattr(np, "kron", kron)
 
-    def test_cap_is_the_simulator_budget(self):
-        assert channels.COMMUTANT_ENTRY_CAP == DEFAULT_DIM_CAP ** 2
+        def eigh(m, *args, _eigh=np.linalg.eigh, **kwargs):
+            if np.shape(m)[-1] > channels.COMMUTANT_UNKNOWNS_CAP:
+                raise AssertionError("the commutator Gram matrix was eigensolved")
+            return _eigh(m, *args, **kwargs)
+        monkeypatch.setattr(np, "kron", kron)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
 
     def test_oversized_family_rejected(self):
-        # one generator at d = 64, whose adjoint-closed family of two
-        # members needs 2 * 64**4 entries, twice the cap
+        # one generator at d = 64, whose 4096 real unknowns are twice the cap
         with pytest.raises(DimensionError, match="2 operators at dimension 64"):
             channels._commutant_of_family([np.eye(64)])
 
     def test_ki_decompose_rejects_oversized_a(self, rng):
         # full-rank A of dimension 64 against a qubit C: 8 family members
         rho = random_density(layout(("A", 64), ("C", 2)), rng)
-        with pytest.raises(DimensionError, match="> cap 16777216"):
+        with pytest.raises(DimensionError, match="4096 real unknowns > cap 2048"):
             ki_decompose(rho, ["A"], ["C"])

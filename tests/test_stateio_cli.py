@@ -635,16 +635,24 @@ class TestCliErrors:
         assert "Traceback" not in err
 
     def test_oversized_ki_decompose(self, tmp_path, capsys, monkeypatch):
-        # A = (A, B) of dimension 64: a commutator system of 8 * 64**4 entries
+        # A = (A, B) of dimension 64: a commutant solve over 64**2 real unknowns
         path = str(tmp_path / "big.json")
         stateio.dump(random_density(layout(("A", 8), ("B", 8), ("C", 2)),
                                     np.random.default_rng(8)), path)
 
         def kron(*args):
             raise AssertionError("np.kron called: the commutator system was built")
+
+        def eigh(m, *args, _eigh=np.linalg.eigh, **kwargs):
+            # the state's own eigensolves have at most 128 rows, the Gram 4096
+            if np.shape(m)[-1] > 128:
+                raise AssertionError("the commutator Gram matrix was eigensolved")
+            return _eigh(m, *args, **kwargs)
         monkeypatch.setattr(np, "kron", kron)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         code, out, err = run_cli(capsys, monkeypatch,
                                  ["ki-decompose", path, "--A", "A,B", "--C", "C"])
         assert (code, out) == (1, "")
-        assert err.startswith("error: the commutator system of 8 operators at dimension 64")
+        assert err.startswith("error: the commutator system of 8 operators at dimension 64 "
+                              "has 4096 real unknowns > cap 2048")
         assert "Traceback" not in err

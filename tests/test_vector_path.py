@@ -2,9 +2,10 @@
 
 Marginals and entropies of a pure state come from the reshaped vector,
 and the nullspace solves compute only the SVD factors they read.  The
-commutant solve folds the real commutator rows of the generators, over
-Hermitian unknowns, into a d² x d² R factor chunk by chunk.  The dense
-definitions they replaced serve as oracles here.
+commutant solve, over Hermitian unknowns, eigensolves the commutator
+system's d² x d² Gram matrix for candidates and resolves them by one SVD of
+their commutators.  The dense definitions they replaced serve as oracles
+here.
 Reorders and partial traces share one axis kernel, checked against
 per-index einsums, and internal reorders permute arrays without
 rebuilding a DensityOp.
@@ -23,7 +24,6 @@ from qmarkov.entropy import qcmi, qmi
 from qmarkov.kidec import ki_decompose, validate_ki
 from qmarkov.linalg import (
     DensityOp,
-    DimensionError,
     PureVec,
     SystemLayout,
     layout,
@@ -33,6 +33,7 @@ from qmarkov.linalg import (
     permute_vec,
     random_density,
     random_pure,
+    support_basis,
 )
 from qmarkov.markov import bounds_check, build_example, markov_decomposition, recovery_check
 
@@ -163,10 +164,6 @@ class TestThinSvd:
         assert np.max(np.abs(_projector(comm) - _projector(ref))) <= 1e-10
 
 
-CHUNK = channels.COMMUTANT_CHUNK
-STEP = CHUNK // 2   # generators per QR step
-
-
 def _stacked_system(family) -> np.ndarray:
     """The whole commutator system, one np.kron pair per member."""
     d = family[0].shape[0]
@@ -185,43 +182,21 @@ def _oracle(gens):
     return svals, [row.conj().reshape(d, d) for row in vh[rank:]]
 
 
-def _hermitian_rows(gens) -> np.ndarray:
-    """Real and imaginary parts of each generator's stacked rows composed
-    with the isometry vec(Y) -> vec(((1+i) Y + (1-i) Yᵀ) / 2)."""
-    d = gens[0].shape[0]
-    eye = np.eye(d * d)
-    swap = eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-    iso = ((1 + 1j) * eye + (1 - 1j) * swap) / 2
-    blocks = [_stacked_system([g]) @ iso for g in gens]
-    return np.vstack([part for b in blocks for part in (b.real, b.imag)])
-
-
-def _svals(r: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(r, compute_uv=False)
-
-
-def _floor(svals, gens) -> float:
-    """smax, floored at the largest generator norm as the solver's cutoff
-    is: when every generator is a multiple of the identity up to round-off,
-    every singular value is round-off of that size."""
-    return max(svals[0], max(np.linalg.norm(g) for g in gens))
-
-
 def _complex_gaussian(rng, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @st.composite
 def generators(draw) -> list[np.ndarray]:
-    """Generators of dimension d = 1-6, whose counts straddle the QR step
-    and, up to 40, the d² past which the solve compresses them.
+    """Generators of dimension d = 1-6, whose counts straddle d², the count
+    of real unknowns, and reach 40.
 
     random: generic members.  block: two diagonal blocks in a random basis.
     tensor: U (X ⊗ I_m) U†, with a commutant of dimension m².  identity:
     every member the identity, a zero system.
     """
     d = draw(st.integers(1, 6))
-    length = draw(st.sampled_from([1, STEP - 1, STEP, STEP + 1, 3 * STEP + 1, 40]))
+    length = draw(st.sampled_from([1, 2, max(1, d * d - 1), d * d, d * d + 1, 40]))
     kind = draw(st.sampled_from(["random", "block", "tensor", "identity"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = np.linalg.qr(_complex_gaussian(rng, d, d))[0]
@@ -242,24 +217,18 @@ def generators(draw) -> list[np.ndarray]:
 
 
 class TestStreamedCommutant:
-    """The chunked real R factor of the generators against the thin SVD of
+    """The Gram eigensolve and the candidates' SVD against the thin SVD of
     the stacked complex system of the generators and their adjoints."""
-
-    @PROPERTY
-    @given(generators())
-    def test_rows_are_the_kron_rows(self, gens):
-        scale = max(1.0, max(np.max(np.abs(g)) for g in gens))
-        rows = channels._commutator_rows(np.asarray(gens))
-        assert np.max(np.abs(rows - _hermitian_rows(gens))) <= 1e-15 * scale
 
     @PROPERTY
     @given(generators())
     def test_matches_stacked_svd(self, gens):
         d = gens[0].shape[0]
         ref_svals, ref_null = _oracle(gens)
-        svals = _svals(channels._commutator_r(np.asarray(gens)))
-        assert svals.shape == (d * d,)
-        assert np.max(np.abs(svals - ref_svals)) <= 1e-14 * _floor(ref_svals, gens)
+        gram = channels._commutator_gram(np.asarray(gens).reshape(len(gens), d * d), d)
+        floor = max(ref_svals[0], max(np.linalg.norm(g) for g in gens))
+        assert np.max(np.abs(np.linalg.eigvalsh(gram) - np.sort(ref_svals ** 2))
+                      ) <= 1e-13 * floor ** 2
         comm = _commutant_of_family(gens)
         assert len(comm) == len(ref_null) >= 1
         assert np.max(np.abs(_projector(comm) - _projector(ref_null))) <= 1e-10
@@ -272,58 +241,72 @@ class TestStreamedCommutant:
         flat = comm.reshape(len(comm), -1)
         assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(comm)))) <= 1e-12
 
-    @PROPERTY
-    @given(generators())
-    def test_compressed_generators_same_svals(self, gens):
-        gens = np.asarray(gens)
+
+def _ki_family(psi: PureVec) -> np.ndarray:
+    """channel_E's Kraus family of psi's AC marginal on supp(rho_A), the
+    family ki_decompose solves."""
+    rho_ac = marginal(psi, ["A", "C"])
+    q = support_basis(marginal(psi, ["A"]).mat)
+    return q.conj().T @ np.stack(channel_E(rho_ac, ["A"], ["C"]).kraus) @ q
+
+
+class TestResolutionEdge:
+    """Near the Markov point the separating singular value sigma sits at
+    the rank rule's cut: about 10-25·eps on VIB(2, 0.2) plus noise eps and
+    2.67·eps on VIA(2, 1/4 + eps), against a cut near 1.4e-9.  The Gram
+    eigenvalue sigma² is round-off there, so the count rests on the
+    candidates' unsquared SVD."""
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 1e-8])
+    def test_noisy_vib_matches_oracle(self, eps):
+        psi = build_example("VIB", d=2, lam=0.2)
+        v = psi.vec + eps * _complex_gaussian(np.random.default_rng(0), *psi.vec.shape)
+        gens = _ki_family(PureVec(psi.layout, v / np.linalg.norm(v)))
+        assert len(_commutant_of_family(gens)) == len(_oracle(list(gens))[1])
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+    def test_via_matches_oracle(self, eps):
+        gens = _ki_family(build_example("VIA", d=2, lam=0.25 + eps))
+        assert len(_commutant_of_family(gens)) == len(_oracle(list(gens))[1])
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+    def test_via_keeps_identity(self, eps):
+        # every generator is nearly scalar, so lambda_max is ~7·eps² or, at
+        # eps = 1e-9, round-off; the identity's eigenvalue is round-off of
+        # either sign, which a cut relative to lambda_max alone can exclude
+        gens = _ki_family(build_example("VIA", d=2, lam=0.25 + eps))
         d = gens.shape[1]
-        svals = _svals(channels._commutator_r(gens))
-        compressed = channels._span_generators(gens)
-        assert len(compressed) == min(len(gens), d * d)
-        assert np.max(np.abs(_svals(channels._commutator_r(compressed)) - svals)
-                      ) <= 1e-14 * _floor(svals, gens)
+        ident = np.eye(d).reshape(-1) / np.sqrt(d)
+        proj = _projector(_commutant_of_family(gens))
+        assert np.linalg.norm(proj @ ident - ident) <= 1e-10
 
 
-class TestCommutantBounds:
-    """COMMUTANT_ENTRY_CAP bounds one QR step, (chunk + 1)·d⁴ entries, not the
-    len·d⁴ of the whole system; COMMUTANT_WORK_CAP refuses a long family
-    before any SVD or QR.  Both count the adjoint-closed family."""
+class TestCommutantCost:
+    def test_one_eigh_no_qr_per_solve(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "qr"):
+            def counting(m, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(m)[-1]))
+                return _solve(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        rho_ac = marginal(_vib_pair(0.2, 0.6), ["A1", "A2", "C1", "C2"])
+        gens = list(channel_E(rho_ac, ["A1", "A2"], ["C1", "C2"]).kraus)
+        rng = np.random.default_rng(2)
+        for family in (gens, _complex_gaussian(rng, 25, 5, 5), [np.eye(4)] * 20):
+            calls.clear()
+            _commutant_of_family(family)
+            d = family[0].shape[0]
+            assert calls == [("eigh", d * d)]
 
-    def test_long_family_solved_under_step_cap(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        u = np.linalg.qr(_complex_gaussian(rng, 4, 4))[0]
-        gens = [u @ np.kron(a, np.eye(2)) @ u.conj().T
-                for a in _complex_gaussian(rng, 2 * CHUNK, 2, 2)]
-        step = (CHUNK + 1) * 4 ** 4
-        members = 2 * len(gens)
-        assert members * 4 ** 4 > step       # refused by a whole-system cap
-        monkeypatch.setattr(channels, "COMMUTANT_ENTRY_CAP", step - 1)
-        with pytest.raises(DimensionError, match=f"{members} operators at dimension 4"):
-            _commutant_of_family(gens)
-        monkeypatch.setattr(channels, "COMMUTANT_ENTRY_CAP", step)
+    def test_d24_random_family_is_scalar(self):
+        # 576 generators at d = 24, as many as a random (24, 576, 24) pure
+        # state's family has
+        gens = _complex_gaussian(np.random.default_rng(24), 576, 24, 24)
         comm = _commutant_of_family(gens)
-        _, ref = _oracle(gens)
-        assert len(comm) == len(ref) == 4
-        assert np.max(np.abs(_projector(comm) - _projector(ref))) <= 1e-10
-
-    def test_work_bound_refuses_before_qr(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a factorization ran: the solve started")
-        monkeypatch.setattr(np.linalg, "qr", refuse)
-        monkeypatch.setattr(np.linalg, "svd", refuse)
-        n = channels.COMMUTANT_WORK_CAP // (2 * 8 ** 6) + 1
-        with pytest.raises(DimensionError, match=f"{2 * n} operators at dimension 8"):
-            _commutant_of_family([np.eye(8)] * n)
-
-    @pytest.mark.parametrize("n, d", [(512, 16), (8192, 8)])
-    def test_random_state_families_within_bounds(self, monkeypatch, n, d):
-        # the families of random (16,64,16) and (8,512,64) pure states: n/2
-        # generators, of which at most d² reach the fold
-        def fold(gens):
-            assert len(gens) <= d * d
-            return np.zeros((d * d, d * d))
-        monkeypatch.setattr(channels, "_commutator_r", fold)
-        assert len(_commutant_of_family([np.eye(d)] * (n // 2))) == d * d
+        assert len(comm) == 1
+        scalar = np.trace(comm[0]) / 24
+        assert abs(abs(scalar) * np.sqrt(24) - 1) <= 1e-12
+        assert np.max(np.abs(comm[0] - scalar * np.eye(24))) <= 1e-12
 
 
 ROWS, COLS = "abcd", "ABCD"
