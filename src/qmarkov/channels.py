@@ -46,6 +46,11 @@ COMMUTANT_UNKNOWNS_CAP = 2048
 # Eigenvalues of that Gram matrix up to this fraction of its scale mark the
 # candidates whose singular values the second stage of the solve resolves.
 COMMUTANT_CANDIDATE_RTOL = 1e-8
+# Real entries of the k candidates' commutators a commutant solve stacks at
+# once (8 MB); the rest are folded in chunks of whole generators into a k x k
+# triangular factor.  A chunk holds at least one generator's 2·d²·k entries,
+# up to 2·2048² at the cap, where the solve's own d⁴ arrays are as large.
+COMMUTANT_FOLD_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -214,13 +219,18 @@ def _commutant_of_family(gens: Sequence[np.ndarray], rtol: float = NULLSPACE_RTO
     2. The eigenvectors with eigenvalue at most COMMUTANT_CANDIDATE_RTOL
        times max(lambda_max, scale²) are the k candidates; scale, the
        largest generator norm, keeps the cut when every generator is nearly
-       scalar and lambda_max is itself round-off.  Their commutators, formed
-       directly, make a real (n·2d²) x k matrix whose SVD gives the
-       singular values unsquared, and the rank rule keeps those at most
-       max(sqrt(lambda_max), scale)·rtol.  When n·k > d², the generators are
-       first replaced by the rows sigma_j v_j of their own thin SVD with
-       sigma_j above round-off: the same span and Gram matrix, so the same
-       commutators' singular values, in at most d² members.
+       scalar and lambda_max is itself round-off.  Their commutators with
+       the traceless parts of the generators (the same commutators, free of
+       the round-off of a large scalar part) make a real (n·2d²) x k
+       matrix, and the rank rule keeps its singular values, unsquared, at
+       most max(sqrt(lambda_max), scale)·rtol.  That matrix is stacked
+       COMMUTANT_FOLD_ENTRIES entries at a time, each chunk under the k x k
+       QR factor of those before it, and the last stack's SVD gives the
+       singular values.  When n·k > d², the traceless parts are first
+       replaced by the rows sigma_j v_j of their own thin SVD above
+       round-off: the same span and Gram matrix, in at most d² members.
+       That saves most on nearly scalar families, such as a product
+       state's, where every eigenvector is a candidate.
 
     Raises DimensionError, before any work, when d² exceeds
     COMMUTANT_UNKNOWNS_CAP.
@@ -241,13 +251,22 @@ def _commutant_of_family(gens: Sequence[np.ndarray], rtol: float = NULLSPACE_RTO
     # each candidate's Hermitian X = ((1+i) Y + (1-i) Yᵀ) / 2
     y = vecs[:, :k].T.reshape(k, d, d) * ((1 + 1j) / 2)
     x = y + y.conj().transpose(0, 2, 1)
+    # the traceless parts have the same commutators, without the round-off
+    # of a large scalar part
+    gens = gens - np.einsum("nii->n", gens)[:, None, None] * (np.eye(d) / d)
     if n * k > d * d:
-        # the family's span in at most d² members bounds the array below
-        _, sv, vh = np.linalg.svd(flat, full_matrices=False)
-        keep = sv >= sv[0] * d * np.finfo(float).eps
+        # the family's span in at most d² members: the same Gram matrix
+        _, sv, vh = np.linalg.svd(gens.reshape(n, d * d), full_matrices=False)
+        keep = sv >= min(sv[0], scale * d * np.finfo(float).eps)
         gens = (sv[keep, None] * vh[keep]).reshape(-1, d, d)
-    comm = gens @ x[:, None] - x[:, None] @ gens
-    _, sv, vh = np.linalg.svd(comm.view(np.float64).reshape(k, -1).T, full_matrices=False)
+    per = max(1, COMMUTANT_FOLD_ENTRIES // (2 * d * d * k))
+    r = None
+    for i in range(0, len(gens), per):
+        comm = gens[i:i + per] @ x[:, None]
+        comm -= x[:, None] @ gens[i:i + per]
+        rows = comm.view(np.float64).reshape(k, -1).T
+        r = rows if r is None else np.concatenate([np.linalg.qr(r, mode="r"), rows])
+    _, sv, vh = np.linalg.svd(r, full_matrices=False)
     # the adjoints' commutators, [G†, X] = -[G, X]†, double the sum of squares
     rank = int(np.count_nonzero(sv * np.sqrt(2) > max(np.sqrt(top), scale) * rtol))
     return list((vh[rank:] @ x.reshape(k, d * d)).reshape(-1, d, d))

@@ -12,6 +12,7 @@ rebuilding a DensityOp.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,7 @@ class TestResolutionEdge:
 
 class TestCommutantCost:
     def test_one_eigh_no_qr_per_solve(self, monkeypatch):
+        # each family's candidate commutators fit one fold, so no QR
         calls = []
         for name in ("eigh", "qr"):
             def counting(m, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
@@ -297,6 +299,51 @@ class TestCommutantCost:
             _commutant_of_family(family)
             d = family[0].shape[0]
             assert calls == [("eigh", d * d)]
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-9, 1e-8, 1e-6])
+    def test_folded_near_scalar_matches_oracle(self, delta, monkeypatch):
+        # nearly scalar generators make every Gram eigenvector a candidate,
+        # so the count rests on the factor folded over all their
+        # commutators, here one generator per fold: the traceless parts span
+        # d² - 1 = 15 dimensions, so 15 members and 14 folds
+        rng = np.random.default_rng(5)
+        gens = list(_complex_gaussian(rng, 20, 1, 1) * np.eye(4)
+                    + delta * _complex_gaussian(rng, 20, 4, 4))
+        folds = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(channels, "COMMUTANT_FOLD_ENTRIES", 1)
+        monkeypatch.setattr(np.linalg, "qr", lambda m, *a, **kw: folds.append(m) or qr(m, *a, **kw))
+        comm = _commutant_of_family(gens)
+        ref_null = _oracle(gens)[1]
+        assert len(folds) == 14
+        assert len(comm) == len(ref_null)
+        assert np.max(np.abs(_projector(comm) - _projector(ref_null))) <= 1e-10
+
+    def test_noisy_product_state_within_fold_budget(self, monkeypatch):
+        # a product state plus noise at d_A = d_C = 16: all d² = 256 Gram
+        # eigenvectors are candidates and the noise keeps 244 of the 256
+        # generators' span, so the candidates' commutators hold 2·244·d⁴
+        # reals (256 MB), which the solve may only take in folds
+        rng = np.random.default_rng(16)
+        ab, c = random_pure(layout(("A", 16), ("B", 16)), rng), random_pure(layout(("C", 16)), rng)
+        v = np.kron(ab.vec, c.vec) + 3e-9 * _complex_gaussian(rng, 16 ** 3)
+        gens = _ki_family(PureVec(layout(("A", 16), ("B", 16), ("C", 16)), v / np.linalg.norm(v)))
+        sizes = []
+        for name in ("qr", "svd"):
+            def counting(m, *args, _solve=getattr(np.linalg, name), **kwargs):
+                sizes.append(m.size)
+                return _solve(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        tracemalloc.start()
+        try:
+            comm = _commutant_of_family(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(comm) == 1
+        # no factorization is handed more than one fold stacked under R
+        assert max(sizes) <= channels.COMMUTANT_FOLD_ENTRIES + 256 ** 2
+        assert peak <= 6 * 8 * channels.COMMUTANT_FOLD_ENTRIES
 
     def test_d24_random_family_is_scalar(self):
         # 576 generators at d = 24, as many as a random (24, 576, 24) pure
