@@ -19,22 +19,21 @@ and a general element y links two of those eigenspaces by a nonzero
 multiple of a unitary when they lie in the same block and by zero
 otherwise.  The links group the eigenspaces into blocks, and their polar
 factors give every eigenspace of a block the same quantum-factor basis
-(Murota, Kanno, Kojima & Kojima, JJIAM 27, 125).
+(Murota, Kanno, Kojima & Kojima, JJIAM 27, 125).  One block fit
+(_block_factors, _block_residual) serves this and markov_decomposition, and
+validate_ki's checks are further solves of the same commutant solver.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    NULLSPACE_RTOL,
-    _commutant_of_family,
-    _split_bipartite,
-    channel_E,
-)
+from .channels import _commutant_of_family, _split_bipartite, channel_E
 from .linalg import (
     DensityOp,
     IsometryOp,
@@ -43,6 +42,7 @@ from .linalg import (
     ValidationError,
     eigh,
     marginal,
+    partial_trace,
     permute_vec,
     support_basis,
 )
@@ -72,6 +72,11 @@ class KIBlock:
     dim_r: int
     omega: DensityOp
     phi: DensityOp
+
+    @cached_property
+    def phi_ar(self) -> DensityOp:
+        """The quantum-factor marginal phi_j^aR, traced out once, on first use."""
+        return partial_trace(self.phi, ["aR"])
 
 
 @dataclass(frozen=True)
@@ -240,20 +245,44 @@ def _ki_tensor(gamma_total: np.ndarray, mat: np.ndarray, dims: tuple[int, ...],
     ``mat`` is on the decomposed system followed by the ``rest`` factors;
     ``gamma_total`` maps the decomposed system onto the ``dims`` factors.
     """
-    big = np.kron(gamma_total, np.eye(int(np.prod(rest))))
+    r = int(np.prod(rest))
+    # np.kron(gamma_total, I_r), entry for entry, without np.kron's overhead
+    big = np.multiply.outer(gamma_total, np.eye(r)).transpose(0, 2, 1, 3).reshape(
+        gamma_total.shape[0] * r, -1)
     return (big @ mat @ big.conj().T).reshape(*dims, *rest, *dims, *rest)
 
 
-def _block_model(blocks: Sequence[KIBlock], dims: tuple[int, int, int],
-                 d_c: int) -> np.ndarray:
-    """sum_j p_j |j><j| (x) omega_j (x) phi_j on (a0, aL, aR, C), each block's
-    factors in the leading corner of the padded aL and aR."""
-    model = np.zeros((*dims, d_c, *dims, d_c), dtype=np.complex128)
-    for blk in blocks:
-        j, dl, dr = blk.index, blk.dim_l, blk.dim_r
-        model[j, :dl, :dr, :, j, :dl, :dr, :] = blk.p * np.einsum(
-            "lm,rcsd->lrcmsd", blk.omega.mat, blk.phi.mat.reshape(dr, d_c, dr, d_c))
-    return model
+def _block_factors(tens: np.ndarray, shapes: Sequence[tuple[int, int]],
+                   ) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Per block j, (p_j, normalized marginal on (X, L), normalized marginal
+    on (R, Y)) of a _ki_tensor over (j, L, R, X, Y), each block in the
+    (dim_l, dim_r) corner given by ``shapes``; a weight <= 1e-12 raises.
+    KI blocks take X = 1, Y = C; the blocks of a Markov state X = A, Y = C.
+    """
+    d_x, d_y = tens.shape[3:5]
+    out = []
+    for j, (dl, dr) in enumerate(shapes):
+        sub = tens[j, :dl, :dr, :, :, j, :dl, :dr, :, :]
+        p = float(np.einsum("lrxylrxy->", sub).real)
+        if p <= 1e-12:
+            raise ValidationError(f"block {j} has vanishing weight {p}")
+        xl = np.einsum("lrxymrzy->xlzm", sub).reshape(d_x * dl, d_x * dl) / p
+        ry = np.einsum("lrxylsxw->rysw", sub).reshape(dr * d_y, dr * d_y) / p
+        out.append((p, xl, ry))
+    return out
+
+
+def _block_residual(tens: np.ndarray,
+                    factors: Sequence[tuple[float, np.ndarray, np.ndarray]]) -> float:
+    """Frobenius norm of ``tens`` minus sum_j p_j |j><j| (x) xl_j (x) ry_j,
+    for the (p_j, xl_j, ry_j) of _block_factors."""
+    d_x, d_y = tens.shape[3:5]
+    diff = tens.copy()
+    for j, (p, xl, ry) in enumerate(factors):
+        dl, dr = xl.shape[0] // d_x, ry.shape[0] // d_y
+        diff[j, :dl, :dr, :, :, j, :dl, :dr, :, :] -= p * np.einsum(
+            "xlzm,rysw->lrxymszw", xl.reshape(d_x, dl, d_x, dl), ry.reshape(dr, d_y, dr, d_y))
+    return float(np.linalg.norm(diff))
 
 
 def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, cols, tol) -> KIDecomposition:
@@ -273,23 +302,14 @@ def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, cols, tol) -> KIDecomposit
     for j, v in enumerate(cols):
         gamma_supp[j, :v.shape[0], :v.shape[2], :] = v.conj().transpose(0, 2, 1)
     gamma_supp = gamma_supp.reshape(-1, r)
-    tens = _ki_tensor(gamma_supp @ q.conj().T, mat, dims, (d_c,))
-
-    blocks = []
-    for j, v in enumerate(cols):
-        dim_l, _, dim_r = v.shape
-        sub = tens[j, :dim_l, :dim_r, :, j, :dim_l, :dim_r, :]
-        p = float(np.einsum("lrclrc->", sub).real)
-        if p <= 1e-12:
-            raise ValidationError(f"block {j} has vanishing weight {p}")
-        omega = np.einsum("lrcmrc->lm", sub) / p
-        phi = np.einsum("lrclsd->rcsd", sub).reshape(dim_r * d_c, dim_r * d_c) / p
-        omega_op = DensityOp(SystemLayout([("aL", dim_l)]), omega)
-        phi_layout = SystemLayout([("aR", dim_r)]) + c_layout
-        phi_op = DensityOp(phi_layout, phi)
-        blocks.append(KIBlock(j, p, dim_l, dim_r, omega_op, phi_op))
-
-    residual = float(np.linalg.norm(tens - _block_model(blocks, dims, d_c)))
+    tens = _ki_tensor(gamma_supp @ q.conj().T, mat, dims, (1, d_c))
+    factors = _block_factors(tens, [(v.shape[0], v.shape[2]) for v in cols])
+    blocks = tuple(
+        KIBlock(j, p, v.shape[0], v.shape[2],
+                DensityOp(SystemLayout([("aL", v.shape[0])]), omega),
+                DensityOp(SystemLayout([("aR", v.shape[2])]) + c_layout, phi))
+        for j, (v, (p, omega, phi)) in enumerate(zip(cols, factors)))
+    residual = _block_residual(tens, factors)
     if residual > tol:
         raise ValidationError(f"reconstruction residual {residual:.3e} > {tol:.3e}")
 
@@ -297,7 +317,7 @@ def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, cols, tol) -> KIDecomposit
         SystemLayout([("suppA", r)]),
         SystemLayout(zip(("a0", "aL", "aR"), dims)),
         gamma_supp)
-    return KIDecomposition(gamma, q, tuple(blocks), dims, a_layout, c_layout)
+    return KIDecomposition(gamma, q, blocks, dims, a_layout, c_layout)
 
 
 @dataclass(frozen=True)
@@ -314,65 +334,54 @@ class KIValidationReport:
                 and self.cross_block_residual <= tol)
 
 
-def _phi_slices(block: KIBlock, d_c: int) -> list[np.ndarray]:
-    """Operators <k|_C phi |l>_C on the block's quantum factor."""
+def _phi_slices(block: KIBlock, d_c: int) -> np.ndarray:
+    """Operators <k|_C phi |l>_C on the block's quantum factor, over (k, l)."""
     t = block.phi.mat.reshape(block.dim_r, d_c, block.dim_r, d_c)
-    return [t[:, k, :, l] for k in range(d_c) for l in range(d_c)]
+    return t.transpose(1, 3, 0, 2).reshape(d_c * d_c, block.dim_r, block.dim_r)
 
 
 def validate_ki(dec: KIDecomposition, psi_ac: DensityOp) -> KIValidationReport:
     """Residual report for a claimed decomposition (report-only).
 
-    Irreducibility: the commutant of the C-sliced block state must be
-    1-dimensional (scalars); the residual is the largest non-scalar
-    component found in its numerical nullspace.  Cross-block: weighted
-    intertwiners between distinct blocks must vanish; the residual is the
-    norm of any numerically found intertwiner.
+    Reconstruction: the norm of the mapped state minus the claimed block
+    form.  Irreducibility: the commutant of each block's C-sliced state
+    must be the scalars; the residual is the largest non-scalar component
+    of its basis.  Cross-block: intertwiners N with p_i N phi_i,kl =
+    p_j phi_j,kl N between distinct blocks must vanish; they are the
+    lower-left block of the commutant of the two weighted slice families
+    side by side, one _commutant_of_family solve per pair of blocks (its
+    rank rule is the only one), and the residual is their largest norm.
     """
     a = dec.a_layout.labels
     c = dec.c_layout.labels
     mat, rho_a, _, d_c, _, _ = _split_bipartite(psi_ac, list(a), list(c))
     gamma_total = dec.gamma_total
-    tens = _ki_tensor(gamma_total, mat, dec.dims, (d_c,))
-    reconstruction = float(np.linalg.norm(tens - _block_model(dec.blocks, dec.dims, d_c)))
+    tens = _ki_tensor(gamma_total, mat, dec.dims, (1, d_c))
+    reconstruction = _block_residual(
+        tens, [(blk.p, blk.omega.mat, blk.phi.mat) for blk in dec.blocks])
 
     supp_proj = dec.support @ dec.support.conj().T
     isometry = float(max(
         np.max(np.abs(gamma_total.conj().T @ gamma_total - supp_proj)),
         np.max(np.abs(supp_proj @ rho_a @ supp_proj - rho_a))))
 
+    slices = [_phi_slices(blk, d_c) for blk in dec.blocks]
     irreducibility = 0.0
-    for blk in dec.blocks:
-        slices = _phi_slices(blk, d_c)
-        null = _commutant_of_family(slices)
+    for blk, fam in zip(dec.blocks, slices):
         d = blk.dim_r
-        for x in null:
+        for x in _commutant_of_family(fam):
             scalar_part = (np.trace(x) / d) * np.eye(d)
             irreducibility = max(irreducibility, float(np.linalg.norm(x - scalar_part)))
 
     cross = 0.0
-    for bi in dec.blocks:
-        for bj in dec.blocks:
-            if bj.index <= bi.index:
-                continue
-            cross = max(cross, _intertwiner_norm(bi, bj, d_c))
+    for (bi, si), (bj, sj) in itertools.combinations(zip(dec.blocks, slices), 2):
+        di = bi.dim_r
+        pair = np.zeros((d_c * d_c, di + bj.dim_r, di + bj.dim_r), dtype=np.complex128)
+        pair[:, :di, :di] = bi.p * si
+        pair[:, di:, di:] = bj.p * sj
+        for x in _commutant_of_family(pair):
+            cross = max(cross, float(np.linalg.norm(x[di:, :di])))
     return KIValidationReport(reconstruction, isometry, irreducibility, cross)
-
-
-def _intertwiner_norm(bi: KIBlock, bj: KIBlock, d_c: int) -> float:
-    """Norm of any numerical solution N of p_i N phi_i,kl = p_j phi_j,kl N."""
-    si = _phi_slices(bi, d_c)
-    sj = _phi_slices(bj, d_c)
-    di, dj = bi.dim_r, bj.dim_r
-    rows = []
-    for fi, fj in zip(si, sj):
-        # N: H_i -> H_j, vec(N) with N[a, b], a in H_j, b in H_i
-        rows.append(bi.p * np.kron(np.eye(dj), fi.T) - bj.p * np.kron(fj, np.eye(di)))
-    stacked = np.vstack(rows)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    smax = max(float(svals[0]), 1e-12)
-    null_dim = int(np.sum(svals <= smax * NULLSPACE_RTOL)) + (di * dj - len(svals))
-    return 1.0 if null_dim > 0 else 0.0
 
 
 def _purifier_rank(op: DensityOp) -> int:

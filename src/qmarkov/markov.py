@@ -31,6 +31,8 @@ from .entropy import ProbDist, qcmi, qmi, shannon, trace_norm, vn_entropy
 from .kidec import (
     KIDecomposition,
     TripartiteKI,
+    _block_factors,
+    _block_residual,
     _ki_tensor,
     ki_decompose,
     ki_tripartite,
@@ -96,7 +98,7 @@ def markov_cost_formula(tki: TripartiteKI | KIDecomposition) -> float:
     """Block formula: H({p_j}) + 2 sum_j p_j S(phi_j^aR), in bits."""
     dec = tki.base if isinstance(tki, TripartiteKI) else tki
     probs = [b.p for b in dec.blocks]
-    quantum = sum(b.p * vn_entropy(partial_trace(b.phi, ["aR"])) for b in dec.blocks)
+    quantum = sum(b.p * vn_entropy(b.phi_ar) for b in dec.blocks)
     return shannon(probs) + 2.0 * quantum
 
 
@@ -146,32 +148,17 @@ def markov_decomposition(ups: DensityOp, a: Sequence[str] = ("A",),
                               "not a Markov state")
     dec = ki_decompose(partial_trace(ups, b + c), b, c, tol=tol, rng=rng)
     ordered = ups.layout.reorder(b + a + c)
-    d_a = ordered.dim_of(a)
-    d_c = ordered.dim_of(c)
     tens = _ki_tensor(dec.gamma_total, permute_mat(ups.mat, ups.layout, ordered.labels),
-                      dec.dims, (d_a, d_c))
-    a_layout = ordered.restrict(a)
-    terms = []
-    model = np.zeros_like(tens)
-    for blk in dec.blocks:
-        i = blk.index
-        sub = tens[i, :blk.dim_l, :blk.dim_r, :, :, i, :blk.dim_l, :blk.dim_r, :, :]
-        q = float(np.einsum("lrxclrxc->", sub).real)
-        sigma = np.einsum("lrxcmryc->xlym", sub).reshape(
-            d_a * blk.dim_l, d_a * blk.dim_l) / q
-        phi = np.einsum("lrxcltxd->rctd", sub).reshape(
-            blk.dim_r * d_c, blk.dim_r * d_c) / q
-        sig_op = DensityOp(a_layout + SystemLayout([("bL", blk.dim_l)]), sigma)
-        phi_op = DensityOp(SystemLayout([("bR", blk.dim_r)]) + ordered.restrict(c), phi)
-        model[i, :blk.dim_l, :blk.dim_r, :, :, i, :blk.dim_l, :blk.dim_r, :, :] = (
-            q * np.einsum("xlym,rctd->lrxcmtyd",
-                          sigma.reshape(d_a, blk.dim_l, d_a, blk.dim_l),
-                          phi.reshape(blk.dim_r, d_c, blk.dim_r, d_c)))
-        terms.append((q, sig_op, phi_op))
-    residual = float(np.linalg.norm(tens - model))
+                      dec.dims, (ordered.dim_of(a), ordered.dim_of(c)))
+    factors = _block_factors(tens, [(blk.dim_l, blk.dim_r) for blk in dec.blocks])
+    terms = tuple(
+        (q, DensityOp(ordered.restrict(a) + SystemLayout([("bL", blk.dim_l)]), sigma),
+         DensityOp(SystemLayout([("bR", blk.dim_r)]) + ordered.restrict(c), phi))
+        for blk, (q, sigma, phi) in zip(dec.blocks, factors))
+    residual = _block_residual(tens, factors)
     if residual > tol:
         raise ValidationError(f"Markov decomposition residual {residual:.3e} > {tol:.0e}")
-    return MarkovDecomposition(dec, tuple(terms), residual)
+    return MarkovDecomposition(dec, terms, residual)
 
 
 def recovery_check(ups: DensityOp, a: Sequence[str] = ("A",),
@@ -219,8 +206,7 @@ def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
         return CostReport(None, None, cond, total, None, ())
     tki = ki_tripartite(psi, a, b, c, rng=rng)
     m_formula = markov_cost_formula(tki)
-    blocks = tuple((blk.p, vn_entropy(partial_trace(blk.phi, ["aR"])))
-                   for blk in tki.blocks)
+    blocks = tuple((blk.p, vn_entropy(blk.phi_ar)) for blk in tki.blocks)
     m_algorithm = markov_cost_algorithm(psi, a, b, c)
     adjoint = m_algorithm is not None
     if not (cond - bound_tol <= m_formula <= total + bound_tol):

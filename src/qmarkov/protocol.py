@@ -40,7 +40,6 @@ from .linalg import (
     haar_from_normals,
     haar_unitary,
     marginal,
-    partial_trace,
     permute_vec,
 )
 
@@ -56,19 +55,16 @@ ERR_ROUNDOFF = 1e-12
 
 @dataclass(frozen=True)
 class TypicalSpec:
-    """Number of copies, window width, and the sequence-set flavor."""
+    """Number of copies and window width."""
 
     n: int
     delta: float
-    mode: str = "strong"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"n = {self.n} < 1")
         if not self.delta > 0:
             raise ValidationError(f"delta = {self.delta} must be positive")
-        if self.mode not in ("strong", "weak"):
-            raise ValidationError(f"mode {self.mode!r} not in ('strong', 'weak')")
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,6 @@ class BlockStructure:
 
     spec: TypicalSpec
     entries: tuple[BlockEntry, ...]
-    dim_r_total: int
 
 
 @dataclass(frozen=True)
@@ -171,26 +166,20 @@ def _base(ki: TripartiteKI | KIDecomposition) -> KIDecomposition:
     return ki.base if isinstance(ki, TripartiteKI) else ki
 
 
-def _quantum_marginals(base: KIDecomposition) -> list[DensityOp]:
-    """Per block, the quantum-factor marginal phi_j^aR."""
-    return [partial_trace(blk.phi, ["aR"]) for blk in base.blocks]
-
-
-def _typical_patterns(base: KIDecomposition, marginals: Sequence[DensityOp],
-                      spec: TypicalSpec, max_sequences: int):
+def _typical_patterns(base: KIDecomposition, spec: TypicalSpec, max_sequences: int):
     """Typical block sequences with their typical eigenvalue patterns.
 
     Yields (seq, prob, patterns, weights) for every typical sequence
     j_1..j_n that keeps at least one pattern.  A pattern picks, per copy i,
-    an eigenvalue of marginals[j_i], indexed largest first; for every
+    an eigenvalue of block j_i's phi_j^aR, indexed largest first; for every
     symbol j, its indices on the copies where j occurs form a weakly
     typical pattern of that spectrum.  weights holds each pattern's
     conditional probability, the product of its renormalized eigenvalues.
     """
-    spectra = [np.clip(op.spectrum[::-1], 0.0, None) for op in marginals]
-    pick = strongly_typical_set if spec.mode == "strong" else weakly_typical_set
+    spectra = [np.clip(blk.phi_ar.spectrum[::-1], 0.0, None) for blk in base.blocks]
     cache: dict[tuple[int, int], list] = {}  # window of symbol j on m copies
-    for seq, prob in pick(_renormalize(base.probs), spec.n, spec.delta, max_sequences):
+    for seq, prob in strongly_typical_set(_renormalize(base.probs), spec.n, spec.delta,
+                                          max_sequences):
         positions: dict[int, list[int]] = {}
         for pos, j in enumerate(seq):
             positions.setdefault(j, []).append(pos)
@@ -216,10 +205,9 @@ def _typical_patterns(base: KIDecomposition, marginals: Sequence[DensityOp],
         yield seq, prob, patterns, np.array(weights)
 
 
-def _typical_blocks(base: KIDecomposition, marginals: Sequence[DensityOp],
-                    spec: TypicalSpec, max_sequences: int) -> list:
+def _typical_blocks(base: KIDecomposition, spec: TypicalSpec, max_sequences: int) -> list:
     """``_typical_patterns`` as a list; an entirely empty region raises."""
-    out = list(_typical_patterns(base, marginals, spec, max_sequences))
+    out = list(_typical_patterns(base, spec, max_sequences))
     if not out:
         raise ValidationError(
             "typical region is empty for these (n, delta); enlarge delta or n")
@@ -237,15 +225,14 @@ def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
     entirely empty typical region raises.
     """
     base = _base(tki)
-    marginals = _quantum_marginals(base)
     d_ar = base.dims[2]
     padded = []  # eigenvectors, largest eigenvalue first, in the padded factor
-    for op in marginals:
-        vecs = np.zeros((d_ar, op.dim), dtype=np.complex128)
-        vecs[:op.dim] = np.linalg.eigh(op.mat)[1][:, ::-1]
+    for blk in base.blocks:
+        vecs = np.zeros((d_ar, blk.dim_r), dtype=np.complex128)
+        vecs[:blk.dim_r] = np.linalg.eigh(blk.phi_ar.mat)[1][:, ::-1]
         padded.append(vecs)
     entries = []
-    for seq, prob, patterns, _ in _typical_blocks(base, marginals, spec, max_sequences):
+    for seq, prob, patterns, _ in _typical_blocks(base, spec, max_sequences):
         vectors = []
         for pattern in patterns:
             vec = np.ones(1, dtype=np.complex128)
@@ -253,7 +240,7 @@ def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
                 vec = np.kron(vec, padded[j][:, x])
             vectors.append(vec)
         entries.append(BlockEntry(seq, prob, np.array(vectors).T))
-    return BlockStructure(spec, tuple(entries), d_ar ** spec.n)
+    return BlockStructure(spec, tuple(entries))
 
 
 def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
@@ -261,7 +248,7 @@ def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
     """Weight of the projected n-copy state, computed combinatorially."""
     base = _base(tki)
     return float(sum(prob * np.sum(weights) for _, prob, _, weights in
-                     _typical_patterns(base, _quantum_marginals(base), spec, max_sequences)))
+                     _typical_patterns(base, spec, max_sequences)))
 
 
 def _n_copy_dim(base: KIDecomposition, n: int) -> int:
@@ -474,7 +461,7 @@ def _spectral_average(base: KIDecomposition, spec: TypicalSpec,
     patterns; and the diagonal of the exact average in ``simulate``'s
     coordinates, where entry (t, t') of sequence s is a_s[t']^2 / r_s."""
     amp2 = [prob * weights for _, prob, _, weights in _typical_blocks(
-        base, _quantum_marginals(base), spec, DEFAULT_SEQUENCE_CAP)]
+        base, spec, DEFAULT_SEQUENCE_CAP)]
     return amp2, np.concatenate([np.tile(w / len(w), len(w)) for w in amp2])
 
 
@@ -493,8 +480,7 @@ def min_eig_lower_bound(tki: TripartiteKI, n: int, delta: float, d_a: int) -> fl
     probs = tki.base.probs
     h = shannon(probs)
     h_prime = -float(np.mean(np.log2(probs[probs > 0])))
-    s_sum = sum(blk.p * vn_entropy(partial_trace(blk.phi, ["aR"]))
-                for blk in tki.blocks)
+    s_sum = sum(blk.p * vn_entropy(blk.phi_ar) for blk in tki.blocks)
     exponent = n * (h + 2 * s_sum + delta * (h_prime + 2 * np.log2(4 * d_a)))
     return float(2.0 ** (-exponent))
 

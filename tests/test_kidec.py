@@ -77,6 +77,9 @@ class TestKiDecompose:
         for side in ("aR", "C"):
             red = partial_trace(blk.phi, [side]).mat
             assert np.max(np.abs(red - np.eye(d) / d)) <= 1e-8
+        # the block keeps its aR marginal: traced once, the same object after
+        assert np.array_equal(blk.phi_ar.mat, partial_trace(blk.phi, ["aR"]).mat)
+        assert blk.phi_ar is blk.phi_ar
 
     def test_two_sector_family(self, rng):
         psi = build_example("VIB", d=2, lam=0.5)
@@ -337,6 +340,50 @@ class TestValidateKi:
                      DensityOp(SystemLayout([("aL", 2)]), rho.mat),
                      DensityOp(SystemLayout([("aR", 1), ("C", 2)]), sig.mat)),),
             (1, 2, 1), layout(("A", 2)), layout(("C", 2)))
+        rep = validate_ki(dec, st)
+        assert rep.ok(1e-7), rep
+
+    @pytest.mark.parametrize("p, flagged", [(0.5, True), (0.501, False)])
+    def test_equal_weight_blocks_intertwined(self, p, flagged, rng):
+        # diag(p, 1-p) (x) sigma_C claimed as two 1 x 1 blocks: at p = 1/2 the
+        # two blocks carry the same weighted state, so a swap intertwines them
+        # and they belong in one redundant factor
+        sig = random_density(layout(("C", 2)), rng)
+        st = DensityOp(layout(("A", 2), ("C", 2)), np.kron(np.diag([p, 1 - p]), sig.mat))
+        gamma = IsometryOp(SystemLayout([("suppA", 2)]),
+                           SystemLayout([("a0", 2), ("aL", 1), ("aR", 1)]),
+                           np.eye(2, dtype=np.complex128))
+        omega = DensityOp(SystemLayout([("aL", 1)]), np.eye(1))
+        phi = DensityOp(SystemLayout([("aR", 1), ("C", 2)]), sig.mat)
+        dec = KIDecomposition(
+            gamma, np.eye(2, dtype=np.complex128),
+            (KIBlock(0, p, 1, 1, omega, phi), KIBlock(1, 1 - p, 1, 1, omega, phi)),
+            (2, 1, 1), layout(("A", 2)), layout(("C", 2)))
+        rep = validate_ki(dec, st)
+        assert max(rep.reconstruction_residual, rep.isometry_residual,
+                   rep.irreducibility_residual) <= 1e-12, rep
+        if flagged:
+            assert rep.cross_block_residual > 1e-7, rep
+            assert not rep.ok(1e-7)
+        else:
+            assert rep.ok(1e-7), rep
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    @pytest.mark.parametrize("family", ["VIC(1-2e,e,e)", "VIB(2,1/2)xVIC(1-e,e)"])
+    def test_small_weight_blocks_validate(self, family, eps, rng):
+        # blocks of weight eps next to a block of weight ~1: each pair of
+        # blocks is solved on its own, so the rank rule scales with that
+        # pair's weights and no cross-block intertwiner is invented
+        if family.startswith("VIC"):
+            st = marginal(build_example("VIC", lam=(1 - 2 * eps, eps, eps)), ["A", "C"])
+            a, c = ["A"], ["C"]
+        else:
+            vib = marginal(build_example("VIB", d=2, lam=0.5), ["A", "C"])
+            vic = marginal(build_example("VIC", lam=(1 - eps, eps)), ["A", "C"])
+            st = DensityOp(layout(("A", 3), ("C", 2), ("A2", 2), ("C2", 2)),
+                           np.kron(vib.mat, vic.mat))
+            a, c = ["A", "A2"], ["C", "C2"]
+        dec = ki_decompose(st, a, c, rng=rng)
         rep = validate_ki(dec, st)
         assert rep.ok(1e-7), rep
 
