@@ -15,6 +15,7 @@ is an involution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,14 +23,15 @@ import numpy as np
 from .linalg import (
     DensityOp,
     DimensionError,
+    Eigenpairs,
+    PureVec,
     SystemLayout,
     ValidationError,
     _as_complex,
     eigh,
     is_hermitian,
     permute_mat,
-    pinv_sqrt,
-    psd_sqrt,
+    permute_vec,
 )
 
 # Tolerance for locating the eigenvalue-1 cluster of a Hermitian transfer
@@ -53,7 +55,7 @@ COMMUTANT_CANDIDATE_RTOL = 1e-8
 COMMUTANT_FOLD_ENTRIES = 2 ** 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPTP map given by a list of Kraus operators (out-dim x in-dim).
 
@@ -73,20 +75,22 @@ class KrausChannel:
         for k in ks:
             if k.shape != (dout, din):
                 raise DimensionError(f"Kraus shape {k.shape} != ({dout}, {din})")
-        comp = completeness(ks)
-        if not is_projector(comp, tol=1e-7):
-            raise ValidationError("sum K†K is not a projector (not trace preserving on any subspace)")
+        _require_trace_preserving(ks)
         object.__setattr__(self, "in_layout", in_layout)
         object.__setattr__(self, "out_layout", out_layout)
         object.__setattr__(self, "kraus", ks)
 
 
 def completeness(kraus: Iterable[np.ndarray]) -> np.ndarray:
-    out = None
-    for k in kraus:
-        term = k.conj().T @ k
-        out = term if out is None else out + term
-    return out
+    """sum K†K, as one product of the stacked operators' rows."""
+    ks = np.asarray(kraus)
+    rows = ks.reshape(-1, ks.shape[-1])
+    return rows.conj().T @ rows
+
+
+def _require_trace_preserving(kraus: Iterable[np.ndarray]) -> None:
+    if not is_projector(completeness(kraus), tol=1e-7):
+        raise ValidationError("sum K†K is not a projector (not trace preserving on any subspace)")
 
 
 def is_projector(p: np.ndarray, tol: float = 1e-8) -> bool:
@@ -101,12 +105,16 @@ def reshuffle(x: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def _require_partition(layout: SystemLayout, a: Sequence[str], c: Sequence[str]) -> None:
+    if set(a) | set(c) != set(layout.labels) or set(a) & set(c):
+        raise ValidationError("A and C labels must partition the layout")
+
+
 def _split_bipartite(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
     """Reorder to (A..., C...) and return
     (mat, rho_a, d_a, d_c, a_layout, ac_layout), rho_a the A-marginal."""
     a, c = list(a), list(c)
-    if set(a) | set(c) != set(psi_ac.layout.labels) or set(a) & set(c):
-        raise ValidationError("A and C labels must partition the layout")
+    _require_partition(psi_ac.layout, a, c)
     ac_layout = psi_ac.layout.reorder(a + c)
     d_a = ac_layout.dim_of(a)
     d_c = ac_layout.dim_of(c)
@@ -115,21 +123,85 @@ def _split_bipartite(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
     return mat, rho_a, d_a, d_c, ac_layout.restrict(a), ac_layout
 
 
-def _recovery_kraus(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
-    """Kraus tensor of the Petz recovery A -> AC, with the split's data.
+@dataclass(frozen=True, eq=False)
+class Split:
+    """A state Psi_AC on A (x) C, in (A, C) order, by one factorization per
+    operator: the eigenpairs ``a`` of its A-marginal ``rho_a`` and ``ac`` of
+    Psi_AC.  The recovery channel, the KI decomposition and the entropies of
+    one query all read them and the one recovery Kraus tensor built from
+    them.
 
-    Returns (kraus, rho_a, a_layout, ac_layout) where
-    kraus[l, i, k, j] = sum_m <i k| (Psi_AC)^(1/2) |m l> (Psi_A)^(-1/2)[m, j]:
+    From a DensityOp (_split_density) both are eighs, and Psi_AC is kept as
+    ``mat``.  From a pure state on A (x) B (x) C (_split_pure), ``ac`` comes
+    from the thin SVD Psi = U S V† of the vector as a (AC, B) matrix, its
+    Schmidt decomposition: Psi_AC = U S² U† is kept as the factor ``us`` =
+    U S, and the rows of ``vh`` = V† span supp(Psi_B).
+    """
+
+    a_layout: SystemLayout
+    c_layout: SystemLayout
+    rho_a: np.ndarray = field(repr=False)
+    a: Eigenpairs = field(repr=False)
+    ac: Eigenpairs = field(repr=False)
+    mat: np.ndarray | None = field(default=None, repr=False)
+    us: np.ndarray | None = field(default=None, repr=False)
+    vh: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """The Petz recovery Kraus tensor (see _recovery_kraus), built once."""
+        if np.max(np.abs(self.rho_a)) < 1e-14:
+            raise ValidationError("marginal on A is numerically zero")
+        return _recovery_kraus(self.ac.sqrt(), self.a.inv_sqrt())
+
+
+def _split_density(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Split:
+    """The Split of a bipartite density operator, from one eigh per operator;
+    a pure state's marginal splits its vector (_split_pure) instead."""
+    if psi_ac._source is not None:
+        _require_partition(psi_ac.layout, a, c)
+        return _split_pure(psi_ac._source, a, c)
+    mat, rho_a, _, _, a_layout, ac_layout = _split_bipartite(psi_ac, a, c)
+    return Split(a_layout, ac_layout.restrict(c), rho_a, Eigenpairs.of(rho_a),
+                 Eigenpairs.of(mat), mat=mat)
+
+
+def _split_pure(psi: PureVec, a: Sequence[str], c: Sequence[str],
+                b: Sequence[str] | None = None) -> Split:
+    """The Split of the AC marginal of a pure state: one thin SVD of the
+    vector as a (AC, B) matrix and one eigh of rho_a = M M†, M the vector
+    as an (A, CB) matrix.  B is ``b`` in that order, by default every other
+    factor in layout order.  The marginals are not validated again."""
+    a, c = list(a), list(c)
+    if b is None:
+        b = [l for l in psi.layout.labels if l not in set(a + c)]
+    ordered = permute_vec(psi, a + c + list(b))
+    d_a, d_c = ordered.layout.dim_of(a), ordered.layout.dim_of(c)
+    m = ordered.vec.reshape(d_a, -1)
+    rho_a = m @ m.conj().T
+    u, s, vh = np.linalg.svd(ordered.vec.reshape(d_a * d_c, -1), full_matrices=False)
+    return Split(ordered.layout.restrict(a), ordered.layout.restrict(c), rho_a,
+                 Eigenpairs.of(rho_a), Eigenpairs(s * s, u), us=u * s, vh=vh)
+
+
+def _recovery_kraus(sqrt_ac: np.ndarray, inv_a: np.ndarray) -> np.ndarray:
+    """Kraus tensor of the Petz recovery A -> AC, from (Psi_AC)^(1/2) in
+    (A, C) order and (Psi_A)^(-1/2):
+    kraus[l, i, k, j] = sum_m <i k| (Psi_AC)^(1/2) |m l> (Psi_A)^(-1/2)[m, j].
     kraus[l] is the Petz Kraus operator K_l as a (d_a, d_c, d_a) tensor, and
     its C-row kraus[l, :, k, :] is E_kl of the recovery-and-discard channel.
     """
-    mat, rho_a, d_a, d_c, a_layout, ac_layout = _split_bipartite(psi_ac, a, c)
-    if np.max(np.abs(rho_a)) < 1e-14:
-        raise ValidationError("marginal on A is numerically zero")
-    sqrt_ac = psd_sqrt(mat).reshape(d_a, d_c, d_a, d_c)
-    inv_a = pinv_sqrt(rho_a)
-    kraus = sqrt_ac.transpose(3, 0, 1, 2).reshape(-1, d_a) @ inv_a
-    return kraus.reshape(d_c, d_a, d_c, d_a), rho_a, a_layout, ac_layout
+    d_a = inv_a.shape[0]
+    d_c = sqrt_ac.shape[0] // d_a
+    kraus = sqrt_ac.reshape(d_a, d_c, d_a, d_c).transpose(3, 0, 1, 2).reshape(-1, d_a) @ inv_a
+    return kraus.reshape(d_c, d_a, d_c, d_a)
+
+
+def _e_family(kraus: np.ndarray) -> np.ndarray:
+    """The Kraus operators E_kl = kraus[l, :, k, :] of channel_E, stacked
+    over (k, l)."""
+    d_a = kraus.shape[1]
+    return kraus.transpose(2, 0, 1, 3).reshape(-1, d_a, d_a)
 
 
 def petz_channel(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> KrausChannel:
@@ -139,9 +211,10 @@ def petz_channel(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Kraus
             (Psi_AC)^(1/2),
     trace preserving on the support of Psi_A.
     """
-    kraus, _, a_layout, ac_layout = _recovery_kraus(psi_ac, a, c)
-    d_c, d_a = kraus.shape[:2]
-    return KrausChannel(a_layout, ac_layout, kraus.reshape(d_c, d_a * d_c, d_a))
+    split = _split_density(psi_ac, a, c)
+    d_c, d_a = split.kraus.shape[:2]
+    return KrausChannel(split.a_layout, split.a_layout + split.c_layout,
+                        split.kraus.reshape(d_c, d_a * d_c, d_a))
 
 
 def channel_E(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> KrausChannel:
@@ -151,10 +224,8 @@ def channel_E(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> KrausCha
     computational basis {|k>} of C.  Fixed points of its adjoint encode
     exactly the operations on A that preserve the bipartite state.
     """
-    kraus, _, a_layout, _ = _recovery_kraus(psi_ac, a, c)
-    d_c = kraus.shape[0]
-    return KrausChannel(a_layout, a_layout,
-                        [kraus[l, :, k, :] for k in range(d_c) for l in range(d_c)])
+    split = _split_density(psi_ac, a, c)
+    return KrausChannel(split.a_layout, split.a_layout, list(_e_family(split.kraus)))
 
 
 def transfer_matrices(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str],
@@ -166,9 +237,14 @@ def transfer_matrices(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str],
     channel's transfer matrix, built as the reshuffle of its Choi matrix
     M M†, where the columns of M are vec(E_kl).
     """
-    kraus, rho_a, _, _ = _recovery_kraus(psi_ac, a, c)
+    return _transfer(_split_density(psi_ac, a, c))
+
+
+def _transfer(split: Split) -> tuple[np.ndarray, np.ndarray]:
+    """transfer_matrices of a Split."""
+    kraus = split.kraus
     d_c, d_a = kraus.shape[:2]
-    s = psd_sqrt(rho_a)
+    s = split.a.sqrt()
     m = kraus.transpose(1, 3, 0, 2).reshape(d_a * d_a, d_c * d_c)
     return np.kron(s, s.conj()), reshuffle(m @ m.conj().T, d_a)
 

@@ -26,13 +26,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import stateio
-from .entropy import qcmi, trace_distance, vn_entropy
-from .kidec import ki_decompose, ki_tripartite, validate_ki
-from .linalg import LabelError, PureVec, ValidationError
+from .channels import _split_pure
+from .entropy import factored_trace_norm, qcmi, trace_distance, vn_entropy
+from .kidec import _ki_tripartite, ki_decompose, validate_ki
+from .linalg import LabelError, PureVec, ValidationError, marginal
 from .markov import (
+    _cost_algorithm,
     build_example,
     check_routes_agree,
-    markov_cost_algorithm,
     markov_cost_formula,
     markov_decomposition,
     recovery_check,
@@ -155,7 +156,9 @@ def _command(name: str, help_text: str, **spec):
 
 @_command("entropy", "von Neumann entropy of a state, in bits", labels="")
 def _entropy(args, state):
-    return {"entropy_bits": _sig(vn_entropy(_density(state)))}, EXIT_OK
+    # a pure state's entropy is its 1 x 1 marginal's
+    rho = marginal(state, []) if isinstance(state, PureVec) else state
+    return {"entropy_bits": _sig(vn_entropy(rho))}, EXIT_OK
 
 
 @_command("qcmi", "conditional mutual information I(A:C|B)")
@@ -167,7 +170,12 @@ def _qcmi(args, state):
 @_command("trace-dist", "trace distance between two states",
           states=("state1", "state2"), labels="")
 def _trace_dist(args, s1, s2):
-    return {"trace_distance": _sig(trace_distance(_density(s1), _density(s2)))}, EXIT_OK
+    if not (isinstance(s1, PureVec) and isinstance(s2, PureVec)):
+        return {"trace_distance": _sig(trace_distance(_density(s1), _density(s2)))}, EXIT_OK
+    if s1.dim != s2.dim:
+        raise ValidationError(f"dimension mismatch {s1.dim} != {s2.dim}")
+    # |psi><psi| - |phi><phi| in the span of the two vectors
+    return {"trace_distance": _sig(factored_trace_norm(s1.vec[:, None], s2.vec[:, None]))}, EXIT_OK
 
 
 @_command("ki-decompose", "block decomposition of a bipartite state",
@@ -193,12 +201,15 @@ def _markov_cost(args, state):
     psi = _require_pure(state)
     a, b, c = _parts(args, state)
     rep, code = {"route": args.route}, EXIT_OK
+    # both routes read one split of the vector; the spectral route alone
+    # never reads B, so it takes B as whatever A and C leave
+    split = _split_pure(psi, a, c, None if args.route == "algorithm" else b)
     if args.route in ("formula", "both"):
-        tki = ki_tripartite(psi, a, b, c, rng=np.random.default_rng(args.seed))
+        tki = _ki_tripartite(split, rng=np.random.default_rng(args.seed))
         m_f = markov_cost_formula(tki)
         rep["m_formula_bits"] = _sig(m_f)
     if args.route in ("algorithm", "both"):
-        m_a = markov_cost_algorithm(psi, a, b, c)
+        m_a = _cost_algorithm(split)
         if m_a is None:
             rep["m_algorithm_bits"], code = NOT_APPLICABLE_TEXT, EXIT_NOT_APPLICABLE
         else:

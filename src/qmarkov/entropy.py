@@ -24,7 +24,7 @@ from .linalg import (
 LOG2E = float(np.log2(np.e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbDist:
     """Probability distribution: non-negative weights summing to one."""
 

@@ -22,6 +22,11 @@ factors give every eigenspace of a block the same quantum-factor basis
 (Murota, Kanno, Kojima & Kojima, JJIAM 27, 125).  One block fit
 (_block_factors, _block_residual) serves this and markov_decomposition, and
 validate_ki's checks are further solves of the same commutant solver.
+
+Every step reads one channels.Split of the AC state: the eigenpairs of the
+A-marginal and of the state, and the recovery Kraus tensor built from them.
+A density operator splits by eighs; ki_tripartite splits the pure vector
+itself, by one thin SVD across AC|B, and so never forms the AC marginal.
 """
 
 from __future__ import annotations
@@ -33,18 +38,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _commutant_of_family, _split_bipartite, channel_E
+from .channels import (
+    Split,
+    _commutant_of_family,
+    _e_family,
+    _require_trace_preserving,
+    _split_bipartite,
+    _split_density,
+    _split_pure,
+)
 from .linalg import (
     DensityOp,
+    Eigenpairs,
     IsometryOp,
     PureVec,
     SystemLayout,
     ValidationError,
-    eigh,
-    marginal,
     partial_trace,
-    permute_vec,
-    support_basis,
 )
 
 # Gap threshold for splitting eigenvalue clusters of random algebra
@@ -62,7 +72,7 @@ KI_ATTEMPTS = 4
 PURIFIER_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KIBlock:
     """One block of the decomposition: weight, factor dims and states."""
 
@@ -79,7 +89,7 @@ class KIBlock:
         return partial_trace(self.phi, ["aR"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KIDecomposition:
     """Isometry from supp(Psi_A) onto block-index (x) redundant (x) quantum
     factors, together with the per-block data it exposes."""
@@ -102,7 +112,7 @@ class KIDecomposition:
         return np.array([b.p for b in self.blocks])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripartiteKI:
     """Joint decomposition of a pure state: the A-side isometry plus the
     matching B-side isometry and per-block purifications."""
@@ -219,20 +229,23 @@ def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
     quantum-factor then redundant-factor dimension.  Deterministic for a
     fixed generator; the default generator is fixed-seeded.
     """
+    return _ki_decompose(_split_density(psi_ac, a, c), tol, rng)
+
+
+def _ki_decompose(split: Split, tol: float = 1e-7,
+                  rng: np.random.Generator | None = None) -> KIDecomposition:
+    """ki_decompose of a Split."""
     if rng is None:
         rng = np.random.default_rng(0x5EED)
-    mat, rho_a, _, d_c, a_layout, _ = _split_bipartite(psi_ac, a, c)
-    c_layout = psi_ac.layout.restrict(c).reorder([l for l in c])
-    q = support_basis(rho_a)
-    r = q.shape[1]
-    if r == 0:
+    q = split.a.support()
+    if q.shape[1] == 0:
         raise ValidationError("A-marginal has empty support")
-    chan = channel_E(psi_ac, a, c)
-    comm = _commutant_of_family(q.conj().T @ np.stack(chan.kraus) @ q)
+    family = _e_family(split.kraus)
+    _require_trace_preserving(family)
+    comm = _commutant_of_family(q.conj().T @ family @ q)
     for _ in range(KI_ATTEMPTS):
         try:
-            return _assemble(mat, rho_a, d_c, a_layout, c_layout, q,
-                             _block_structure(comm, rng), tol)
+            return _assemble(split, q, _block_structure(comm, rng), tol)
         except ValidationError as err:
             last_err = err
     raise ValidationError(f"KI decomposition failed after {KI_ATTEMPTS} attempts: {last_err}")
@@ -250,6 +263,11 @@ def _ki_tensor(gamma_total: np.ndarray, mat: np.ndarray, dims: tuple[int, ...],
     big = np.multiply.outer(gamma_total, np.eye(r)).transpose(0, 2, 1, 3).reshape(
         gamma_total.shape[0] * r, -1)
     return (big @ mat @ big.conj().T).reshape(*dims, *rest, *dims, *rest)
+
+
+def _ki_factor(gamma_total: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """(Gamma (x) I_C) applied to the columns of a factor over (A, C)."""
+    return (gamma_total @ us.reshape(gamma_total.shape[1], -1)).reshape(-1, us.shape[1])
 
 
 def _block_factors(tens: np.ndarray, shapes: Sequence[tuple[int, int]],
@@ -285,12 +303,13 @@ def _block_residual(tens: np.ndarray,
     return float(np.linalg.norm(diff))
 
 
-def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, cols, tol) -> KIDecomposition:
+def _assemble(split: Split, q, cols, tol) -> KIDecomposition:
     """Decomposition from the (dim_l, r, dim_r) column arrays of
-    _block_structure."""
+    _block_structure.  Each block factor is factorized once, here: by eigh,
+    or on a pure state's Split by a thin SVD of its rows of Y."""
     r = q.shape[1]
     # weights determine the presentation order of the blocks
-    rho_supp = q.conj().T @ rho_a @ q
+    rho_supp = q.conj().T @ split.rho_a @ q
     weights = [float(np.einsum("lia,ij,lja->", v.conj(), rho_supp, v).real) for v in cols]
     # round weights so the declared tie-break applies to numerically equal p
     order = sorted(range(len(cols)), key=lambda i: (
@@ -302,13 +321,32 @@ def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, cols, tol) -> KIDecomposit
     for j, v in enumerate(cols):
         gamma_supp[j, :v.shape[0], :v.shape[2], :] = v.conj().transpose(0, 2, 1)
     gamma_supp = gamma_supp.reshape(-1, r)
-    tens = _ki_tensor(gamma_supp @ q.conj().T, mat, dims, (1, d_c))
-    factors = _block_factors(tens, [(v.shape[0], v.shape[2]) for v in cols])
+    gamma_total = gamma_supp @ q.conj().T
+    shapes = [(v.shape[0], v.shape[2]) for v in cols]
+    d_c = split.c_layout.dim
+    if split.us is None:
+        tens = _ki_tensor(gamma_total, split.mat, dims, (1, d_c))
+        factors = _block_factors(tens, shapes)
+        pairs = [(Eigenpairs.of(omega), Eigenpairs.of(phi)) for _, omega, phi in factors]
+    else:
+        # a pure state's: Psi_AC = U S² U†, so the mapped state is Y Y† for
+        # Y = (Gamma (x) I_C) U S, and Y's block rows factor omega_j and phi_j
+        y = _ki_factor(gamma_total, split.us)
+        tens = (y @ y.conj().T).reshape(*dims, 1, d_c, *dims, 1, d_c)
+        factors = _block_factors(tens, shapes)
+        rows = y.reshape(*dims, d_c, -1)
+        pairs = []
+        for j, ((dl, dr), (p, _, _)) in enumerate(zip(shapes, factors)):
+            yj = rows[j, :dl, :dr] / np.sqrt(p)
+            pairs.append((Eigenpairs.of_factor(yj.reshape(dl, -1)),
+                          Eigenpairs.of_factor(yj.transpose(1, 2, 0, 3).reshape(dr * d_c, -1))))
     blocks = tuple(
-        KIBlock(j, p, v.shape[0], v.shape[2],
-                DensityOp(SystemLayout([("aL", v.shape[0])]), omega),
-                DensityOp(SystemLayout([("aR", v.shape[2])]) + c_layout, phi))
-        for j, (v, (p, omega, phi)) in enumerate(zip(cols, factors)))
+        KIBlock(j, p, dl, dr,
+                DensityOp._derived(SystemLayout([("aL", dl)]), omega, pairs=om_pairs),
+                DensityOp._derived(SystemLayout([("aR", dr)]) + split.c_layout, phi,
+                                   pairs=ph_pairs))
+        for j, ((dl, dr), (p, omega, phi), (om_pairs, ph_pairs))
+        in enumerate(zip(shapes, factors, pairs)))
     residual = _block_residual(tens, factors)
     if residual > tol:
         raise ValidationError(f"reconstruction residual {residual:.3e} > {tol:.3e}")
@@ -317,7 +355,7 @@ def _assemble(mat, rho_a, d_c, a_layout, c_layout, q, cols, tol) -> KIDecomposit
         SystemLayout([("suppA", r)]),
         SystemLayout(zip(("a0", "aL", "aR"), dims)),
         gamma_supp)
-    return KIDecomposition(gamma, q, blocks, dims, a_layout, c_layout)
+    return KIDecomposition(gamma, q, blocks, dims, split.a_layout, split.c_layout)
 
 
 @dataclass(frozen=True)
@@ -399,38 +437,40 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
     T is the block form sum_j sqrt(p_j) |j>|j> omega_j phi_j, from canonical
     purifications of the block factors, as a matrix with rows
     (a0, aL, aR, C) and columns (b0, bL, bR); it has r = sum_j bl_j br_j
-    nonzero columns, the purifier ranks.  X = (Gamma (x) I)|psi> is the
-    same kind of matrix with columns B.  As psi is pure, rho_B shares its
-    nonzero spectrum with the AC marginal, so supp(rho_B) is the span of
-    the r leading right singular vectors of X, and X_s = U_r S_r from the
-    thin SVD U S V† is the state in that basis.  Gamma' minimizes ||X_s Z - T||
-    over isometries: an orthogonal Procrustes problem (Schönemann 1966),
-    solved by the polar factor of X_s† T, so Gamma' is isometric by
-    construction.  This is the Uhlmann step of Hayden, Jozsa, Petz & Winter
+    nonzero columns, the purifier ranks.  The vector as a (AC, B) matrix
+    has the thin SVD U S V† (the Split's), and as psi is pure, rho_B shares
+    its nonzero spectrum with the AC marginal: supp(rho_B) is the span of
+    the r leading right singular vectors, and X_s = (Gamma (x) I) U_r S_r
+    is the state in that basis.  Gamma' minimizes ||X_s Z - T|| over
+    isometries: an orthogonal Procrustes problem (Schönemann 1966), solved
+    by the polar factor of X_s† T, so Gamma' is isometric by construction.
+    This is the Uhlmann step of Hayden, Jozsa, Petz & Winter
     (arXiv:quant-ph/0304007).  ``residual`` is the fit error,
     ||(Gamma (x) Gamma')|psi> - T||; above max(tol, 1e-6) it raises
     ValidationError.
     """
     if not psi.normalized:
         raise ValidationError("tripartite decomposition requires a normalized pure state")
-    a, b, c = list(a), list(b), list(c)
-    base = ki_decompose(marginal(psi, a + c), a, c, tol=tol, rng=rng)
-    ordered = permute_vec(psi, a + c + b)
-    d_a = ordered.layout.dim_of(a)
-    d_b = ordered.layout.dim_of(b)
-    d_c = ordered.layout.dim_of(c)
+    return _ki_tripartite(_split_pure(psi, a, c, b), tol, rng)
+
+
+def _ki_tripartite(split: Split, tol: float = 1e-7,
+                   rng: np.random.Generator | None = None) -> TripartiteKI:
+    """ki_tripartite of the Split of a pure state; the block factors are
+    purified from the eigenpairs _assemble computed."""
+    base = _ki_decompose(split, tol, rng)
+    d_c = split.c_layout.dim
 
     purified: list[tuple[PureVec, PureVec]] = []
     ranks = []
     for blk in base.blocks:
-        w_vals, w_vecs = eigh(blk.omega.mat)
+        w = blk.omega._pairs
         bl = _purifier_rank(blk.omega)
-        om_vec = np.einsum("a,la->la", np.sqrt(np.clip(w_vals[:bl], 0, None)),
-                           w_vecs[:, :bl])
-        f_vals, f_vecs = eigh(blk.phi.mat)
+        om_vec = w.vecs[:, :bl] * np.sqrt(np.clip(w.vals[:bl], 0, None))
+        f = blk.phi._pairs
         br = _purifier_rank(blk.phi)
-        g = f_vecs[:, :br].reshape(blk.dim_r, d_c, br)
-        ph_vec = np.einsum("b,rcb->rbc", np.sqrt(np.clip(f_vals[:br], 0, None)), g)
+        g = f.vecs[:, :br].reshape(blk.dim_r, d_c, br)
+        ph_vec = np.einsum("b,rcb->rbc", np.sqrt(np.clip(f.vals[:br], 0, None)), g)
         purified.append((
             PureVec(SystemLayout([("aL", blk.dim_l), ("bL", bl)]), om_vec.reshape(-1)),
             PureVec(SystemLayout([("aR", blk.dim_r), ("bR", br)]) + base.c_layout,
@@ -440,11 +480,9 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
     b_dims = (base.dims[0], max(bl for bl, _ in ranks), max(br for _, br in ranks))
     r = sum(bl * br for bl, br in ranks)
 
-    x = (base.gamma_total @ ordered.vec.reshape(d_a, -1)).reshape(-1, d_b)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    x_s = u[:, :r] * s[:r]
+    x_s = _ki_factor(base.gamma_total, split.us)[:, :r]
     t = _ki_pure(base, purified, b_dims).vec.reshape(-1, int(np.prod(b_dims)), d_c)
-    t = t.transpose(0, 2, 1).reshape(x.shape[0], -1)
+    t = t.transpose(0, 2, 1).reshape(x_s.shape[0], -1)
     pu, _, pvh = np.linalg.svd(x_s.conj().T @ t, full_matrices=False)
     z = pu @ pvh
     gamma_prime = IsometryOp(
@@ -454,5 +492,5 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
     residual = float(np.linalg.norm(x_s @ z - t))
     if residual > max(tol, 1e-6):
         raise ValidationError(f"B-side isometry residual {residual:.3e} exceeds tolerance")
-    return TripartiteKI(base, gamma_prime, vh[:r].T, tuple(purified), b_dims,
+    return TripartiteKI(base, gamma_prime, split.vh[:r].T, tuple(purified), b_dims,
                         residual=residual)

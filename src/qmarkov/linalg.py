@@ -109,7 +109,59 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Eigenpairs:
+    """A Hermitian PSD operator as vecs diag(vals) vecs†, ``vals`` descending.
+
+    ``vecs`` may have fewer columns than rows; the missing eigenvalues are
+    zero.  Its square root, inverse square root on the support and support
+    basis are the ones ``psd_sqrt``, ``pinv_sqrt`` and ``support_basis``
+    compute, without a second eigensolve.
+    """
+
+    vals: np.ndarray = field(repr=False)
+    vecs: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, m: np.ndarray, tol: float = HERM_TOL) -> "Eigenpairs":
+        """Eigenpairs of a Hermitian matrix, from one eigh."""
+        return cls(*eigh(m, tol=tol))
+
+    @classmethod
+    def of_factor(cls, f: np.ndarray) -> "Eigenpairs":
+        """Eigenpairs of F F†, from one thin SVD of F."""
+        u, s, _ = np.linalg.svd(f, full_matrices=False)
+        return cls(s * s, u)
+
+    def sqrt(self, tol: float = HERM_TOL) -> np.ndarray:
+        """Hermitian PSD square root; errors on eigenvalues below -tol.
+
+        Eigenvalues within the eigensolver noise floor of zero are zeroed
+        before the root: the square root would otherwise amplify O(eps)
+        noise on exact kernel directions to O(sqrt(eps)).
+        """
+        vals = self.vals
+        if len(vals) and vals[-1] < -tol * max(1.0, float(vals[0])):
+            raise ValidationError(f"matrix is not PSD: min eigenvalue {vals[-1]}")
+        vals = np.clip(vals, 0.0, None)
+        if len(vals):
+            vals[vals < vals[0] * 1e-14] = 0.0
+        return (self.vecs * np.sqrt(vals)) @ self.vecs.conj().T
+
+    def inv_sqrt(self, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+        """Inverse square root on the support, zero on the kernel."""
+        vals = np.clip(self.vals, 0.0, None)
+        cutoff = (vals[0] if len(vals) else 0.0) * rank_rtol
+        inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
+        return (self.vecs * inv) @ self.vecs.conj().T
+
+    def support(self, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+        """Orthonormal column basis of the support."""
+        cutoff = (self.vals[0] if len(self.vals) else 0.0) * rank_rtol
+        return self.vecs[:, :int(np.sum(self.vals > cutoff))]
+
+
+@dataclass(frozen=True, eq=False)
 class DensityOp:
     """Complex PSD unit-trace matrix over a SystemLayout.
 
@@ -117,12 +169,18 @@ class DensityOp:
     PSD); a few protocol-level objects are deliberately subnormalized.
     ``spectrum`` holds the ascending, read-only eigenvalues of the Hermitian
     part that validation computed, so entropies need no second eigensolve.
+    A marginal of a pure state keeps that vector as ``_source``, so a split
+    of it factors the vector instead of the matrix; a block factor keeps
+    the eigenpairs its spectrum came from as ``_pairs``.  Instances compare
+    and hash by identity.
     """
 
     layout: SystemLayout
     mat: np.ndarray = field(repr=False)
     trace_of_one: bool = True
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _source = None
+    _pairs = None
 
     def __init__(self, layout: SystemLayout, mat, trace_of_one: bool = True,
                  tol: float = HERM_TOL):
@@ -144,6 +202,26 @@ class DensityOp:
         object.__setattr__(self, "trace_of_one", bool(trace_of_one))
         object.__setattr__(self, "spectrum", spectrum)
 
+    @classmethod
+    def _derived(cls, layout: SystemLayout, mat: np.ndarray, trace_of_one: bool = True,
+                 pairs: Eigenpairs | None = None, source: "PureVec | None" = None,
+                 ) -> "DensityOp":
+        """An operator derived from validated data, Hermitian PSD by
+        construction (a marginal of a validated vector ``source``, a block
+        factor), so not checked again.  Its spectrum is read from its known
+        eigenpairs ``pairs``, or else computed."""
+        if pairs is None:
+            spectrum = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+        else:
+            spectrum = np.concatenate([np.zeros(layout.dim - len(pairs.vals)), pairs.vals[::-1]])
+        spectrum.flags.writeable = False
+        op = object.__new__(cls)
+        for name, value in (("layout", layout), ("mat", mat),
+                            ("trace_of_one", bool(trace_of_one)), ("spectrum", spectrum),
+                            ("_source", source), ("_pairs", pairs)):
+            object.__setattr__(op, name, value)
+        return op
+
     @property
     def dim(self) -> int:
         return self.layout.dim
@@ -152,7 +230,7 @@ class DensityOp:
         return float(np.trace(self.mat).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureVec:
     """Unit-norm complex vector over a SystemLayout.
 
@@ -182,7 +260,7 @@ class PureVec:
                          trace_of_one=self.normalized)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryOp:
     """Linear isometry between labeled spaces: mat† mat = identity on source."""
 
@@ -261,12 +339,14 @@ def partial_trace(op: DensityOp, keep: Iterable[str]) -> DensityOp:
 def marginal(psi: PureVec, keep: Iterable[str]) -> DensityOp:
     """Reduced density operator of a pure state on the kept factors,
     preserving their order: ``M M†`` with ``M`` the vector reshaped to
-    (kept, rest), so the full D×D matrix is never formed."""
+    (kept, rest), so the full D×D matrix is never formed.  It is PSD by
+    construction and not validated again."""
     keep_set = set(keep)
     new_layout = psi.layout.restrict(keep_set)
     rest = tuple(l for l in psi.layout.labels if l not in keep_set)
     m = permute_vec(psi, new_layout.labels + rest).vec.reshape(new_layout.dim, -1)
-    return DensityOp(new_layout, m @ m.conj().T, trace_of_one=psi.normalized)
+    return DensityOp._derived(new_layout, m @ m.conj().T, trace_of_one=psi.normalized,
+                              source=psi)
 
 
 def eigh(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -279,37 +359,19 @@ def eigh(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Hermitian PSD square root; errors on eigenvalues below -tol.
-
-    Eigenvalues within the eigensolver noise floor of zero are zeroed
-    before the root: the square root would otherwise amplify O(eps)
-    noise on exact kernel directions to O(sqrt(eps)).
-    """
-    vals, vecs = eigh(m, tol=tol)
-    scale = max(1.0, float(vals[0])) if len(vals) else 1.0
-    if len(vals) and vals[-1] < -tol * scale:
-        raise ValidationError(f"matrix is not PSD: min eigenvalue {vals[-1]}")
-    vals = np.clip(vals, 0.0, None)
-    if len(vals):
-        vals[vals < vals[0] * 1e-14] = 0.0
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    """Hermitian PSD square root (``Eigenpairs.sqrt``); errors on
+    eigenvalues below -tol."""
+    return Eigenpairs.of(m, tol=tol).sqrt(tol=tol)
 
 
 def pinv_sqrt(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """Inverse square root on the support, zero on the kernel."""
-    vals, vecs = eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    cutoff = (vals[0] if len(vals) else 0.0) * rank_rtol
-    inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
-    return (vecs * inv) @ vecs.conj().T
+    return Eigenpairs.of(m).inv_sqrt(rank_rtol)
 
 
 def support_basis(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal column basis of the support of a Hermitian PSD matrix."""
-    vals, vecs = eigh(m)
-    cutoff = (vals[0] if len(vals) else 0.0) * rank_rtol
-    r = int(np.sum(vals > cutoff))
-    return vecs[:, :r]
+    return Eigenpairs.of(m).support(rank_rtol)
 
 
 def purify(rho: DensityOp, ref_label: str = "R") -> PureVec:

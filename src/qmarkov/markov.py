@@ -21,11 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
+    Split,
+    _split_pure,
+    _transfer,
     apply_kraus,
     ergodic_projector,
     petz_channel,
     reshuffle,
-    transfer_matrices,
 )
 from .entropy import ProbDist, qcmi, qmi, shannon, trace_norm, vn_entropy
 from .kidec import (
@@ -34,8 +36,8 @@ from .kidec import (
     _block_factors,
     _block_residual,
     _ki_tensor,
+    _ki_tripartite,
     ki_decompose,
-    ki_tripartite,
 )
 from .linalg import (
     DensityOp,
@@ -73,7 +75,7 @@ class CostReport:
     blocks: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovDecomposition:
     """Block form of a Markov state exposed by the KI isometry on B."""
 
@@ -114,11 +116,16 @@ def markov_cost_algorithm(psi: PureVec, a: Sequence[str] = ("A",),
     """
     if not isinstance(psi, PureVec) or not psi.normalized:
         raise ValidationError("the spectral route requires a normalized pure state")
-    rho_ac = marginal(psi, list(a) + list(c))
-    t1, lam = transfer_matrices(rho_ac, a, c)
+    return _cost_algorithm(_split_pure(psi, a, c), hermiticity_tol)
+
+
+def _cost_algorithm(split: Split, hermiticity_tol: float = HERMITICITY_GATE,
+                    ) -> float | None:
+    """markov_cost_algorithm of the Split of a pure state."""
+    t1, lam = _transfer(split)
     if not is_hermitian(lam, tol=hermiticity_tol):
         return None
-    omega_inf = reshuffle(ergodic_projector(lam) @ t1, rho_ac.layout.dim_of(a))
+    omega_inf = reshuffle(ergodic_projector(lam) @ t1, split.a_layout.dim)
     vals = np.linalg.eigvalsh((omega_inf + omega_inf.conj().T) / 2)
     return shannon(np.clip(vals, 0.0, None))
 
@@ -198,16 +205,26 @@ def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
                  b: Sequence[str] = ("B",), c: Sequence[str] = ("C",),
                  rng: np.random.Generator | None = None,
                  bound_tol: float = 1e-7) -> CostReport:
-    """Full cost report with the sandwich I(A:C|B) <= M <= I(A:BC) enforced."""
+    """Full cost report with the sandwich I(A:C|B) <= M <= I(A:BC) enforced.
+
+    On a pure state both routes and the entropies read one Split of the
+    vector.  There S(AB) = S(C), S(BC) = S(A), S(B) = S(AC) and S(ABC) = 0,
+    so I(A:C|B) = S(C) + S(A) - S(AC) and I(A:BC) = 2 S(A), from the
+    split's two spectra and the C-marginal's.
+    """
     a, b, c = list(a), list(b), list(c)
-    cond = qcmi(psi, a, b, c)
-    total = qmi(psi, a, b + c)
     if not isinstance(psi, PureVec):
-        return CostReport(None, None, cond, total, None, ())
-    tki = ki_tripartite(psi, a, b, c, rng=rng)
+        return CostReport(None, None, qcmi(psi, a, b, c), qmi(psi, a, b + c), None, ())
+    if not psi.normalized:
+        raise ValidationError("tripartite decomposition requires a normalized pure state")
+    split = _split_pure(psi, a, c, b)
+    s_a, s_ac = (shannon(np.clip(e.vals, 0.0, None)) for e in (split.a, split.ac))
+    cond = vn_entropy(marginal(psi, c)) + s_a - s_ac
+    total = 2.0 * s_a
+    tki = _ki_tripartite(split, rng=rng)
     m_formula = markov_cost_formula(tki)
     blocks = tuple((blk.p, vn_entropy(blk.phi_ar)) for blk in tki.blocks)
-    m_algorithm = markov_cost_algorithm(psi, a, b, c)
+    m_algorithm = _cost_algorithm(split)
     adjoint = m_algorithm is not None
     if not (cond - bound_tol <= m_formula <= total + bound_tol):
         raise ValidationError(

@@ -67,7 +67,7 @@ class TypicalSpec:
             raise ValidationError(f"delta = {self.delta} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockEntry:
     """One typical block sequence with its weight and an orthonormal basis
     (as columns) of its typical quantum subspace."""
@@ -500,8 +500,9 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     between normalized states, averaged over trials.
 
     Only the A-side decomposition is used (``tki`` may be either kind; by
-    default it is computed from the AC marginal, and the B side, which the
-    unitaries never touch, is not built, so ``b`` is not read).  In the eigenbases of the
+    default it is computed from the AC marginal, which splits the vector as
+    ki_tripartite does, and the B side, which the unitaries never touch, is
+    not built, so ``b`` is not read).  In the eigenbases of the
     phi_j^aR, block s of the n-copy state is diagonal with amplitudes
     a_s[x] = sqrt(prob_s prod_i lambda_{j_i}[x_i]) over the patterns x, and
     P_s keeps the typical ones.  A sample is then, per sequence, the

@@ -29,7 +29,15 @@ from qmarkov.linalg import (
     random_density,
     random_pure,
 )
-from qmarkov.markov import TWO_ROUTE_TOL, bounds_check, build_example, mixed_with_product
+from qmarkov.entropy import ProbDist
+from qmarkov.markov import (
+    TWO_ROUTE_TOL,
+    bounds_check,
+    build_example,
+    markov_decomposition,
+    mixed_with_product,
+)
+from qmarkov.protocol import BlockEntry
 
 
 @pytest.fixture
@@ -156,6 +164,37 @@ class TestKiDecompose:
             v = gt.conj().T @ blockdiag @ gt + (np.eye(d_a) - p_supp)
             big = np.kron(v, np.eye(2))
             assert np.max(np.abs(big @ st.mat @ big.conj().T - st.mat)) <= 1e-8
+
+
+class TestIdentitySemantics:
+    """Frozen dataclasses with array fields compare and hash by identity:
+    the generated field-wise == would compare arrays."""
+
+    def test_decompositions(self):
+        rho = marginal(build_example("VIB", d=2, lam=0.3), ["A", "C"])
+        first, second = ki_decompose(rho), ki_decompose(rho)
+        assert (first.blocks == second.blocks) is False
+        assert (first == second) is False and (first == first) is True
+        parts = [first, first.gamma, *first.blocks, first.blocks[0].omega]
+        assert len({*parts, second, *second.blocks}) == len(parts) + 1 + len(second.blocks)
+
+    def test_every_array_holder(self):
+        vib = build_example("VIB", d=2, lam=0.3)
+        ups = DensityOp(layout(("A", 2), ("B", 2), ("C", 2)), np.eye(8) / 8)
+        makers = [
+            lambda: PureVec(vib.layout, vib.vec),
+            lambda: DensityOp(layout(("A", 2)), np.eye(2) / 2),
+            lambda: IsometryOp(layout(("s", 2)), layout(("t", 2)), np.eye(2)),
+            lambda: channels.KrausChannel(layout(("A", 2)), layout(("A", 2)), [np.eye(2)]),
+            lambda: ki_tripartite(vib),
+            lambda: markov_decomposition(ups),
+            lambda: ProbDist([0.5, 0.5]),
+            lambda: BlockEntry((0,), 1.0, np.eye(2)),
+        ]
+        for make in makers:
+            x, y = make(), make()
+            assert (x == y) is False and (x == x) is True
+            assert hash(x) == hash(x)
 
 
 class TestHardBlockStructures:

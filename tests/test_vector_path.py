@@ -1,7 +1,9 @@
 """The cost path on pure states works from the vector.
 
 Marginals and entropies of a pure state come from the reshaped vector,
-and the nullspace solves compute only the SVD factors they read.  The
+and one query factorizes each operator once: the vector across AC|B by one
+thin SVD, rho_A by one eigh, and each block factor once.  The nullspace
+solves compute only the SVD factors they read.  The
 commutant solve, over Hermitian unknowns, eigensolves the commutator
 system's d² x d² Gram matrix for candidates and resolves them by one SVD of
 their commutators.  The dense definitions they replaced serve as oracles
@@ -20,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarkov import channels, cli, stateio
-from qmarkov.channels import NULLSPACE_RTOL, _commutant_of_family, channel_E
-from qmarkov.entropy import qcmi, qmi
-from qmarkov.kidec import ki_decompose, validate_ki
+from qmarkov.channels import NULLSPACE_RTOL, _commutant_of_family, _split_pure, channel_E
+from qmarkov.entropy import qcmi, qmi, trace_distance
+from qmarkov.kidec import ki_decompose, ki_tripartite, validate_ki
 from qmarkov.linalg import (
     DensityOp,
     PureVec,
@@ -32,6 +34,8 @@ from qmarkov.linalg import (
     partial_trace,
     permute_mat,
     permute_vec,
+    pinv_sqrt,
+    psd_sqrt,
     random_density,
     random_pure,
     support_basis,
@@ -120,13 +124,113 @@ class TestNoDenseMatrix:
         report = bounds_check(make())
         assert report.qcmi - 1e-7 <= report.m_formula <= report.qmi_a_bc + 1e-7
 
-    @pytest.mark.parametrize("argv", [["bounds"], ["markov-cost", "--route", "both"]])
+    @pytest.mark.parametrize("argv", [["bounds"], ["markov-cost", "--route", "both"],
+                                      ["entropy"], ["trace-dist", "{other}"]])
     def test_cli(self, argv, tmp_path, capsys, no_density):
-        path = tmp_path / "vib.json"
+        path, other = tmp_path / "vib.json", tmp_path / "other.json"
         stateio.dump(build_example("VIB", d=2, lam=0.3), str(path))
-        code = cli.main([argv[0], str(path), *argv[1:]])
+        stateio.dump(build_example("VIB", d=2, lam=0.7), str(other))
+        code = cli.main([argv[0], str(path), *(a.format(other=other) for a in argv[1:])])
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cli_pure_values_match_dense(self, seed, tmp_path, capsys):
+        rng = np.random.default_rng(seed)
+        lay = layout(("A", 3), ("B", 4), ("C", 3))
+        psi, phi = random_pure(lay, rng), random_pure(lay, rng)
+        paths = [tmp_path / "psi.json", tmp_path / "phi.json"]
+        for state, path in zip((psi, phi), paths):
+            stateio.dump(state, str(path))
+        read = {}
+        for argv in (["entropy", str(paths[0])], ["trace-dist", *map(str, paths)]):
+            assert cli.main(argv) == 0
+            read.update(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert abs(float(read["entropy_bits"])) <= 1e-12
+        dense = trace_distance(psi.density(), phi.density())
+        assert float(read["trace_distance"]) == pytest.approx(dense, rel=1e-11)
+
+    def test_cli_trace_dist_dimension_mismatch(self, tmp_path, capsys):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        stateio.dump(build_example("VIB", d=2, lam=0.3), str(paths[0]))
+        stateio.dump(build_example("VIC", lam=(0.5, 0.5)), str(paths[1]))
+        assert cli.main(["trace-dist", *map(str, paths)]) == 1
+        assert capsys.readouterr().err == "error: dimension mismatch 18 != 8\n"
+
+
+def _recording(monkeypatch) -> list[np.ndarray]:
+    """Every matrix handed to np.linalg's eigh, eigvalsh and svd, in order."""
+    seen = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def recording(m, *args, _solve=getattr(np.linalg, name), **kwargs):
+            seen.append(np.array(m))
+            return _solve(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+def _factorizes(m: np.ndarray, op: np.ndarray) -> bool:
+    """Whether a factorization of m is one of op: m is op, or a factor F of
+    it with F F† = op or (F† F)* = op."""
+    return m.ndim == 2 and any(
+        g.shape == op.shape and np.allclose(g, op, rtol=0, atol=1e-12)
+        for g in (m, m @ m.conj().T, (m.conj().T @ m).conj()))
+
+
+QUERY_CASES = {
+    "random-5-25-5": (lambda: random_pure(layout(("A", 5), ("B", 25), ("C", 5)),
+                                          np.random.default_rng(3)), "A", "B", "C"),
+    "vib-pair": (lambda: _vib_pair(0.2, 0.6), "A1,A2", "B1,B2", "C1,C2"),
+}
+
+
+class TestOneFactorizationPerOperator:
+    @pytest.mark.parametrize("case", list(QUERY_CASES))
+    def test_bounds_check(self, case, monkeypatch):
+        # rho_AC, rho_B and the vector across AC|B share one spectrum: one
+        # thin SVD serves them all, as one eigh of rho_A serves its support,
+        # its roots and S(A); rho_C gives S(C)
+        make, *parts = QUERY_CASES[case]
+        psi = make()
+        a, b, c = (p.split(",") for p in parts)
+        split_ops = [marginal(psi, a + c).mat, marginal(psi, b).mat]
+        blocks = ki_tripartite(psi, a, b, c).blocks
+        ops = [marginal(psi, a).mat, marginal(psi, c).mat] + [
+            op.mat for blk in blocks for op in (blk.omega, blk.phi, blk.phi_ar)]
+        seen = _recording(monkeypatch)
+        bounds_check(psi, a, b, c)
+        assert sum(any(_factorizes(m, op) for op in split_ops) for m in seen) == 1
+        for op in ops:
+            # operators may coincide, such as omega_j = [[1]] of every block
+            copies = sum(o.shape == op.shape and np.allclose(o, op, rtol=0, atol=1e-12)
+                         for o in ops)
+            assert sum(_factorizes(m, op) for m in seen) == copies
+
+
+AGREEMENT_CASES = {
+    "via-2": lambda: build_example("VIA", d=2, lam=0.6),
+    "via-3": lambda: build_example("VIA", d=3, lam=0.5),
+    "vib-2": lambda: build_example("VIB", d=2, lam=0.3),
+    "vib-3": lambda: build_example("VIB", d=3, lam=0.5),
+    "vic": lambda: build_example("VIC", lam=(0.2, 0.3, 0.5)),
+    **{f"random-{d[0]}-{d[1]}-{d[2]}": (
+        lambda d=d: random_pure(layout(*zip("ABC", d)), np.random.default_rng(sum(d))))
+       for d in ((2, 3, 2), (3, 9, 3), (4, 5, 3), (5, 25, 5))},
+}
+
+
+class TestSplitAgreesWithMarginals:
+    @pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+    def test_spectrum_and_roots(self, case):
+        psi = AGREEMENT_CASES[case]()
+        split = _split_pure(psi, ["A"], ["C"])
+        rho_ac, rho_a = marginal(psi, ["A", "C"]), marginal(psi, ["A"])
+        spectrum = np.zeros(rho_ac.dim)
+        spectrum[:len(split.ac.vals)] = split.ac.vals
+        assert np.max(np.abs(np.sort(spectrum) - rho_ac.spectrum)) <= 1e-12
+        assert np.max(np.abs(split.ac.sqrt() - psd_sqrt(rho_ac.mat))) <= 1e-12
+        assert np.max(np.abs(split.a.inv_sqrt() - pinv_sqrt(rho_a.mat))) <= 1e-12
+        assert np.max(np.abs(split.a.sqrt() - psd_sqrt(rho_a.mat))) <= 1e-12
 
 
 def _projector(basis) -> np.ndarray:
