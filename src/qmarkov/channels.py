@@ -111,16 +111,14 @@ def _require_partition(layout: SystemLayout, a: Sequence[str], c: Sequence[str])
 
 
 def _split_bipartite(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
-    """Reorder to (A..., C...) and return
-    (mat, rho_a, d_a, d_c, a_layout, ac_layout), rho_a the A-marginal."""
+    """Reorder to (A..., C...) and return (mat, rho_a, ac_layout), rho_a the
+    A-marginal."""
     a, c = list(a), list(c)
     _require_partition(psi_ac.layout, a, c)
     ac_layout = psi_ac.layout.reorder(a + c)
-    d_a = ac_layout.dim_of(a)
-    d_c = ac_layout.dim_of(c)
+    d_a, d_c = ac_layout.dim_of(a), ac_layout.dim_of(c)
     mat = permute_mat(psi_ac.mat, psi_ac.layout, a + c)
-    rho_a = np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c))
-    return mat, rho_a, d_a, d_c, ac_layout.restrict(a), ac_layout
+    return mat, np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c)), ac_layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +129,11 @@ class Split:
     one query all read them and the one recovery Kraus tensor built from
     them.
 
-    From a DensityOp (_split_density) both are eighs, and Psi_AC is kept as
-    ``mat``.  From a pure state on A (x) B (x) C (_split_pure), ``ac`` comes
-    from the thin SVD Psi = U S V† of the vector as a (AC, B) matrix, its
-    Schmidt decomposition: Psi_AC = U S² U† is kept as the factor ``us`` =
-    U S, and the rows of ``vh`` = V† span supp(Psi_B).
+    Psi_AC is kept as the factor ``us``, Psi_AC = us us†.  From a DensityOp
+    (_split_density) both are eighs, and ``us`` = U sqrt(Lambda) keeps every
+    eigenpair of Psi_AC = U Lambda U†.  From a pure state on A (x) B (x) C
+    (_split_pure), ``ac`` and ``us`` = U S come from the thin SVD Psi = U S V†
+    of the vector as a (AC, B) matrix, and the rows of ``vh`` = V† span supp(Psi_B).
     """
 
     a_layout: SystemLayout
@@ -143,8 +141,7 @@ class Split:
     rho_a: np.ndarray = field(repr=False)
     a: Eigenpairs = field(repr=False)
     ac: Eigenpairs = field(repr=False)
-    mat: np.ndarray | None = field(default=None, repr=False)
-    us: np.ndarray | None = field(default=None, repr=False)
+    us: np.ndarray = field(repr=False)
     vh: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
@@ -161,9 +158,10 @@ def _split_density(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Spl
     if psi_ac._source is not None:
         _require_partition(psi_ac.layout, a, c)
         return _split_pure(psi_ac._source, a, c)
-    mat, rho_a, _, _, a_layout, ac_layout = _split_bipartite(psi_ac, a, c)
-    return Split(a_layout, ac_layout.restrict(c), rho_a, Eigenpairs.of(rho_a),
-                 Eigenpairs.of(mat), mat=mat)
+    mat, rho_a, ac_layout = _split_bipartite(psi_ac, a, c)
+    a_pairs, ac = Eigenpairs.of(rho_a), Eigenpairs.of(mat)
+    return Split(ac_layout.restrict(a), ac_layout.restrict(c), rho_a, a_pairs, ac,
+                 us=ac.vecs * np.sqrt(np.clip(ac.vals, 0, None)))
 
 
 def _split_pure(psi: PureVec, a: Sequence[str], c: Sequence[str],

@@ -181,8 +181,9 @@ def _trace_dist(args, s1, s2):
 @_command("ki-decompose", "block decomposition of a bipartite state",
           labels="AC", seed=True)
 def _ki_decompose(args, state):
-    rho = _density(state)
     a, c = _parts(args, state)
+    # a pure state's marginal keeps its vector, which the split factors
+    rho = marginal(state, a + c) if isinstance(state, PureVec) else state
     dec = ki_decompose(rho, a, c, rng=np.random.default_rng(args.seed))
     val = validate_ki(dec, rho)
     rep = {"n_blocks": len(dec.blocks),

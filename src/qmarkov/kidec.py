@@ -24,9 +24,10 @@ factors give every eigenspace of a block the same quantum-factor basis
 validate_ki's checks are further solves of the same commutant solver.
 
 Every step reads one channels.Split of the AC state: the eigenpairs of the
-A-marginal and of the state, and the recovery Kraus tensor built from them.
-A density operator splits by eighs; ki_tripartite splits the pure vector
-itself, by one thin SVD across AC|B, and so never forms the AC marginal.
+A-marginal and of the state, the recovery Kraus tensor built from them, and
+a factor Psi_AC = us us†, from eighs for a density operator and from one
+thin SVD across AC|B for a pure vector (which ki_tripartite never expands).
+Both then take one path, through the block rows of (Gamma (x) I_C) us.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .linalg import (
     PureVec,
     SystemLayout,
     ValidationError,
-    partial_trace,
 )
 
 # Gap threshold for splitting eigenvalue clusters of random algebra
@@ -85,8 +85,10 @@ class KIBlock:
 
     @cached_property
     def phi_ar(self) -> DensityOp:
-        """The quantum-factor marginal phi_j^aR, traced out once, on first use."""
-        return partial_trace(self.phi, ["aR"])
+        """phi_j^aR, traced out once, on first use; PSD as phi_j is, so not checked."""
+        d_c = self.phi.dim // self.dim_r
+        traced = np.einsum("iaja->ij", self.phi.mat.reshape(self.dim_r, d_c, self.dim_r, d_c))
+        return DensityOp._derived(self.phi.layout.restrict(["aR"]), traced)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,20 +255,20 @@ def _ki_decompose(split: Split, tol: float = 1e-7,
 
 def _ki_tensor(gamma_total: np.ndarray, mat: np.ndarray, dims: tuple[int, ...],
                rest: tuple[int, ...]) -> np.ndarray:
-    """(Gamma (x) I) rho (Gamma (x) I)† as a tensor over (dims, rest, dims, rest).
+    """(Gamma (x) I) rho (Gamma (x) I)† as a tensor over (dims, rest, dims, rest),
+    by two _ki_factor products; the second reads rho through its adjoint, so
+    ``mat`` is taken to be Hermitian.
 
     ``mat`` is on the decomposed system followed by the ``rest`` factors;
     ``gamma_total`` maps the decomposed system onto the ``dims`` factors.
     """
-    r = int(np.prod(rest))
-    # np.kron(gamma_total, I_r), entry for entry, without np.kron's overhead
-    big = np.multiply.outer(gamma_total, np.eye(r)).transpose(0, 2, 1, 3).reshape(
-        gamma_total.shape[0] * r, -1)
-    return (big @ mat @ big.conj().T).reshape(*dims, *rest, *dims, *rest)
+    return _ki_factor(gamma_total, _ki_factor(gamma_total, mat).conj().T).reshape(
+        *dims, *rest, *dims, *rest)
 
 
 def _ki_factor(gamma_total: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """(Gamma (x) I_C) applied to the columns of a factor over (A, C)."""
+    """(Gamma (x) I) applied to the columns of a matrix with rows over
+    (decomposed system, rest), such as a factor over (A, C)."""
     return (gamma_total @ us.reshape(gamma_total.shape[1], -1)).reshape(-1, us.shape[1])
 
 
@@ -305,8 +307,9 @@ def _block_residual(tens: np.ndarray,
 
 def _assemble(split: Split, q, cols, tol) -> KIDecomposition:
     """Decomposition from the (dim_l, r, dim_r) column arrays of
-    _block_structure.  Each block factor is factorized once, here: by eigh,
-    or on a pure state's Split by a thin SVD of its rows of Y."""
+    _block_structure.  Psi_AC = us us† on either input type, so the mapped
+    state is Y Y† for Y = (Gamma (x) I_C) us, and each block factor is
+    factorized once, here, by a thin SVD of Y's block rows."""
     r = q.shape[1]
     # weights determine the presentation order of the blocks
     rho_supp = q.conj().T @ split.rho_a @ q
@@ -324,29 +327,18 @@ def _assemble(split: Split, q, cols, tol) -> KIDecomposition:
     gamma_total = gamma_supp @ q.conj().T
     shapes = [(v.shape[0], v.shape[2]) for v in cols]
     d_c = split.c_layout.dim
-    if split.us is None:
-        tens = _ki_tensor(gamma_total, split.mat, dims, (1, d_c))
-        factors = _block_factors(tens, shapes)
-        pairs = [(Eigenpairs.of(omega), Eigenpairs.of(phi)) for _, omega, phi in factors]
-    else:
-        # a pure state's: Psi_AC = U S² U†, so the mapped state is Y Y† for
-        # Y = (Gamma (x) I_C) U S, and Y's block rows factor omega_j and phi_j
-        y = _ki_factor(gamma_total, split.us)
-        tens = (y @ y.conj().T).reshape(*dims, 1, d_c, *dims, 1, d_c)
-        factors = _block_factors(tens, shapes)
-        rows = y.reshape(*dims, d_c, -1)
-        pairs = []
-        for j, ((dl, dr), (p, _, _)) in enumerate(zip(shapes, factors)):
-            yj = rows[j, :dl, :dr] / np.sqrt(p)
-            pairs.append((Eigenpairs.of_factor(yj.reshape(dl, -1)),
-                          Eigenpairs.of_factor(yj.transpose(1, 2, 0, 3).reshape(dr * d_c, -1))))
-    blocks = tuple(
-        KIBlock(j, p, dl, dr,
-                DensityOp._derived(SystemLayout([("aL", dl)]), omega, pairs=om_pairs),
-                DensityOp._derived(SystemLayout([("aR", dr)]) + split.c_layout, phi,
-                                   pairs=ph_pairs))
-        for j, ((dl, dr), (p, omega, phi), (om_pairs, ph_pairs))
-        in enumerate(zip(shapes, factors, pairs)))
+    y = _ki_factor(gamma_total, split.us)
+    tens = (y @ y.conj().T).reshape(*dims, 1, d_c, *dims, 1, d_c)
+    factors = _block_factors(tens, shapes)
+    rows = y.reshape(*dims, d_c, -1)
+    blocks = []
+    for j, ((dl, dr), (p, omega, phi)) in enumerate(zip(shapes, factors)):
+        yj = rows[j, :dl, :dr] / np.sqrt(p)
+        om = Eigenpairs.of_factor(yj.reshape(dl, -1))
+        ph = Eigenpairs.of_factor(yj.transpose(1, 2, 0, 3).reshape(dr * d_c, -1))
+        blocks.append(KIBlock(
+            j, p, dl, dr, DensityOp._derived(SystemLayout([("aL", dl)]), omega, pairs=om),
+            DensityOp._derived(SystemLayout([("aR", dr)]) + split.c_layout, phi, pairs=ph)))
     residual = _block_residual(tens, factors)
     if residual > tol:
         raise ValidationError(f"reconstruction residual {residual:.3e} > {tol:.3e}")
@@ -355,7 +347,7 @@ def _assemble(split: Split, q, cols, tol) -> KIDecomposition:
         SystemLayout([("suppA", r)]),
         SystemLayout(zip(("a0", "aL", "aR"), dims)),
         gamma_supp)
-    return KIDecomposition(gamma, q, blocks, dims, split.a_layout, split.c_layout)
+    return KIDecomposition(gamma, q, tuple(blocks), dims, split.a_layout, split.c_layout)
 
 
 @dataclass(frozen=True)
@@ -392,7 +384,8 @@ def validate_ki(dec: KIDecomposition, psi_ac: DensityOp) -> KIValidationReport:
     """
     a = dec.a_layout.labels
     c = dec.c_layout.labels
-    mat, rho_a, _, d_c, _, _ = _split_bipartite(psi_ac, list(a), list(c))
+    mat, rho_a, _ = _split_bipartite(psi_ac, a, c)
+    d_c = dec.c_layout.dim
     gamma_total = dec.gamma_total
     tens = _ki_tensor(gamma_total, mat, dec.dims, (1, d_c))
     reconstruction = _block_residual(

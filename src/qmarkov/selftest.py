@@ -75,7 +75,8 @@ class CriterionResult:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".3e")
+    # round-off reads as a bound, so reordered sums leave the report as it is
+    return "< 1e-12" if abs(x) < 1e-12 else format(float(x), ".3e")
 
 
 def criterion_1(rng: np.random.Generator) -> tuple[bool, str]:

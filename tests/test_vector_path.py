@@ -125,7 +125,8 @@ class TestNoDenseMatrix:
         assert report.qcmi - 1e-7 <= report.m_formula <= report.qmi_a_bc + 1e-7
 
     @pytest.mark.parametrize("argv", [["bounds"], ["markov-cost", "--route", "both"],
-                                      ["entropy"], ["trace-dist", "{other}"]])
+                                      ["entropy"], ["trace-dist", "{other}"],
+                                      ["ki-decompose"], ["ki-decompose", "--A", "A", "--C", "C"]])
     def test_cli(self, argv, tmp_path, capsys, no_density):
         path, other = tmp_path / "vib.json", tmp_path / "other.json"
         stateio.dump(build_example("VIB", d=2, lam=0.3), str(path))
@@ -205,6 +206,71 @@ class TestOneFactorizationPerOperator:
             copies = sum(o.shape == op.shape and np.allclose(o, op, rtol=0, atol=1e-12)
                          for o in ops)
             assert sum(_factorizes(m, op) for m in seen) == copies
+
+
+def _vib_vic(eps: float) -> PureVec:
+    """VIB(2, 1/2) (x) VIC(1 - eps, eps): two blocks next to two of weight ~eps."""
+    vib, vic = build_example("VIB", d=2, lam=0.5), build_example("VIC", lam=(1 - eps, eps))
+    lay = layout(("A", 3), ("B", 3), ("C", 2), ("A2", 2), ("B2", 2), ("C2", 2))
+    return PureVec(lay, np.kron(vib.vec, vic.vec))
+
+
+KI_PATH_CASES = {
+    "via": (lambda: build_example("VIA", d=2, lam=0.6), "A", "C"),
+    "vib": (lambda: build_example("VIB", d=2, lam=0.3), "A", "C"),
+    "vic": (lambda: build_example("VIC", lam=(0.2, 0.3, 0.5)), "A", "C"),
+    "random-3-4-3": (lambda: random_pure(layout(("A", 3), ("B", 4), ("C", 3)),
+                                         np.random.default_rng(5)), "A", "C"),
+    **{f"vib-vic-{eps:.0e}": (lambda eps=eps: _vib_vic(eps), "A,A2", "C,C2")
+       for eps in (1e-4, 1e-7, 1e-10)},
+}
+
+
+def _dense_marginal(case) -> tuple[DensityOp, DensityOp, list[str], list[str]]:
+    """A case's AC marginal, once as a pure state's marginal (which splits
+    the vector) and once as a dense DensityOp copy of its matrix."""
+    make, a, c = KI_PATH_CASES[case]
+    a, c = a.split(","), c.split(",")
+    rho = marginal(make(), a + c)
+    return rho, DensityOp(rho.layout, rho.mat), a, c
+
+
+class TestOneKiPath:
+    """A DensityOp takes the pure state's path: its Split keeps the factor
+    U sqrt(lambda) of its eigh, and _assemble factorizes each block from
+    the block rows of Y = (Gamma (x) I_C) us."""
+
+    @pytest.mark.parametrize("case", list(KI_PATH_CASES))
+    def test_dense_agrees_with_vector(self, case):
+        rho, dense, a, c = _dense_marginal(case)
+        got, want = ki_decompose(dense, a, c), ki_decompose(rho, a, c)
+        assert got.dims == want.dims
+        assert [(b.dim_l, b.dim_r) for b in got.blocks] == [
+            (b.dim_l, b.dim_r) for b in want.blocks]
+        for g, w in zip(got.blocks, want.blocks):
+            assert abs(g.p - w.p) <= 1e-12
+            for name in ("omega", "phi", "phi_ar"):
+                spec_g, spec_w = getattr(g, name).spectrum, getattr(w, name).spectrum
+                assert np.max(np.abs(spec_g - spec_w)) <= 1e-12, name
+
+    @pytest.mark.parametrize("case", ["vic", "random-3-4-3", "vib-vic-1e-07"])
+    def test_dense_factorizes_once(self, case, monkeypatch):
+        # ki_decompose on a dense input factorizes rho_AC once, in its split,
+        # and hands no block factor itself to a solver (the old path's eigh);
+        # validate_ki reads the state's matrix and factorizes nothing at the
+        # full AC dimension
+        _, dense, a, c = _dense_marginal(case)
+        ordered = permute_mat(dense.mat, dense.layout, a + c)
+        seen = _recording(monkeypatch)
+        dec = ki_decompose(dense, a, c)
+        for blk in dec.blocks:
+            for op in (blk.omega.mat, blk.phi.mat):
+                assert not any(m.shape == op.shape and np.allclose(m, op, rtol=0, atol=1e-12)
+                               for m in seen)
+        assert sum(_factorizes(m, ordered) for m in seen) == 1
+        seen.clear()
+        assert validate_ki(dec, dense).ok()
+        assert not any(_factorizes(m, ordered) for m in seen)
 
 
 AGREEMENT_CASES = {
