@@ -29,7 +29,7 @@ from . import stateio
 from .channels import _split_pure
 from .entropy import factored_trace_norm, qcmi, trace_distance, vn_entropy
 from .kidec import _ki_tripartite, ki_decompose, validate_ki
-from .linalg import LabelError, PureVec, ValidationError, marginal
+from .linalg import LabelError, PureVec, ValidationError, marginal, partial_trace
 from .markov import (
     _cost_algorithm,
     build_example,
@@ -183,7 +183,7 @@ def _trace_dist(args, s1, s2):
 def _ki_decompose(args, state):
     a, c = _parts(args, state)
     # a pure state's marginal keeps its vector, which the split factors
-    rho = marginal(state, a + c) if isinstance(state, PureVec) else state
+    rho = marginal(state, a + c) if isinstance(state, PureVec) else partial_trace(state, a + c)
     dec = ki_decompose(rho, a, c, rng=np.random.default_rng(args.seed))
     val = validate_ki(dec, rho)
     rep = {"n_blocks": len(dec.blocks),

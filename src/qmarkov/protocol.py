@@ -13,11 +13,12 @@ spectra of the quantum-factor marginals phi_j^aR.  In their eigenbases a
 block of the n-copy state is diagonal (it is its own Schmidt form across
 aR^n and the rest), so a sampled block is an r_s x r_s matrix on the
 typical eigenvalue patterns of its sequence, and everything the
-unitaries leave fixed is one direction.
+unitaries leave fixed is one direction.  The simulator's cap bounds the
+entries of the arrays it fills, not the n-copy dimension D.
 
-The dense objects of the reference path live on a per-copy labeled
-layout with the factors grouped by role ("a0.1", ..., "a0.n", "aR.1",
-..., "C.n"); factors of dimension one are dropped.
+The dense objects of the reference path, capped by D, live on a
+per-copy labeled layout with the factors grouped by role ("a0.1", ...,
+"a0.n", "aR.1", ..., "C.n"); factors of dimension one are dropped.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import ProbDist, factored_trace_norm, shannon, vn_entropy
-from .kidec import KIDecomposition, TripartiteKI, _purifier_rank, ki_decompose
+from .entropy import ProbDist, shannon, vn_entropy
+from .kidec import KIDecomposition, TripartiteKI, ki_decompose
 from .linalg import (
     DensityOp,
     DimensionError,
@@ -43,8 +44,8 @@ from .linalg import (
     permute_vec,
 )
 
-# Largest n-copy dimension D the simulator accepts by default; simulate
-# also bounds its N x D sampled amplitudes by the square of the cap.
+# Largest n-copy dimension D the dense reference path accepts by default;
+# simulate bounds the entries of the arrays it fills by the square of the cap.
 DEFAULT_DIM_CAP = 4096
 # Largest number of classical block sequences enumerated exactly.
 DEFAULT_SEQUENCE_CAP = 1 << 20
@@ -249,17 +250,6 @@ def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
     base = _base(tki)
     return float(sum(prob * np.sum(weights) for _, prob, _, weights in
                      _typical_patterns(base, spec, max_sequences)))
-
-
-def _n_copy_dim(base: KIDecomposition, n: int) -> int:
-    """Dimension D of the grouped n-copy layout, (a0 aL aR b0 bL bR C)^n,
-    from the block data alone: b0 = a0, and bL and bR are the largest
-    purifier ranks of the blocks' omega_j and phi_j, as ki_tripartite
-    chooses them."""
-    d_a0, d_al, d_ar = base.dims
-    d_bl = max(_purifier_rank(blk.omega) for blk in base.blocks)
-    d_br = max(_purifier_rank(blk.phi) for blk in base.blocks)
-    return (d_a0 * d_al * d_ar * d_a0 * d_bl * d_br * base.c_layout.dim) ** n
 
 
 def protocol_layout(tki: TripartiteKI, n: int) -> SystemLayout:
@@ -474,6 +464,12 @@ def min_nonzero_eigenvalue(mat: np.ndarray, rtol: float = 1e-12) -> float:
     return _smallest_above(np.linalg.eigvalsh((mat + mat.conj().T) / 2), rtol)
 
 
+def _trace_norm_with_diagonal(h: np.ndarray, diagonal: np.ndarray) -> float:
+    """Trace norm of the Hermitian h with the given diagonal; overwrites h."""
+    h[np.diag_indices_from(h)] = diagonal
+    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+
+
 def min_eig_lower_bound(tki: TripartiteKI, n: int, delta: float, d_a: int) -> float:
     """Closed-form lower bound on the smallest nonzero eigenvalue of the
     averaged Markov state."""
@@ -509,20 +505,23 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     r_s x r_s matrix U_s diag(a_s) on the typical patterns; everything the
     unitaries leave fixed (the other patterns and sequences) is one
     coordinate of norm sqrt(1 - typical_mass).  The exact average is
-    diagonal with entries a_s[x]^2 / r_s, so it has the factor
-    Y = diag(sqrt(.)), and its smallest nonzero eigenvalue is the smallest
-    entry above 1e-12 times the largest.  Both trace norms are taken on
-    sum_s r_s^2 (+1) rows; no D x D matrix, no N x D array and no n-copy
-    vector is formed.  Each trial draws its N unitaries in one generator
-    call, in the order of N ``sample_block_unitary`` calls.
+    diagonal with entries a_s[x]^2 / r_s, and its smallest nonzero
+    eigenvalue is the smallest entry above 1e-12 times the largest.  With
+    X the R (+1) x N matrix of the samples over sqrt(N), R = sum_s r_s^2,
+    the sample average is G = X X^dagger, and each trace norm is the sum of
+    |eigenvalues| of G minus a diagonal: err_to_average on the R x R typical
+    block of G minus the average, over the typical mass; err_full on all
+    of G minus the normalized average.  No D x D matrix, no N x D array and
+    no n-copy vector is formed.  Each trial draws its N unitaries in one
+    generator call, in the order of N ``sample_block_unitary`` calls.
 
     chernoff_n is inf when err_to_average is at most ERR_ROUNDOFF, the
     round-off level of the distance.  Raises ValidationError, before any
     work, when trials < 1, when rate < 0 (rate 0 is one unitary), when
     n < 1, when delta is not positive (nan included) or when 2^(n*rate) is
-    not a finite double.  Raises DimensionError, before the
-    first draw, when N x D exceeds dim_cap^2 or the n-copy dimension D of
-    the decomposed state, (a0 aL aR b0 bL bR C)^n, exceeds dim_cap.
+    not a finite double.  Raises DimensionError, before the first draw,
+    when the arrays it fills, X and G, would hold (R + 1)(N + R + 1) >
+    dim_cap^2 entries; a draw's N x 2R normals fit in that count.
     """
     if trials < 1:
         raise ValidationError(f"trials = {trials} < 1")
@@ -537,37 +536,37 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     base = ki_decompose(marginal(psi, [*a, *c]), a, c) if tki is None else _base(tki)
-    dim = _n_copy_dim(base, n)
-    if n_unitaries * dim > dim_cap ** 2:
-        raise DimensionError(
-            f"{n_unitaries:.4g} unitaries at dimension {dim} need "
-            f"{n_unitaries * dim:.4g} sampled amplitudes > dim_cap^2 = {dim_cap ** 2}")
     amp2, avg = _spectral_average(base, spec)
-    if dim > dim_cap:
-        raise DimensionError(f"the n-copy state has dimension {dim} > cap {dim_cap}")
+    n_typical = len(avg)
+    entries = (n_typical + 1) * (n_unitaries + n_typical + 1)
+    if entries > dim_cap ** 2:
+        raise DimensionError(
+            f"{n_unitaries:.4g} unitaries at {n_typical} typical coordinates need "
+            f"{entries:.4g} array entries > dim_cap^2 = {dim_cap ** 2}")
     d_mass = _checked_weight(float(sum(np.sum(w) for w in amp2)))
     ranks = [len(w) for w in amp2]
-    amps = [np.sqrt(w) for w in amp2]
+    scale = 1.0 / np.sqrt(n_unitaries)
+    amps = [np.sqrt(w) * scale for w in amp2]
     lam_min = _smallest_above(np.sort(avg), 1e-12)
-    y_avg = np.diag(np.sqrt(avg / d_mass))
     rest = 1.0 - d_mass  # squared norm of what the unitaries leave fixed
-    y_full = np.vstack([y_avg, np.zeros((1, len(avg)))]) if rest > 0 else y_avg
+    target = np.append(avg, [0.0] if rest > 0 else []) / d_mass
 
     err_avg_trials, err_full_trials = [], []
-    # columns V_i psi in the coordinates: the sample average is X X^dagger / N
-    x_full = np.empty((len(y_full), n_unitaries), dtype=np.complex128)
-    x_full[len(avg):] = np.sqrt(max(rest, 0.0))
-    x_avg = x_full[:len(avg)]
+    # columns V_i psi / sqrt(N) in the coordinates: the sample average is X X^dagger
+    x = np.empty((len(target), n_unitaries), dtype=np.complex128)
+    x[n_typical:] = np.sqrt(max(rest, 0.0)) * scale
     darn = base.dims[2] ** n
-    scale = 1.0 / np.sqrt(n_unitaries)
     for _ in range(trials):
         draws = _draw_block_unitaries(ranks, darn, rng, n_unitaries)
         start = 0
         for u, a_s, r in zip(draws, amps, ranks):
-            x_avg[start:start + r * r] = (u * a_s).reshape(n_unitaries, r * r).T
+            x[start:start + r * r] = (u * a_s).reshape(n_unitaries, r * r).T
             start += r * r
-        err_avg_trials.append(factored_trace_norm(x_avg * (scale / np.sqrt(d_mass)), y_avg))
-        err_full_trials.append(factored_trace_norm(x_full * scale, y_full))
+        gram = x @ x.conj().T
+        gram_diag = gram.diagonal().real.copy()  # the two norms overwrite it
+        err_avg_trials.append(_trace_norm_with_diagonal(
+            gram[:n_typical, :n_typical], gram_diag[:n_typical] - avg) / d_mass)
+        err_full_trials.append(_trace_norm_with_diagonal(gram, gram_diag - target))
 
     err_avg = float(np.mean(err_avg_trials))
     err_full = float(np.mean(err_full_trials))

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmarkov.entropy import qcmi, trace_norm
+from qmarkov.entropy import factored_trace_norm, qcmi, trace_norm
 from qmarkov.kidec import ki_tripartite
 from qmarkov.linalg import (
     DensityOp,
@@ -17,6 +19,7 @@ from qmarkov.linalg import (
 from qmarkov.markov import build_example
 from qmarkov import protocol
 from qmarkov.protocol import (
+    DEFAULT_DIM_CAP,
     ERR_ROUNDOFF,
     TypicalSpec,
     _apply_blockwise,
@@ -24,8 +27,8 @@ from qmarkov.protocol import (
     _block_view,
     _draw_block_unitaries,
     _ki_power,
-    _n_copy_dim,
     _spectral_average,
+    _trace_norm_with_diagonal,
     a_side_labels,
     average_markov_state,
     b_side_labels,
@@ -338,18 +341,28 @@ class TestSimulate:
         state = rng.bit_generator.state
         with pytest.raises(DimensionError, match="dim_cap"):
             simulate(psi, n=2, delta=1.0, rate=30.0, trials=1, rng=rng, tki=tki)
-        # D = 64 at n = 2: N x D = 128 x 64 exceeds 64^2, 64 x 64 does not
-        with pytest.raises(DimensionError):
-            simulate(psi, n=2, delta=1.0, rate=3.5, trials=1, rng=rng, tki=tki, dim_cap=64)
+        # R = 2 typical coordinates at n = 2: (R + 1)(N + R + 1) is 4098 > 64^2
+        # at N = 1363 and 4095 at N = 1362
+        with pytest.raises(DimensionError, match=r"1363 unitaries at 2 typical coordinates "
+                                                 r"need 4098 array entries > dim_cap\^2 = 4096"):
+            simulate(psi, n=2, delta=1.0, rate=math.log2(1362.5) / 2, trials=1, rng=rng,
+                     tki=tki, dim_cap=64)
         assert rng.bit_generator.state == state
         # under the bound the stubs are on the path
         with pytest.raises(AssertionError, match="drew a unitary"):
-            simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, rng=rng, tki=tki)
+            simulate(psi, n=2, delta=1.0, rate=math.log2(1361.5) / 2, trials=1, rng=rng,
+                     tki=tki, dim_cap=64)
 
-    def test_bound_is_n_times_d(self, ghz_tki):
-        psi, tki = ghz_tki
-        res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=1, tki=tki, dim_cap=64)
-        assert res.n_unitaries * 64 == 64 ** 2
+    @pytest.mark.parametrize("family, kw, n, rate", [("VIB", dict(d=2, lam=0.3), 3, 1.5),
+                                                     ("VIC", dict(lam=(0.5, 0.5)), 6, 1.0)])
+    def test_runs_past_the_n_copy_dimension(self, family, kw, n, rate):
+        # the cap bounds the arrays simulate fills, not the n-copy dimension
+        psi = build_example(family, **kw)
+        tki = ki_tripartite(psi, rng=np.random.default_rng(0))
+        assert protocol.protocol_layout(tki, n).dim > DEFAULT_DIM_CAP
+        res = simulate(psi, n=n, delta=1.0, rate=rate, trials=1, seed=1)
+        assert res.n_unitaries == math.ceil(2.0 ** (n * rate))
+        assert 0 < res.err_to_average < 2 and 0 < res.err_full < 2
 
     def test_no_dense_matrix_on_the_path(self, monkeypatch):
         def dense(*args, **kwargs):
@@ -370,23 +383,50 @@ class TestSimulate:
         # VIB(2, 0.3), n = 2, rate 3: no full-length block application, and
         # both trace norms see sum_s r_s^2 = 9 typical rows (+1 fixed one)
         applied, rows = [], []
-        apply, norm = protocol._apply_blockwise, protocol.factored_trace_norm
+        apply, norm = protocol._apply_blockwise, protocol._trace_norm_with_diagonal
 
         def counted_apply(*args, **kwargs):
             applied.append(1)
             return apply(*args, **kwargs)
 
-        def counted_norm(x, y):
-            rows.append(x.shape[0])
-            return norm(x, y)
+        def counted_norm(h, diagonal):
+            rows.append(h.shape[0])
+            return norm(h, diagonal)
 
         monkeypatch.setattr("qmarkov.protocol._apply_blockwise", counted_apply)
-        monkeypatch.setattr("qmarkov.protocol.factored_trace_norm", counted_norm)
+        monkeypatch.setattr("qmarkov.protocol._trace_norm_with_diagonal", counted_norm)
         psi = build_example("VIB", d=2, lam=0.3)
         res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=2, seed=0)
         assert res.n_unitaries == 64
         assert applied == []
         assert rows == [9, 10, 9, 10]
+
+
+@st.composite
+def sample_and_average(draw):
+    """Samples X with a positive diagonal target, as simulate builds them: on
+    rest=True the last row is one constant coordinate with target 0."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rest = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) / np.sqrt(cols)
+    target = rng.uniform(1e-3, 1.0, size=rows)
+    y = np.diag(np.sqrt(target))
+    if rest:
+        x = np.vstack([x, np.full((1, cols), rng.uniform(0.0, 1.0))])
+        target = np.append(target, 0.0)
+        y = np.vstack([y, np.zeros((1, rows))])
+    return x, target, y
+
+
+class TestDirectTraceNorm:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(sample_and_average())
+    def test_matches_factored(self, case):
+        x, target, y = case
+        gram = x @ x.conj().T
+        direct = _trace_norm_with_diagonal(gram, gram.diagonal().real - target)
+        assert abs(direct - factored_trace_norm(x, y)) <= 1e-12
 
 
 # VIB(2, 0.5) at delta 1.5 has typical ranks 4, 2, 2, 1; the VIC states have
@@ -562,8 +602,22 @@ class TestBlockData:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dimension_from_block_data(self, oracle_state, n):
-        _, tki = oracle_state
-        assert _n_copy_dim(tki.base, n) == protocol.protocol_layout(tki, n).dim
+        # the arrays simulate fills are sized by the R typical coordinates of
+        # the block data: at dim_cap = 2(R + 1), N = 3(R + 1) unitaries fill
+        # exactly dim_cap^2 entries and run; N + 1 is refused before any draw
+        psi, tki = oracle_state
+        r = len(_spectral_average(tki.base, TypicalSpec(n, 1.5))[1])
+        cap, n_max = 2 * (r + 1), 3 * (r + 1)
+        assert (r + 1) * (n_max + r + 1) == cap ** 2
+        res = simulate(psi, n=n, delta=1.5, rate=math.log2(n_max - 0.5) / n, trials=1,
+                       seed=1, tki=tki.base, dim_cap=cap)
+        assert res.n_unitaries == n_max and 0 <= res.err_full <= 2
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionError, match=f"^{n_max + 1} unitaries at {r} typical"):
+            simulate(psi, n=n, delta=1.5, rate=math.log2(n_max + 0.5) / n, trials=1,
+                     rng=rng, tki=tki.base, dim_cap=cap)
+        assert rng.bit_generator.state == state
 
     def test_either_decomposition(self):
         psi = build_example("VIB", d=2, lam=0.3)

@@ -326,6 +326,23 @@ class TestCli:
         assert fields["n_blocks"] == "2"
         assert float(fields["reconstruction_residual"]) <= 1e-7
 
+    def test_ki_decompose_mixed_file_traces_out_b(self, tmp_path, capsys, monkeypatch):
+        # the same tripartite state, saved pure and mixed: --A A --C C
+        # decomposes rho_AC on both
+        psi = build_example("VIB", d=2, lam=0.3)
+        reports = []
+        for name, state in (("pure", psi), ("mixed", psi.density())):
+            path = str(tmp_path / f"{name}.json")
+            stateio.dump(state, path)
+            code, out, _ = run_cli(capsys, monkeypatch,
+                                   ["ki-decompose", path, "--A", "A", "--C", "C"])
+            assert code == 0
+            fields = dict(line.split(" = ") for line in out.strip().splitlines())
+            reports.append({k: v for k, v in fields.items()
+                            if k == "n_blocks" or k.startswith(("dims_", "block_"))})
+        assert reports[0] == reports[1]
+        assert reports[0]["n_blocks"] == "2"
+
     def test_recovery_and_is_markov(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "m.json"
         stateio.dump(build_example("VIA", d=2, lam=0.25), str(path))
@@ -546,7 +563,8 @@ class TestCliErrors:
         (["--trials", "0", "--rate", "3"], "trials = 0 < 1"),
         (["--trials", "-1", "--rate", "3"], "trials = -1 < 1"),
         (["--rate", "1e6"], "2^(n*rate) = 2^2e+06 unitaries is not a finite double"),
-        (["--rate", "30"], "1.153e+18 unitaries at dimension 64 need 7.379e+19 sampled"),
+        (["--rate", "30"], "1.153e+18 unitaries at 2 typical coordinates need 3.459e+18 array"
+                           " entries > dim_cap^2 = 16777216"),
         (["--rate", "-1"], "rate = -1.0 < 0"),
         (["--rate", "-1e-3"], "rate = -0.001 < 0"),
         (["--n", "0", "--rate", "3"], "n = 0 < 1"),
