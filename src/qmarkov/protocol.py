@@ -23,6 +23,7 @@ per-copy labeled layout with the factors grouped by role ("a0.1", ...,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -114,20 +115,22 @@ def strongly_typical_set(p, n: int, delta: float,
                          ) -> list[tuple[tuple[int, ...], float]]:
     """All length-n sequences with empirical frequencies within delta/|J|
     of the distribution, zero-probability symbols excluded."""
+    return list(_strongly_typical(p, n, delta, max_sequences))
+
+
+def _strongly_typical(p, n: int, delta: float, max_sequences: int):
+    """``strongly_typical_set`` one sequence at a time, in lexicographic order."""
     w = p.weights if isinstance(p, ProbDist) else ProbDist(p).weights
     k = len(w)
     if k ** n > max_sequences:
         raise ValidationError(f"{k}^{n} sequences exceed the cap {max_sequences}")
     window = delta / k
-    out = []
     for seq in itertools.product(range(k), repeat=n):
         counts = np.bincount(seq, minlength=k)
         if any(counts[s] > 0 and w[s] <= 0 for s in range(k)):
             continue
         if all(abs(counts[s] / n - w[s]) < window for s in range(k)):
-            prob = float(np.prod(w[np.array(seq)]))
-            out.append((seq, prob))
-    return out
+            yield seq, float(np.prod(w[np.array(seq)]))
 
 
 def weakly_typical_set(p, n: int, delta: float,
@@ -149,15 +152,6 @@ def weakly_typical_set(p, n: int, delta: float,
     return out
 
 
-def _weak_window(spectrum, m: int, delta: float,
-                 ) -> list[tuple[tuple[int, ...], float]]:
-    """Weakly typical eigenvalue patterns for m copies of a spectrum; the
-    empty pattern qualifies when m = 0."""
-    if m == 0:
-        return [((), 1.0)]
-    return weakly_typical_set(_renormalize(spectrum), m, delta)
-
-
 def _renormalize(spectrum) -> ProbDist:
     s = np.clip(np.asarray(spectrum, dtype=np.float64), 0.0, None)
     return ProbDist(s / np.sum(s))
@@ -167,48 +161,41 @@ def _base(ki: TripartiteKI | KIDecomposition) -> KIDecomposition:
     return ki.base if isinstance(ki, TripartiteKI) else ki
 
 
-def _typical_patterns(base: KIDecomposition, spec: TypicalSpec, max_sequences: int):
-    """Typical block sequences with their typical eigenvalue patterns.
+def _typical_windows(base: KIDecomposition, spec: TypicalSpec, max_sequences: int):
+    """Typical block sequences with their typical eigenvalue windows, lazily.
 
-    Yields (seq, prob, patterns, weights) for every typical sequence
-    j_1..j_n that keeps at least one pattern.  A pattern picks, per copy i,
-    an eigenvalue of block j_i's phi_j^aR, indexed largest first; for every
-    symbol j, its indices on the copies where j occurs form a weakly
-    typical pattern of that spectrum.  weights holds each pattern's
-    conditional probability, the product of its renormalized eigenvalues.
+    Yields (seq, prob, positions, windows) for every typical sequence
+    j_1..j_n that keeps a pattern.  Per symbol j of seq, positions holds
+    the copies where j occurs and windows the weakly typical patterns of
+    phi_j^aR's spectrum (indexed largest first) on them, with their
+    conditional probabilities; the sequence's patterns are their product.
     """
-    spectra = [np.clip(blk.phi_ar.spectrum[::-1], 0.0, None) for blk in base.blocks]
+    spectra = [_renormalize(blk.phi_ar.spectrum[::-1]) for blk in base.blocks]
     cache: dict[tuple[int, int], list] = {}  # window of symbol j on m copies
-    for seq, prob in strongly_typical_set(_renormalize(base.probs), spec.n, spec.delta,
-                                          max_sequences):
-        positions: dict[int, list[int]] = {}
-        for pos, j in enumerate(seq):
-            positions.setdefault(j, []).append(pos)
-        symbols = sorted(positions)
+    for seq, prob in _strongly_typical(_renormalize(base.probs), spec.n, spec.delta,
+                                       max_sequences):
+        symbols = sorted(set(seq))
+        positions = [[i for i, s in enumerate(seq) if s == j] for j in symbols]
         windows = []
-        for j in symbols:
-            key = (j, len(positions[j]))
+        for j, pos_j in zip(symbols, positions):
+            key = (j, len(pos_j))
             if key not in cache:
-                cache[key] = _weak_window(spectra[j], key[1], spec.delta)
+                cache[key] = weakly_typical_set(spectra[j], key[1], spec.delta)
             windows.append(cache[key])
-        if not all(windows):
-            continue
-        patterns, weights = [], []
-        for combo in itertools.product(*windows):
-            pattern = [0] * spec.n
-            weight = 1.0
-            for j, (subseq, w) in zip(symbols, combo):
-                for pos, x in zip(positions[j], subseq):
-                    pattern[pos] = x
-                weight *= w
-            patterns.append(pattern)
-            weights.append(weight)
-        yield seq, prob, patterns, np.array(weights)
+        if all(windows):
+            yield seq, prob, positions, windows
 
 
-def _typical_blocks(base: KIDecomposition, spec: TypicalSpec, max_sequences: int) -> list:
-    """``_typical_patterns`` as a list; an entirely empty region raises."""
-    out = list(_typical_patterns(base, spec, max_sequences))
+def _window_weights(windows) -> np.ndarray:
+    """Conditional probability of each pattern of ``itertools.product(*windows)``,
+    in its order: the product of its renormalized eigenvalues."""
+    return functools.reduce(np.kron, (np.array([w for _, w in win]) for win in windows),
+                            np.ones(1))
+
+
+def _typical_blocks(blocks) -> list:
+    """The typical blocks as a list; an entirely empty region raises."""
+    out = list(blocks)
     if not out:
         raise ValidationError(
             "typical region is empty for these (n, delta); enlarge delta or n")
@@ -233,13 +220,15 @@ def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
         vecs[:blk.dim_r] = np.linalg.eigh(blk.phi_ar.mat)[1][:, ::-1]
         padded.append(vecs)
     entries = []
-    for seq, prob, patterns, _ in _typical_blocks(base, spec, max_sequences):
+    for seq, prob, positions, windows in _typical_blocks(
+            _typical_windows(base, spec, max_sequences)):
         vectors = []
-        for pattern in patterns:
-            vec = np.ones(1, dtype=np.complex128)
-            for j, x in zip(seq, pattern):
-                vec = np.kron(vec, padded[j][:, x])
-            vectors.append(vec)
+        for combo in itertools.product(*windows):
+            pattern = np.empty(spec.n, dtype=int)
+            for pos_j, (subseq, _) in zip(positions, combo):
+                pattern[pos_j] = subseq
+            vectors.append(functools.reduce(
+                np.kron, (padded[j][:, x] for j, x in zip(seq, pattern))))
         entries.append(BlockEntry(seq, prob, np.array(vectors).T))
     return BlockStructure(spec, tuple(entries))
 
@@ -248,8 +237,8 @@ def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
                  max_sequences: int = DEFAULT_SEQUENCE_CAP) -> float:
     """Weight of the projected n-copy state, computed combinatorially."""
     base = _base(tki)
-    return float(sum(prob * np.sum(weights) for _, prob, _, weights in
-                     _typical_patterns(base, spec, max_sequences)))
+    return float(sum(prob * np.sum(_window_weights(windows)) for _, prob, _, windows in
+                     _typical_windows(base, spec, max_sequences)))
 
 
 def protocol_layout(tki: TripartiteKI, n: int) -> SystemLayout:
@@ -445,13 +434,25 @@ def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
     return DensityOp(projected.layout, y @ y.conj().T, trace_of_one=False)
 
 
-def _spectral_average(base: KIDecomposition, spec: TypicalSpec,
+def _spectral_average(base: KIDecomposition, spec: TypicalSpec, n_unitaries: int = 1,
+                      dim_cap: int = DEFAULT_DIM_CAP,
                       ) -> tuple[list[np.ndarray], np.ndarray]:
     """Per typical sequence s, the squared amplitudes a_s^2 of its typical
     patterns; and the diagonal of the exact average in ``simulate``'s
-    coordinates, where entry (t, t') of sequence s is a_s[t']^2 / r_s."""
-    amp2 = [prob * weights for _, prob, _, weights in _typical_blocks(
-        base, spec, DEFAULT_SEQUENCE_CAP)]
+    coordinates, where entry (t, t') of sequence s is a_s[t']^2 / r_s.
+    Raises DimensionError as soon as the R = sum_s r_s^2 coordinates counted
+    so far make (R + 1)(N + R + 1) > dim_cap^2 for N unitaries."""
+    amp2, n_typical = [], 0
+    for _, prob, _, windows in _typical_windows(base, spec, DEFAULT_SEQUENCE_CAP):
+        rank = math.prod(len(win) for win in windows)
+        n_typical += rank * rank
+        entries = (n_typical + 1) * (n_unitaries + n_typical + 1)
+        if entries > dim_cap ** 2:
+            raise DimensionError(f"{n_unitaries:.4g} unitaries at the {n_typical} typical "
+                                 f"coordinates counted so far need {entries:.4g} array "
+                                 f"entries > dim_cap^2 = {dim_cap ** 2}")
+        amp2.append(prob * _window_weights(windows))
+    _typical_blocks(amp2)
     return amp2, np.concatenate([np.tile(w / len(w), len(w)) for w in amp2])
 
 
@@ -519,9 +520,11 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     round-off level of the distance.  Raises ValidationError, before any
     work, when trials < 1, when rate < 0 (rate 0 is one unitary), when
     n < 1, when delta is not positive (nan included) or when 2^(n*rate) is
-    not a finite double.  Raises DimensionError, before the first draw,
-    when the arrays it fills, X and G, would hold (R + 1)(N + R + 1) >
-    dim_cap^2 entries; a draw's N x 2R normals fit in that count.
+    not a finite double.  Raises DimensionError, before the first draw
+    and while it counts the typical coordinates, when X and G would hold
+    (R + 1)(N + R + 1) > dim_cap^2 entries.  The cap counts only those
+    two; a draw's 2RN normals, its Haar stacks and eigvalsh's copy of G are
+    of the same order, so the peak is a few times that count.
     """
     if trials < 1:
         raise ValidationError(f"trials = {trials} < 1")
@@ -536,13 +539,8 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     base = ki_decompose(marginal(psi, [*a, *c]), a, c) if tki is None else _base(tki)
-    amp2, avg = _spectral_average(base, spec)
+    amp2, avg = _spectral_average(base, spec, n_unitaries, dim_cap)
     n_typical = len(avg)
-    entries = (n_typical + 1) * (n_unitaries + n_typical + 1)
-    if entries > dim_cap ** 2:
-        raise DimensionError(
-            f"{n_unitaries:.4g} unitaries at {n_typical} typical coordinates need "
-            f"{entries:.4g} array entries > dim_cap^2 = {dim_cap ** 2}")
     d_mass = _checked_weight(float(sum(np.sum(w) for w in amp2)))
     ranks = [len(w) for w in amp2]
     scale = 1.0 / np.sqrt(n_unitaries)

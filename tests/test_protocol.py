@@ -330,7 +330,7 @@ class TestSimulate:
 
     def test_unitary_count_bounded_before_any_draw(self, ghz_tki, monkeypatch):
         def no_draw(*args, **kwargs):
-            raise AssertionError("simulate drew a unitary before checking N x D")
+            raise AssertionError("simulate drew a unitary before checking the array cap")
         for target in ("qmarkov.protocol.sample_block_unitary",
                        "qmarkov.protocol._draw_block_unitaries",
                        "qmarkov.protocol.haar_from_normals",
@@ -343,8 +343,9 @@ class TestSimulate:
             simulate(psi, n=2, delta=1.0, rate=30.0, trials=1, rng=rng, tki=tki)
         # R = 2 typical coordinates at n = 2: (R + 1)(N + R + 1) is 4098 > 64^2
         # at N = 1363 and 4095 at N = 1362
-        with pytest.raises(DimensionError, match=r"1363 unitaries at 2 typical coordinates "
-                                                 r"need 4098 array entries > dim_cap\^2 = 4096"):
+        with pytest.raises(DimensionError, match=r"1363 unitaries at the 2 typical coordinates "
+                                                 r"counted so far need 4098 array entries > "
+                                                 r"dim_cap\^2 = 4096"):
             simulate(psi, n=2, delta=1.0, rate=math.log2(1362.5) / 2, trials=1, rng=rng,
                      tki=tki, dim_cap=64)
         assert rng.bit_generator.state == state
@@ -363,6 +364,23 @@ class TestSimulate:
         res = simulate(psi, n=n, delta=1.0, rate=rate, trials=1, seed=1)
         assert res.n_unitaries == math.ceil(2.0 ** (n * rate))
         assert 0 < res.err_to_average < 2 and 0 < res.err_full < 2
+
+    def test_large_n_refused_while_counting(self, monkeypatch):
+        # VIB(2,0.3) at n = 20 has ~10^6 typical sequences; the cap is checked
+        # sequence by sequence, so the first few already refuse 2^20 unitaries
+        yielded = []
+        enumerate_all = protocol._strongly_typical
+
+        def counted(*args):
+            for item in enumerate_all(*args):
+                yielded.append(item)
+                yield item
+        monkeypatch.setattr("qmarkov.protocol._strongly_typical", counted)
+        monkeypatch.setattr("qmarkov.protocol._draw_block_unitaries", None)
+        psi = build_example("VIB", d=2, lam=0.3)
+        with pytest.raises(DimensionError, match="^1.049e[+]06 unitaries at the "):
+            simulate(psi, n=20, delta=1.0, rate=1.0, trials=1, seed=1)
+        assert 0 < len(yielded) < 10
 
     def test_no_dense_matrix_on_the_path(self, monkeypatch):
         def dense(*args, **kwargs):
@@ -602,6 +620,18 @@ class TestBlockData:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dimension_from_block_data(self, oracle_state, n):
+        # simulate's R = sum_s r_s^2 typical coordinates, counted from the
+        # block data alone, match the typical subspaces of the dense path
+        psi, tki = oracle_state
+        spec = TypicalSpec(n, 1.5)
+        amp2, avg = _spectral_average(tki.base, spec)
+        blocks = build_blocks(tki, spec)
+        assert [len(w) for w in amp2] == [e.rank for e in blocks.entries]
+        assert len(avg) == sum(e.rank ** 2 for e in blocks.entries)
+        assert abs(np.sum(avg) - typical_mass(tki, spec)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cap_edge_from_block_data(self, oracle_state, n):
         # the arrays simulate fills are sized by the R typical coordinates of
         # the block data: at dim_cap = 2(R + 1), N = 3(R + 1) unitaries fill
         # exactly dim_cap^2 entries and run; N + 1 is refused before any draw
@@ -614,7 +644,7 @@ class TestBlockData:
         assert res.n_unitaries == n_max and 0 <= res.err_full <= 2
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        with pytest.raises(DimensionError, match=f"^{n_max + 1} unitaries at {r} typical"):
+        with pytest.raises(DimensionError, match=f"^{n_max + 1} unitaries at the {r} typical"):
             simulate(psi, n=n, delta=1.5, rate=math.log2(n_max + 0.5) / n, trials=1,
                      rng=rng, tki=tki.base, dim_cap=cap)
         assert rng.bit_generator.state == state

@@ -563,8 +563,8 @@ class TestCliErrors:
         (["--trials", "0", "--rate", "3"], "trials = 0 < 1"),
         (["--trials", "-1", "--rate", "3"], "trials = -1 < 1"),
         (["--rate", "1e6"], "2^(n*rate) = 2^2e+06 unitaries is not a finite double"),
-        (["--rate", "30"], "1.153e+18 unitaries at 2 typical coordinates need 3.459e+18 array"
-                           " entries > dim_cap^2 = 16777216"),
+        (["--rate", "30"], "1.153e+18 unitaries at the 1 typical coordinates counted so far"
+                           " need 2.306e+18 array entries > dim_cap^2 = 16777216"),
         (["--rate", "-1"], "rate = -1.0 < 0"),
         (["--rate", "-1e-3"], "rate = -0.001 < 0"),
         (["--n", "0", "--rate", "3"], "n = 0 < 1"),
