@@ -79,11 +79,13 @@ def _read_state(path: str | None):
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise stateio.StateFileError("SCHEMA_JSON", f"not UTF-8 text: {err}") from err
-    return stateio.loads(text), hashlib.sha256(raw).hexdigest()
+    del raw  # the parse should not hold the file twice
+    return stateio.loads(text), digest
 
 
 def _parts(args, state) -> list[list[str]]:

@@ -516,15 +516,16 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     no n-copy vector is formed.  Each trial draws its N unitaries in one
     generator call, in the order of N ``sample_block_unitary`` calls.
 
-    chernoff_n is inf when err_to_average is at most ERR_ROUNDOFF, the
-    round-off level of the distance.  Raises ValidationError, before any
-    work, when trials < 1, when rate < 0 (rate 0 is one unitary), when
-    n < 1, when delta is not positive (nan included) or when 2^(n*rate) is
-    not a finite double.  Raises DimensionError, before the first draw
-    and while it counts the typical coordinates, when X and G would hold
-    (R + 1)(N + R + 1) > dim_cap^2 entries.  The cap counts only those
-    two; a draw's 2RN normals, its Haar stacks and eigvalsh's copy of G are
-    of the same order, so the peak is a few times that count.
+    An err_to_average of at most ERR_ROUNDOFF, the round-off level of the
+    distance, is reported as 0.0, and chernoff_n is then inf.  Raises
+    ValidationError, before any work, when trials < 1, when rate < 0
+    (rate 0 is one unitary), when n < 1, when delta is not positive (nan
+    included) or when 2^(n*rate) is not a finite double.  Raises
+    DimensionError, before the first draw and while it counts the typical
+    coordinates, when X and G would hold (R + 1)(N + R + 1) > dim_cap^2
+    entries.  The cap counts only those two; a draw's 2RN normals, its Haar
+    stacks and eigvalsh's copy of G are of the same order, so the peak is a
+    few times that count.
     """
     if trials < 1:
         raise ValidationError(f"trials = {trials} < 1")
@@ -570,7 +571,9 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     err_full = float(np.mean(err_full_trials))
     d_a = psi.layout.dim_of(a)
     chernoff = math.inf
-    if err_avg > ERR_ROUNDOFF:
+    if err_avg <= ERR_ROUNDOFF:
+        err_avg = 0.0  # an exact zero, seen through round-off
+    else:
         eps1 = err_avg / 2.0
         chernoff = float(np.ceil(2.0 * np.log(2.0 * float(d_a) ** (3 * n))
                                  / (lam_min * eps1 ** 2)))

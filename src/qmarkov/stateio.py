@@ -9,12 +9,17 @@ Schema (version 1):
               | [[[re, im], ...], ...]            # mixed: row-major matrix
     }
 
-Parsing validates the schema and the physical invariants.  The data field
-is checked in bulk, as one array; only rejected data is walked, to name its
-first short row or bad entry by index (data[i] or data[i][j]).  Normalization
-is enforced within 1e-6 and then made exact.  Error codes, stable for
-scripting: SCHEMA_JSON, SCHEMA_FIELD, SCHEMA_VERSION, SCHEMA_KIND,
-SCHEMA_LAYOUT, SCHEMA_LEN, SCHEMA_ENTRY, NORM, TRACE and INVALID_STATE.
+Parsing validates the schema and the physical invariants.  The document is
+read one top-level key at a time by json's own scanner.  A mixed matrix is
+read one row at a time, and each row is converted to doubles as soon as it
+is scanned, so no Python object per number outlives its row; a pure vector
+is converted in bulk, as one array.  A file this scan does not accept is
+parsed whole by json.loads and its data walked, to name the first short row
+or bad entry by index (data[i] or data[i][j]), so a rejected file gets the
+same error either way.  Normalization is enforced within 1e-6 and then made
+exact.  Error codes, stable for scripting: SCHEMA_JSON, SCHEMA_FIELD,
+SCHEMA_VERSION, SCHEMA_KIND, SCHEMA_LAYOUT, SCHEMA_LEN, SCHEMA_ENTRY, NORM,
+TRACE and INVALID_STATE.
 """
 
 from __future__ import annotations
@@ -91,7 +96,69 @@ def _parse_layout(raw: Any) -> SystemLayout:
         raise StateFileError("SCHEMA_LAYOUT", str(err)) from err
 
 
-def loads(text: str) -> PureVec | DensityOp:
+_scan_value = json.JSONDecoder().scan_once
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _scan_rows(text: str, i: int) -> tuple[np.ndarray, int]:
+    """The array of rows at text[i] as one (rows, m, 2) float array, each
+    row converted by the exact-type rule of _complex_array as soon as it is
+    scanned; ValueError for a row that rule does not take."""
+    rows = []
+    while True:
+        row, i = _scan_value(text, _skip_ws(text, i + 1).end())
+        pairs = np.array(row, dtype=object)
+        if (pairs.ndim != 2 or pairs.shape[1] != 2
+                or not set(map(type, pairs.flat)) <= {int, float}):
+            raise ValueError("not a row of [re, im] pairs")
+        rows.append(pairs.astype(np.float64))
+        i = _skip_ws(text, i).end()
+        if text[i:i + 1] == "]":
+            return np.stack(rows), i + 1
+        if text[i:i + 1] != ",":
+            raise ValueError("rows not separated by commas")
+
+
+def _starts_rows(text: str, i: int) -> bool:
+    """Whether text[i] opens an array whose first entry opens an array of arrays."""
+    for _ in range(3):
+        if text[i:i + 1] != "[":
+            return False
+        i = _skip_ws(text, i + 1).end()
+    return True
+
+
+def _scan(text: str) -> dict[str, Any] | None:
+    """The top-level object as json.loads reads it, one key at a time with
+    json's own scanner, but with a data field that is an array of rows held
+    as one float array (_scan_rows); None for any text the scan does not
+    take, which json.loads then reads to name its fault."""
+    try:
+        i = _skip_ws(text, 0).end()
+        if text[i:i + 1] != "{":
+            return None
+        doc, sep = {}, ","
+        while sep == ",":
+            i = _skip_ws(text, i + 1).end()
+            if text[i:i + 1] != '"':
+                return None
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _skip_ws(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = _skip_ws(text, i + 1).end()
+            scan = _scan_rows if key == "data" and _starts_rows(text, i) else _scan_value
+            doc[key], i = scan(text, i)  # a repeated key keeps its last value, as in json.loads
+            i = _skip_ws(text, i).end()
+            sep = text[i:i + 1]
+    except (StopIteration, ValueError, OverflowError, RecursionError):
+        return None  # no value at i; a malformed one; an integer beyond doubles; deep nesting
+    if sep != "}" or _skip_ws(text, i + 1).end() != len(text):
+        return None
+    return doc
+
+
+def _parse(text: str) -> dict[str, Any]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -100,6 +167,13 @@ def loads(text: str) -> PureVec | DensityOp:
         raise StateFileError("SCHEMA_JSON", "nesting too deep") from err
     if not isinstance(doc, dict):
         raise StateFileError("SCHEMA_JSON", "top level must be an object")
+    return doc
+
+
+def loads(text: str) -> PureVec | DensityOp:
+    doc = _scan(text)
+    if doc is None:
+        doc = _parse(text)
     for key in ("version", "kind", "layout", "data"):
         if key not in doc:
             raise StateFileError("SCHEMA_FIELD", f"missing field {key!r}")
@@ -109,7 +183,14 @@ def loads(text: str) -> PureVec | DensityOp:
     if kind not in ("pure", "mixed"):
         raise StateFileError("SCHEMA_KIND", f"kind must be pure or mixed, got {kind!r}")
     lay = _parse_layout(doc["layout"])
-    x = _complex_array(doc["data"], kind, lay.dim)
+    d = lay.dim
+    data = doc["data"]
+    if not isinstance(data, np.ndarray):
+        x = _complex_array(data, kind, d)
+    elif kind == "mixed" and data.shape == (d, d, 2) and np.isfinite(data).all():
+        x = data.view(np.complex128)[..., 0]
+    else:  # rows the scan took but the schema does not: walk json.loads' tree
+        x = _complex_array(_parse(text)["data"], kind, d)
     if kind == "pure":
         norm = float(np.linalg.norm(x))
         if abs(norm - 1.0) > 1e-6:

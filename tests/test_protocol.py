@@ -328,6 +328,14 @@ class TestSimulate:
         assert res.err_to_average > ERR_ROUNDOFF
         assert 0 < res.chernoff_n < math.inf
 
+    @pytest.mark.parametrize("rate, trials, seed", [(0, 1, 1), (3, 1, 1), (1, 3, 2), (3, 3, 3)])
+    def test_roundoff_error_reported_as_zero(self, rate, trials, seed):
+        # at n = 1 and delta = 1 every typical block of VIB(2, 0.3) has rank 1
+        psi = build_example("VIB", d=2, lam=0.3)
+        res = simulate(psi, n=1, delta=1.0, rate=rate, trials=trials, seed=seed)
+        assert (res.err_to_average, res.chernoff_n) == (0.0, math.inf)
+        assert res.err_full > 0.5
+
     def test_unitary_count_bounded_before_any_draw(self, ghz_tki, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("simulate drew a unitary before checking the array cap")

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -222,6 +223,144 @@ class TestStateFileProperties:
         back = stateio.loads(text)
         assert np.max(np.abs(_array_of(back) - _array_of(state))) <= 1e-15
 
+    def test_accepted_mixed_file_skips_json_loads(self, monkeypatch):
+        lay = layout(("A", 4), ("B", 4), ("C", 4))
+        state = random_density(lay, np.random.default_rng(64))
+        text = stateio.dumps(state)
+
+        def parsed(*args, **kwargs):
+            raise AssertionError("an accepted mixed file was parsed whole by json.loads")
+        monkeypatch.setattr(json, "loads", parsed)
+        back = stateio.loads(text)
+        assert _array_of(back).tobytes() == _array_of(state).tobytes()
+
+    @FILES
+    @given(saved_states(), st.randoms(use_true_random=False))
+    def test_respelled_file_loads_as_json_loads_reads_it(self, state, rnd):
+        text = _respell(json.loads(stateio.dumps(state)), rnd)
+        expected = _reference_load(text)
+        with mock.patch.object(json, "loads", side_effect=AssertionError("parsed whole")):
+            back = stateio.loads(text)
+        assert (type(back), back.layout) == (type(state), state.layout)
+        assert _array_of(back).tobytes() == expected.tobytes()
+
+    def test_mixed_file_loads_in_bounded_memory(self):
+        d = 128
+        text = stateio.dumps(random_density(layout(("A", 8), ("B", 2), ("C", 8)),
+                                            np.random.default_rng(128)))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stateio.loads(text)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        # the result holds 16 B per entry and its validation a few copies more;
+        # a tree of Python lists and floats costs some 136 B per entry alone
+        assert peak <= 100 * d * d, f"{peak / (d * d):.0f} B per matrix entry"
+
+
+def _respell(value, rnd) -> str:
+    """value as JSON text in another spelling: random whitespace around
+    every token, object keys shuffled with a discarded "data" key first,
+    and each float written by repr, in exponent form or, when integral,
+    as an integer."""
+    def ws():
+        return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.randrange(3)))
+    if isinstance(value, dict):
+        items = [(json.dumps(k), _respell(v, rnd)) for k, v in value.items()]
+        rnd.shuffle(items)
+        dropped = rnd.choice(["null", '"x"', "0", "[]", "[[0, 0]]", "[[[0, 0]]]"])
+        items.insert(0, ('"data"', dropped))  # a repeated key keeps its last value
+        return "{" + ",".join(f"{ws()}{k}{ws()}:{ws()}{v}{ws()}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(ws() + _respell(v, rnd) + ws() for v in value) + "]"
+    if isinstance(value, float):
+        forms = [repr(value), f"{value:.16e}", f"{value:.16E}".replace("E-0", "E-")]
+        if value.is_integer():
+            forms.append(str(int(value)))
+        return rnd.choice(forms)
+    return json.dumps(value)
+
+
+def _reference_load(text: str) -> np.ndarray:
+    """The loaded array by json.loads and the exact-type rule: an object
+    array of the int and float leaves cast to doubles, its norm or trace
+    divided out."""
+    doc = json.loads(text)
+    x = np.array(doc["data"], dtype=object).astype(np.float64).view(np.complex128)[..., 0]
+    scale = np.linalg.norm(x) if doc["kind"] == "pure" else np.trace(x).real
+    return x / float(scale)
+
+
+# I/4 on a 2 x 2 layout; "@" marks the number a case spells as its token
+MIXED_PREFIX = '{"version": 1, "kind": "mixed", "layout": [["A", 2], ["B", 2]], "data": '
+
+
+def _mixed_text(edit=None, token=None) -> str:
+    rows = [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]
+    if edit:
+        edit(rows)
+    text = MIXED_PREFIX + json.dumps(rows) + "}"
+    return text.replace('"@"', token) if token else text
+
+
+def _set(k, j, value, i=None):
+    def edit(rows):
+        if i is None:
+            rows[k][j] = value
+        else:
+            rows[k][j][i] = value
+    return edit
+
+
+# Each rejected mixed file with its code and message, pinned as the walk of
+# json.loads' tree names them, whichever reader first meets the fault.
+REJECTED_MIXED = {
+    "short_row": (_mixed_text(lambda rows: rows[2].pop()),
+                  "SCHEMA_LEN: row 2 length != 4"),
+    "extra_row": (_mixed_text(lambda rows: rows.append(rows[0])),
+                  "SCHEMA_LEN: mixed data length 5 != 4"),
+    "true_pair": (_mixed_text(_set(1, 3, [True, 0])),
+                  "SCHEMA_ENTRY: data[1][3]: expected [re, im], got [True, 0]"),
+    "true_number": (_mixed_text(_set(1, 3, "@", 0), "true"),
+                    "SCHEMA_ENTRY: data[1][3]: expected [re, im], got [True, 0]"),
+    "string": (_mixed_text(_set(3, 0, "0.5", 1)),
+               "SCHEMA_ENTRY: data[3][0]: expected [re, im], got [0, '0.5']"),
+    "triple": (_mixed_text(_set(0, 0, [0.25, 0, 0])),
+               "SCHEMA_ENTRY: data[0][0]: expected [re, im], got [0.25, 0, 0]"),
+    "nan": (_mixed_text(_set(2, 1, "@", 0), "NaN"),
+            "SCHEMA_ENTRY: data[2][1]: non-finite entry"),
+    "huge_integer": (_mixed_text(_set(0, 2, "@", 1), str(10 ** 400)),
+                     "SCHEMA_ENTRY: data[0][2]: entry out of double range"),
+    "huge_float": (_mixed_text(_set(0, 2, "@", 1), "1e400"),
+                   "SCHEMA_ENTRY: data[0][2]: non-finite entry"),
+    "last_data_short": (_mixed_text()[:-1] + ', "data": [[[1, 0]]]}',
+                        "SCHEMA_LEN: mixed data length 1 != 4"),
+    "kind_pure": (_mixed_text().replace('"mixed"', '"pure"'),
+                  "SCHEMA_ENTRY: data[0]: expected [re, im], got "
+                  "[[0.25, 0], [0, 0], [0, 0], [0, 0]]"),
+    "trace": (_mixed_text(_set(0, 0, 0.5, 0)),
+              "TRACE: trace 1.25 deviates from 1 beyond 1e-6"),
+    "trailing_garbage": (_mixed_text() + " x",
+                         "SCHEMA_JSON: Extra data: line 1 column 223 (char 222)"),
+    "top_level_array": ("[" + _mixed_text() + "]",
+                        "SCHEMA_JSON: top level must be an object"),
+    "deep_nesting": (MIXED_PREFIX + "[" * 100000 + "]" * 100000 + "}",
+                     "SCHEMA_JSON: nesting too deep"),
+}
+
+
+@pytest.mark.parametrize("text, message", REJECTED_MIXED.values(), ids=list(REJECTED_MIXED))
+def test_rejected_mixed_file_message(text, message):
+    with pytest.raises(stateio.StateFileError) as err:
+        stateio.loads(text)
+    assert str(err.value) == message
+    assert err.value.code == message.split(":")[0]
+
 
 def run_cli(capsys, monkeypatch, argv, stdin_text=None):
     if stdin_text is not None:
@@ -267,6 +406,19 @@ class TestCli:
         assert lines[0] == "n,delta,rate,N,err_avg,err_full,D,chernoff_N,seed"
         cells = lines[1].split(",")
         assert cells[0] == "2" and cells[3] == "64" and cells[-1] == "7"
+
+    def test_simulate_prints_exact_zero(self, tmp_path, capsys, monkeypatch):
+        # VIB(2, 0.3) at n = 1 and delta = 1: every typical block has rank 1,
+        # so each sample is the exact average and err_avg is 0, not round-off
+        path = str(tmp_path / "vib.json")
+        stateio.dump(build_example("VIB", d=2, lam=0.3), path)
+        argv = ["simulate", path, "--n", "1", "--delta", "1.0", "--rate", "3", "--seed", "1"]
+        code, out, _ = run_cli(capsys, monkeypatch, argv)
+        cells = out.splitlines()[1].split(",")
+        assert (code, cells[4], cells[7]) == (0, "0", "inf")
+        code, out, _ = run_cli(capsys, monkeypatch, argv + ["--json"])
+        report = json.loads(out)
+        assert (code, report["err_avg"], report["chernoff_N"]) == (0, "0", "inf")
 
     def test_simulate_reproducible(self, capsys, monkeypatch):
         _, state, _ = run_cli(capsys, monkeypatch,
