@@ -37,6 +37,10 @@ from .linalg import (
 # Tolerance for locating the eigenvalue-1 cluster of a Hermitian transfer
 # matrix.  Hermitian spectra are real, so double precision suffices.
 EIG_ONE_TOL = 1e-8
+# Largest entry of T - T† at which a transfer matrix counts as Hermitian.
+TRANSFER_HERM_TOL = 1e-8
+# Largest entry of P² - P and P - P† at which P = sum K†K counts as a projector.
+COMPLETENESS_TOL = 1e-7
 # Singular values below sigma_max * this are treated as null when solving
 # commutator systems.
 NULLSPACE_RTOL = 1e-9
@@ -89,12 +93,10 @@ def completeness(kraus: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _require_trace_preserving(kraus: Iterable[np.ndarray]) -> None:
-    if not is_projector(completeness(kraus), tol=1e-7):
+    p = completeness(kraus)
+    if not (np.max(np.abs(p @ p - p)) <= COMPLETENESS_TOL
+            and is_hermitian(p, COMPLETENESS_TOL)):
         raise ValidationError("sum K†K is not a projector (not trace preserving on any subspace)")
-
-
-def is_projector(p: np.ndarray, tol: float = 1e-8) -> bool:
-    return bool(np.max(np.abs(p @ p - p)) <= tol and is_hermitian(p, tol))
 
 
 def reshuffle(x: np.ndarray, d: int) -> np.ndarray:
@@ -247,13 +249,13 @@ def _transfer(split: Split) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(s, s.conj()), reshuffle(m @ m.conj().T, d_a)
 
 
-def ergodic_projector(tm: np.ndarray, eig_tol: float = EIG_ONE_TOL) -> np.ndarray:
+def ergodic_projector(tm: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the eigenvalue-1 eigenspace of a Hermitian
     transfer matrix (the infinite Cesaro average of its powers)."""
-    if not is_hermitian(tm, tol=1e-8):
+    if not is_hermitian(tm, tol=TRANSFER_HERM_TOL):
         raise ValidationError("transfer matrix is not Hermitian; ergodic projector undefined")
     vals, vecs = eigh(tm)
-    sel = np.abs(vals - 1.0) <= eig_tol
+    sel = np.abs(vals - 1.0) <= EIG_ONE_TOL
     if not np.any(sel):
         raise ValidationError("no eigenvalue within tolerance of 1; identity is not recovered")
     v = vecs[:, sel]
@@ -273,8 +275,7 @@ def cesaro_average(tm: np.ndarray, n: int) -> np.ndarray:
     return acc / n
 
 
-def _commutant_of_family(gens: Sequence[np.ndarray], rtol: float = NULLSPACE_RTOL,
-                         ) -> list[np.ndarray]:
+def _commutant_of_family(gens: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Hermitian, Hilbert-Schmidt-orthonormal basis of the commutant
     {X : [G, X] = [G†, X] = 0 for all generators G} of the generators and
     their adjoints.
@@ -297,7 +298,7 @@ def _commutant_of_family(gens: Sequence[np.ndarray], rtol: float = NULLSPACE_RTO
        the traceless parts of the generators (the same commutators, free of
        the round-off of a large scalar part) make a real (n·2d²) x k
        matrix, and the rank rule keeps its singular values, unsquared, at
-       most max(sqrt(lambda_max), scale)·rtol.  That matrix is stacked
+       most max(sqrt(lambda_max), scale)·NULLSPACE_RTOL.  That matrix is stacked
        COMMUTANT_FOLD_ENTRIES entries at a time, each chunk under the k x k
        QR factor of those before it, and the last stack's SVD gives the
        singular values.  When n·k > d², the traceless parts are first
@@ -342,7 +343,7 @@ def _commutant_of_family(gens: Sequence[np.ndarray], rtol: float = NULLSPACE_RTO
         r = rows if r is None else np.concatenate([np.linalg.qr(r, mode="r"), rows])
     _, sv, vh = np.linalg.svd(r, full_matrices=False)
     # the adjoints' commutators, [G†, X] = -[G, X]†, double the sum of squares
-    rank = int(np.count_nonzero(sv * np.sqrt(2) > max(np.sqrt(top), scale) * rtol))
+    rank = int(np.count_nonzero(sv * np.sqrt(2) > max(np.sqrt(top), scale) * NULLSPACE_RTOL))
     return list((vh[rank:] @ x.reshape(k, d * d)).reshape(-1, d, d))
 
 

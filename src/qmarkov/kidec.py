@@ -70,6 +70,13 @@ KI_ATTEMPTS = 4
 # Relative eigenvalue cutoff when choosing purifier ranks; amplitudes of
 # dropped modes are at most the square root of this.
 PURIFIER_RTOL = 1e-13
+# Largest reconstruction residual a decomposition is accepted with, and the
+# bound every residual of a KIValidationReport must meet for ok().
+KI_RESIDUAL_TOL = 1e-7
+# Largest fit error of ki_tripartite's B-side isometry Gamma'.
+B_SIDE_RESIDUAL_TOL = 1e-6
+# Weight p_j at or below which _block_factors rejects a block as vanishing.
+BLOCK_WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,25 +224,24 @@ def _block_structure(comm: Sequence[np.ndarray], rng: np.random.Generator,
 
 
 def ki_decompose(psi_ac: DensityOp, a: Sequence[str] = ("A",),
-                 c: Sequence[str] = ("C",), tol: float = 1e-7,
+                 c: Sequence[str] = ("C",),
                  rng: np.random.Generator | None = None) -> KIDecomposition:
     """Compute the KI decomposition of system A with respect to psi_ac.
 
     The blocks come from random elements of the commutant of channel_E's
     Kraus family on the support of the A-marginal (see the module
     docstring).  A draw that misses part of the block structure, or whose
-    decomposition leaves a reconstruction residual above ``tol``, is
+    decomposition leaves a reconstruction residual above KI_RESIDUAL_TOL, is
     redrawn, up to KI_ATTEMPTS draws in all.
 
     Blocks are sorted by descending weight, ties broken by descending
     quantum-factor then redundant-factor dimension.  Deterministic for a
     fixed generator; the default generator is fixed-seeded.
     """
-    return _ki_decompose(_split_density(psi_ac, a, c), tol, rng)
+    return _ki_decompose(_split_density(psi_ac, a, c), rng)
 
 
-def _ki_decompose(split: Split, tol: float = 1e-7,
-                  rng: np.random.Generator | None = None) -> KIDecomposition:
+def _ki_decompose(split: Split, rng: np.random.Generator | None = None) -> KIDecomposition:
     """ki_decompose of a Split."""
     if rng is None:
         rng = np.random.default_rng(0x5EED)
@@ -247,7 +253,7 @@ def _ki_decompose(split: Split, tol: float = 1e-7,
     comm = _commutant_of_family(q.conj().T @ family @ q)
     for _ in range(KI_ATTEMPTS):
         try:
-            return _assemble(split, q, _block_structure(comm, rng), tol)
+            return _assemble(split, q, _block_structure(comm, rng))
         except ValidationError as err:
             last_err = err
     raise ValidationError(f"KI decomposition failed after {KI_ATTEMPTS} attempts: {last_err}")
@@ -276,15 +282,16 @@ def _block_factors(tens: np.ndarray, shapes: Sequence[tuple[int, int]],
                    ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Per block j, (p_j, normalized marginal on (X, L), normalized marginal
     on (R, Y)) of a _ki_tensor over (j, L, R, X, Y), each block in the
-    (dim_l, dim_r) corner given by ``shapes``; a weight <= 1e-12 raises.
-    KI blocks take X = 1, Y = C; the blocks of a Markov state X = A, Y = C.
+    (dim_l, dim_r) corner given by ``shapes``; a weight at or below
+    BLOCK_WEIGHT_FLOOR raises.  KI blocks take X = 1, Y = C; the blocks of a
+    Markov state X = A, Y = C.
     """
     d_x, d_y = tens.shape[3:5]
     out = []
     for j, (dl, dr) in enumerate(shapes):
         sub = tens[j, :dl, :dr, :, :, j, :dl, :dr, :, :]
         p = float(np.einsum("lrxylrxy->", sub).real)
-        if p <= 1e-12:
+        if p <= BLOCK_WEIGHT_FLOOR:
             raise ValidationError(f"block {j} has vanishing weight {p}")
         xl = np.einsum("lrxymrzy->xlzm", sub).reshape(d_x * dl, d_x * dl) / p
         ry = np.einsum("lrxylsxw->rysw", sub).reshape(dr * d_y, dr * d_y) / p
@@ -305,7 +312,7 @@ def _block_residual(tens: np.ndarray,
     return float(np.linalg.norm(diff))
 
 
-def _assemble(split: Split, q, cols, tol) -> KIDecomposition:
+def _assemble(split: Split, q, cols) -> KIDecomposition:
     """Decomposition from the (dim_l, r, dim_r) column arrays of
     _block_structure.  Psi_AC = us us† on either input type, so the mapped
     state is Y Y† for Y = (Gamma (x) I_C) us, and each block factor is
@@ -340,8 +347,8 @@ def _assemble(split: Split, q, cols, tol) -> KIDecomposition:
             j, p, dl, dr, DensityOp._derived(SystemLayout([("aL", dl)]), omega, pairs=om),
             DensityOp._derived(SystemLayout([("aR", dr)]) + split.c_layout, phi, pairs=ph)))
     residual = _block_residual(tens, factors)
-    if residual > tol:
-        raise ValidationError(f"reconstruction residual {residual:.3e} > {tol:.3e}")
+    if residual > KI_RESIDUAL_TOL:
+        raise ValidationError(f"reconstruction residual {residual:.3e} > {KI_RESIDUAL_TOL:.3e}")
 
     gamma = IsometryOp(
         SystemLayout([("suppA", r)]),
@@ -357,11 +364,11 @@ class KIValidationReport:
     irreducibility_residual: float
     cross_block_residual: float
 
-    def ok(self, tol: float = 1e-7) -> bool:
-        return (self.reconstruction_residual <= tol
-                and self.isometry_residual <= tol
-                and self.irreducibility_residual <= tol
-                and self.cross_block_residual <= tol)
+    def ok(self) -> bool:
+        return (self.reconstruction_residual <= KI_RESIDUAL_TOL
+                and self.isometry_residual <= KI_RESIDUAL_TOL
+                and self.irreducibility_residual <= KI_RESIDUAL_TOL
+                and self.cross_block_residual <= KI_RESIDUAL_TOL)
 
 
 def _phi_slices(block: KIBlock, d_c: int) -> np.ndarray:
@@ -423,7 +430,7 @@ def _purifier_rank(op: DensityOp) -> int:
 
 
 def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("B",),
-                  c: Sequence[str] = ("C",), tol: float = 1e-7,
+                  c: Sequence[str] = ("C",),
                   rng: np.random.Generator | None = None) -> TripartiteKI:
     """Joint KI decomposition of a pure tripartite state on A and B.
 
@@ -439,19 +446,18 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
     by the polar factor of X_s† T, so Gamma' is isometric by construction.
     This is the Uhlmann step of Hayden, Jozsa, Petz & Winter
     (arXiv:quant-ph/0304007).  ``residual`` is the fit error,
-    ||(Gamma (x) Gamma')|psi> - T||; above max(tol, 1e-6) it raises
+    ||(Gamma (x) Gamma')|psi> - T||; above B_SIDE_RESIDUAL_TOL it raises
     ValidationError.
     """
     if not psi.normalized:
         raise ValidationError("tripartite decomposition requires a normalized pure state")
-    return _ki_tripartite(_split_pure(psi, a, c, b), tol, rng)
+    return _ki_tripartite(_split_pure(psi, a, c, b), rng)
 
 
-def _ki_tripartite(split: Split, tol: float = 1e-7,
-                   rng: np.random.Generator | None = None) -> TripartiteKI:
+def _ki_tripartite(split: Split, rng: np.random.Generator | None = None) -> TripartiteKI:
     """ki_tripartite of the Split of a pure state; the block factors are
     purified from the eigenpairs _assemble computed."""
-    base = _ki_decompose(split, tol, rng)
+    base = _ki_decompose(split, rng)
     d_c = split.c_layout.dim
 
     purified: list[tuple[PureVec, PureVec]] = []
@@ -483,7 +489,7 @@ def _ki_tripartite(split: Split, tol: float = 1e-7,
         SystemLayout(zip(("b0", "bL", "bR"), b_dims)),
         z.T)
     residual = float(np.linalg.norm(x_s @ z - t))
-    if residual > max(tol, 1e-6):
+    if residual > B_SIDE_RESIDUAL_TOL:
         raise ValidationError(f"B-side isometry residual {residual:.3e} exceeds tolerance")
     return TripartiteKI(base, gamma_prime, split.vh[:r].T, tuple(purified), b_dims,
                         residual=residual)

@@ -19,6 +19,8 @@ import numpy as np
 HERM_TOL = 1e-9
 # Relative rank cutoff for generalized inverses.
 RANK_RTOL = 1e-10
+# Largest entry of mat† mat - 1 for which a matrix counts as an isometry.
+ISOMETRY_TOL = 1e-8
 # Eigenvalues below this are dropped before taking logs.
 LOG_EPS = 1e-12
 
@@ -114,18 +116,17 @@ class Eigenpairs:
     """A Hermitian PSD operator as vecs diag(vals) vecs†, ``vals`` descending.
 
     ``vecs`` may have fewer columns than rows; the missing eigenvalues are
-    zero.  Its square root, inverse square root on the support and support
-    basis are the ones ``psd_sqrt``, ``pinv_sqrt`` and ``support_basis``
-    compute, without a second eigensolve.
+    zero.  Its square root and inverse square root on the support are the
+    ones ``psd_sqrt`` and ``pinv_sqrt`` compute, with no second eigensolve.
     """
 
     vals: np.ndarray = field(repr=False)
     vecs: np.ndarray = field(repr=False)
 
     @classmethod
-    def of(cls, m: np.ndarray, tol: float = HERM_TOL) -> "Eigenpairs":
+    def of(cls, m: np.ndarray) -> "Eigenpairs":
         """Eigenpairs of a Hermitian matrix, from one eigh."""
-        return cls(*eigh(m, tol=tol))
+        return cls(*eigh(m))
 
     @classmethod
     def of_factor(cls, f: np.ndarray) -> "Eigenpairs":
@@ -133,31 +134,32 @@ class Eigenpairs:
         u, s, _ = np.linalg.svd(f, full_matrices=False)
         return cls(s * s, u)
 
-    def sqrt(self, tol: float = HERM_TOL) -> np.ndarray:
-        """Hermitian PSD square root; errors on eigenvalues below -tol.
+    def sqrt(self) -> np.ndarray:
+        """Hermitian PSD square root; errors on eigenvalues below
+        -HERM_TOL·max(1, largest).
 
         Eigenvalues within the eigensolver noise floor of zero are zeroed
         before the root: the square root would otherwise amplify O(eps)
         noise on exact kernel directions to O(sqrt(eps)).
         """
         vals = self.vals
-        if len(vals) and vals[-1] < -tol * max(1.0, float(vals[0])):
+        if len(vals) and vals[-1] < -HERM_TOL * max(1.0, float(vals[0])):
             raise ValidationError(f"matrix is not PSD: min eigenvalue {vals[-1]}")
         vals = np.clip(vals, 0.0, None)
         if len(vals):
             vals[vals < vals[0] * 1e-14] = 0.0
         return (self.vecs * np.sqrt(vals)) @ self.vecs.conj().T
 
-    def inv_sqrt(self, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+    def inv_sqrt(self) -> np.ndarray:
         """Inverse square root on the support, zero on the kernel."""
         vals = np.clip(self.vals, 0.0, None)
-        cutoff = (vals[0] if len(vals) else 0.0) * rank_rtol
+        cutoff = (vals[0] if len(vals) else 0.0) * RANK_RTOL
         inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
         return (self.vecs * inv) @ self.vecs.conj().T
 
-    def support(self, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+    def support(self) -> np.ndarray:
         """Orthonormal column basis of the support."""
-        cutoff = (self.vals[0] if len(self.vals) else 0.0) * rank_rtol
+        cutoff = (self.vals[0] if len(self.vals) else 0.0) * RANK_RTOL
         return self.vecs[:, :int(np.sum(self.vals > cutoff))]
 
 
@@ -182,18 +184,17 @@ class DensityOp:
     _source = None
     _pairs = None
 
-    def __init__(self, layout: SystemLayout, mat, trace_of_one: bool = True,
-                 tol: float = HERM_TOL):
+    def __init__(self, layout: SystemLayout, mat, trace_of_one: bool = True):
         mat = _as_complex(mat)
         d = layout.dim
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != layout dim {d}")
-        if np.max(np.abs(mat - mat.conj().T)) > tol:
+        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
             raise ValidationError("density operator is not Hermitian within tolerance")
         spectrum = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
         spectrum.flags.writeable = False
         lo = float(spectrum[0])
-        if lo < -max(tol, tol * max(1.0, abs(np.trace(mat).real))):
+        if lo < -HERM_TOL * max(1.0, abs(np.trace(mat).real)):
             raise ValidationError(f"density operator has negative eigenvalue {lo}")
         if trace_of_one and abs(np.trace(mat) - 1.0) > 1e-6:
             raise ValidationError(f"trace {np.trace(mat)} != 1")
@@ -268,14 +269,13 @@ class IsometryOp:
     target_layout: SystemLayout
     mat: np.ndarray = field(repr=False)
 
-    def __init__(self, source_layout: SystemLayout, target_layout: SystemLayout,
-                 mat, tol: float = HERM_TOL):
+    def __init__(self, source_layout: SystemLayout, target_layout: SystemLayout, mat):
         mat = _as_complex(mat)
         if mat.shape != (target_layout.dim, source_layout.dim):
             raise DimensionError(
                 f"isometry shape {mat.shape} != ({target_layout.dim}, {source_layout.dim})")
         gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(source_layout.dim))) > max(tol, 1e-8):
+        if np.max(np.abs(gram - np.eye(source_layout.dim))) > ISOMETRY_TOL:
             raise ValidationError("mat† mat != identity on source within tolerance")
         object.__setattr__(self, "source_layout", source_layout)
         object.__setattr__(self, "target_layout", target_layout)
@@ -349,29 +349,24 @@ def marginal(psi: PureVec, keep: Iterable[str]) -> DensityOp:
                               source=psi)
 
 
-def eigh(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with eigenvalues sorted descending."""
     m = _as_complex(m)
-    if not is_hermitian(m, tol=max(tol, tol * max(1.0, float(np.max(np.abs(m)))))):
+    if not is_hermitian(m, tol=HERM_TOL * max(1.0, float(np.max(np.abs(m))))):
         raise ValidationError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def psd_sqrt(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root (``Eigenpairs.sqrt``); errors on
-    eigenvalues below -tol."""
-    return Eigenpairs.of(m, tol=tol).sqrt(tol=tol)
+    eigenvalues below -HERM_TOL."""
+    return Eigenpairs.of(m).sqrt()
 
 
-def pinv_sqrt(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def pinv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root on the support, zero on the kernel."""
-    return Eigenpairs.of(m).inv_sqrt(rank_rtol)
-
-
-def support_basis(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal column basis of the support of a Hermitian PSD matrix."""
-    return Eigenpairs.of(m).support(rank_rtol)
+    return Eigenpairs.of(m).inv_sqrt()
 
 
 def purify(rho: DensityOp, ref_label: str = "R") -> PureVec:

@@ -31,6 +31,7 @@ from .channels import (
 )
 from .entropy import ProbDist, qcmi, qmi, shannon, trace_norm, vn_entropy
 from .kidec import (
+    KI_RESIDUAL_TOL,
     KIDecomposition,
     TripartiteKI,
     _block_factors,
@@ -53,8 +54,14 @@ from .linalg import (
     purify,
 )
 
+# Largest entry of Lambda - Lambda† for which the spectral route applies.
 HERMITICITY_GATE = 1e-9
+# Largest disagreement of the two routes' costs, where both apply.
 TWO_ROUTE_TOL = 1e-6
+# Slack of the sandwich I(A:C|B) <= M <= I(A:BC) that bounds_check enforces.
+BOUND_TOL = 1e-7
+# Largest I(A:C|B) for which markov_decomposition takes a state as Markov.
+MARKOV_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,6 @@ def markov_cost_formula(tki: TripartiteKI | KIDecomposition) -> float:
 
 def markov_cost_algorithm(psi: PureVec, a: Sequence[str] = ("A",),
                           b: Sequence[str] = ("B",), c: Sequence[str] = ("C",),
-                          hermiticity_tol: float = HERMITICITY_GATE,
                           ) -> float | None:
     """Spectral route: transfer matrix, hermiticity gate, fixed-space
     projector, entropy of the evolved purification.
@@ -116,14 +122,13 @@ def markov_cost_algorithm(psi: PureVec, a: Sequence[str] = ("A",),
     """
     if not isinstance(psi, PureVec) or not psi.normalized:
         raise ValidationError("the spectral route requires a normalized pure state")
-    return _cost_algorithm(_split_pure(psi, a, c), hermiticity_tol)
+    return _cost_algorithm(_split_pure(psi, a, c))
 
 
-def _cost_algorithm(split: Split, hermiticity_tol: float = HERMITICITY_GATE,
-                    ) -> float | None:
+def _cost_algorithm(split: Split) -> float | None:
     """markov_cost_algorithm of the Split of a pure state."""
     t1, lam = _transfer(split)
-    if not is_hermitian(lam, tol=hermiticity_tol):
+    if not is_hermitian(lam, tol=HERMITICITY_GATE):
         return None
     omega_inf = reshuffle(ergodic_projector(lam) @ t1, split.a_layout.dim)
     vals = np.linalg.eigvalsh((omega_inf + omega_inf.conj().T) / 2)
@@ -139,21 +144,21 @@ def is_markov_state(rho: DensityOp, a: Sequence[str] = ("A",),
 
 def markov_decomposition(ups: DensityOp, a: Sequence[str] = ("A",),
                          b: Sequence[str] = ("B",), c: Sequence[str] = ("C",),
-                         tol: float = 1e-7, markov_tol: float = 1e-8,
                          rng: np.random.Generator | None = None,
                          ) -> MarkovDecomposition:
     """Decompose a Markov state over the KI blocks of its BC marginal.
 
     The B factor splits into a classical index i, a piece b_L correlated
     only with A, and a piece b_R correlated only with C; the state is the
-    mixture over i of sigma_i on (A, b_L) with phi_i on (b_R, C).
+    mixture over i of sigma_i on (A, b_L) with phi_i on (b_R, C).  Raises
+    ValidationError when I(A:C|B) > MARKOV_TOL or the residual > KI_RESIDUAL_TOL.
     """
     a, b, c = list(a), list(b), list(c)
     value = qcmi(ups, a, b, c)
-    if value > markov_tol:
-        raise ValidationError(f"I(A:C|B) = {value:.3e} exceeds {markov_tol:.0e}; "
+    if value > MARKOV_TOL:
+        raise ValidationError(f"I(A:C|B) = {value:.3e} exceeds {MARKOV_TOL:.0e}; "
                               "not a Markov state")
-    dec = ki_decompose(partial_trace(ups, b + c), b, c, tol=tol, rng=rng)
+    dec = ki_decompose(partial_trace(ups, b + c), b, c, rng=rng)
     ordered = ups.layout.reorder(b + a + c)
     tens = _ki_tensor(dec.gamma_total, permute_mat(ups.mat, ups.layout, ordered.labels),
                       dec.dims, (ordered.dim_of(a), ordered.dim_of(c)))
@@ -163,8 +168,9 @@ def markov_decomposition(ups: DensityOp, a: Sequence[str] = ("A",),
          DensityOp(SystemLayout([("bR", blk.dim_r)]) + ordered.restrict(c), phi))
         for blk, (q, sigma, phi) in zip(dec.blocks, factors))
     residual = _block_residual(tens, factors)
-    if residual > tol:
-        raise ValidationError(f"Markov decomposition residual {residual:.3e} > {tol:.0e}")
+    if residual > KI_RESIDUAL_TOL:
+        raise ValidationError(
+            f"Markov decomposition residual {residual:.3e} > {KI_RESIDUAL_TOL:.0e}")
     return MarkovDecomposition(dec, terms, residual)
 
 
@@ -203,9 +209,8 @@ def check_routes_agree(m_formula: float, m_algorithm: float | None) -> None:
 
 def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
                  b: Sequence[str] = ("B",), c: Sequence[str] = ("C",),
-                 rng: np.random.Generator | None = None,
-                 bound_tol: float = 1e-7) -> CostReport:
-    """Full cost report with the sandwich I(A:C|B) <= M <= I(A:BC) enforced.
+                 rng: np.random.Generator | None = None) -> CostReport:
+    """Full cost report, I(A:C|B) <= M <= I(A:BC) enforced within BOUND_TOL.
 
     On a pure state both routes and the entropies read one Split of the
     vector.  There S(AB) = S(C), S(BC) = S(A), S(B) = S(AC) and S(ABC) = 0,
@@ -226,7 +231,7 @@ def bounds_check(psi: PureVec | DensityOp, a: Sequence[str] = ("A",),
     blocks = tuple((blk.p, vn_entropy(blk.phi_ar)) for blk in tki.blocks)
     m_algorithm = _cost_algorithm(split)
     adjoint = m_algorithm is not None
-    if not (cond - bound_tol <= m_formula <= total + bound_tol):
+    if not (cond - BOUND_TOL <= m_formula <= total + BOUND_TOL):
         raise ValidationError(
             f"cost {m_formula} violates bounds [{cond}, {total}]")
     check_routes_agree(m_formula, m_algorithm)

@@ -45,11 +45,14 @@ from .linalg import (
     permute_vec,
 )
 
-# Largest n-copy dimension D the dense reference path accepts by default;
-# simulate bounds the entries of the arrays it fills by the square of the cap.
+# Largest n-copy dimension D the dense reference path accepts; simulate's
+# default cap, by whose square it bounds the entries of the arrays it fills.
 DEFAULT_DIM_CAP = 4096
 # Largest number of classical block sequences enumerated exactly.
-DEFAULT_SEQUENCE_CAP = 1 << 20
+SEQUENCE_CAP = 1 << 20
+# Eigenvalues up to this fraction of the largest count as zero in
+# min_nonzero_eigenvalue and in the lam_min of simulate.
+EIGEN_FLOOR_RTOL = 1e-12
 # Round-off level of a trace distance between unit-trace states; a sample
 # error at or below it predicts no finite Chernoff sample count.
 ERR_ROUNDOFF = 1e-12
@@ -110,20 +113,18 @@ class SimResult:
     seed: int | None
 
 
-def strongly_typical_set(p, n: int, delta: float,
-                         max_sequences: int = DEFAULT_SEQUENCE_CAP,
-                         ) -> list[tuple[tuple[int, ...], float]]:
+def strongly_typical_set(p, n: int, delta: float) -> list[tuple[tuple[int, ...], float]]:
     """All length-n sequences with empirical frequencies within delta/|J|
     of the distribution, zero-probability symbols excluded."""
-    return list(_strongly_typical(p, n, delta, max_sequences))
+    return list(_strongly_typical(p, n, delta))
 
 
-def _strongly_typical(p, n: int, delta: float, max_sequences: int):
+def _strongly_typical(p, n: int, delta: float):
     """``strongly_typical_set`` one sequence at a time, in lexicographic order."""
     w = p.weights if isinstance(p, ProbDist) else ProbDist(p).weights
     k = len(w)
-    if k ** n > max_sequences:
-        raise ValidationError(f"{k}^{n} sequences exceed the cap {max_sequences}")
+    if k ** n > SEQUENCE_CAP:
+        raise ValidationError(f"{k}^{n} sequences exceed the cap {SEQUENCE_CAP}")
     window = delta / k
     for seq in itertools.product(range(k), repeat=n):
         counts = np.bincount(seq, minlength=k)
@@ -133,15 +134,13 @@ def _strongly_typical(p, n: int, delta: float, max_sequences: int):
             yield seq, float(np.prod(w[np.array(seq)]))
 
 
-def weakly_typical_set(p, n: int, delta: float,
-                       max_sequences: int = DEFAULT_SEQUENCE_CAP,
-                       ) -> list[tuple[tuple[int, ...], float]]:
+def weakly_typical_set(p, n: int, delta: float) -> list[tuple[tuple[int, ...], float]]:
     """All length-n sequences whose probability lies in the entropy window
     [2^(-n(H+delta)), 2^(-n(H-delta))]."""
     w = p.weights if isinstance(p, ProbDist) else ProbDist(p).weights
     k = len(w)
-    if k ** n > max_sequences:
-        raise ValidationError(f"{k}^{n} sequences exceed the cap {max_sequences}")
+    if k ** n > SEQUENCE_CAP:
+        raise ValidationError(f"{k}^{n} sequences exceed the cap {SEQUENCE_CAP}")
     h = shannon(w)
     lo, hi = 2.0 ** (-n * (h + delta)), 2.0 ** (-n * (h - delta))
     out = []
@@ -161,7 +160,7 @@ def _base(ki: TripartiteKI | KIDecomposition) -> KIDecomposition:
     return ki.base if isinstance(ki, TripartiteKI) else ki
 
 
-def _typical_windows(base: KIDecomposition, spec: TypicalSpec, max_sequences: int):
+def _typical_windows(base: KIDecomposition, spec: TypicalSpec):
     """Typical block sequences with their typical eigenvalue windows, lazily.
 
     Yields (seq, prob, positions, windows) for every typical sequence
@@ -172,8 +171,7 @@ def _typical_windows(base: KIDecomposition, spec: TypicalSpec, max_sequences: in
     """
     spectra = [_renormalize(blk.phi_ar.spectrum[::-1]) for blk in base.blocks]
     cache: dict[tuple[int, int], list] = {}  # window of symbol j on m copies
-    for seq, prob in _strongly_typical(_renormalize(base.probs), spec.n, spec.delta,
-                                       max_sequences):
+    for seq, prob in _strongly_typical(_renormalize(base.probs), spec.n, spec.delta):
         symbols = sorted(set(seq))
         positions = [[i for i, s in enumerate(seq) if s == j] for j in symbols]
         windows = []
@@ -202,8 +200,7 @@ def _typical_blocks(blocks) -> list:
     return out
 
 
-def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
-                 max_sequences: int = DEFAULT_SEQUENCE_CAP) -> BlockStructure:
+def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec) -> BlockStructure:
     """Typical block sequences with their conditional projectors.
 
     The projector of a block sequence j1..jn lives on the n-fold padded
@@ -220,8 +217,7 @@ def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
         vecs[:blk.dim_r] = np.linalg.eigh(blk.phi_ar.mat)[1][:, ::-1]
         padded.append(vecs)
     entries = []
-    for seq, prob, positions, windows in _typical_blocks(
-            _typical_windows(base, spec, max_sequences)):
+    for seq, prob, positions, windows in _typical_blocks(_typical_windows(base, spec)):
         vectors = []
         for combo in itertools.product(*windows):
             pattern = np.empty(spec.n, dtype=int)
@@ -233,12 +229,11 @@ def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
     return BlockStructure(spec, tuple(entries))
 
 
-def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec,
-                 max_sequences: int = DEFAULT_SEQUENCE_CAP) -> float:
+def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec) -> float:
     """Weight of the projected n-copy state, computed combinatorially."""
     base = _base(tki)
     return float(sum(prob * np.sum(_window_weights(windows)) for _, prob, _, windows in
-                     _typical_windows(base, spec, max_sequences)))
+                     _typical_windows(base, spec)))
 
 
 def protocol_layout(tki: TripartiteKI, n: int) -> SystemLayout:
@@ -272,13 +267,13 @@ def c_side_labels(lay: SystemLayout) -> list[str]:
     return _group_labels(lay, ("C",))
 
 
-def _ki_power(tki: TripartiteKI, n: int, dim_cap: int) -> PureVec:
+def _ki_power(tki: TripartiteKI, n: int) -> PureVec:
     """n-fold tensor power of the decomposed state on the grouped layout."""
     single = tki.ki_pure_state()
     total = single.layout.dim ** n
-    if total > dim_cap:
+    if total > DEFAULT_DIM_CAP:
         raise DimensionError(
-            f"the n-copy state has dimension {total} > cap {dim_cap}")
+            f"the n-copy state has dimension {total} > cap {DEFAULT_DIM_CAP}")
     vec = np.ones(1, dtype=np.complex128)
     for _ in range(n):
         vec = np.kron(vec, single.vec)
@@ -306,16 +301,14 @@ def _checked_weight(d: float) -> float:
 
 
 def build_protocol_state(tki: TripartiteKI, spec: TypicalSpec,
-                         dim_cap: int = DEFAULT_DIM_CAP,
-                         max_sequences: int = DEFAULT_SEQUENCE_CAP,
                          ) -> tuple[PureVec, BlockStructure, float]:
     """Project the n-copy state onto the typical region.
 
     Returns the (subnormalized) projected vector on the grouped layout,
     the block structure, and the captured weight (its squared norm).
     """
-    blocks = build_blocks(tki, spec, max_sequences)
-    projected = _project(_ki_power(tki, spec.n, dim_cap), tki, blocks)
+    blocks = build_blocks(tki, spec)
+    projected = _project(_ki_power(tki, spec.n), tki, blocks)
     return projected, blocks, _checked_weight(float(np.vdot(projected.vec, projected.vec).real))
 
 
@@ -415,8 +408,6 @@ def _average_factor(tki: TripartiteKI, blocks: BlockStructure,
 
 
 def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
-                         dim_cap: int = DEFAULT_DIM_CAP,
-                         max_sequences: int = DEFAULT_SEQUENCE_CAP,
                          blocks: BlockStructure | None = None) -> DensityOp:
     """Exact ensemble average of the randomized protocol output.
 
@@ -428,8 +419,8 @@ def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
     factor that ``simulate`` works with.
     """
     if blocks is None:
-        blocks = build_blocks(tki, spec, max_sequences)
-    projected = _project(_ki_power(tki, spec.n, dim_cap), tki, blocks)
+        blocks = build_blocks(tki, spec)
+    projected = _project(_ki_power(tki, spec.n), tki, blocks)
     y = _average_factor(tki, blocks, projected)
     return DensityOp(projected.layout, y @ y.conj().T, trace_of_one=False)
 
@@ -443,7 +434,7 @@ def _spectral_average(base: KIDecomposition, spec: TypicalSpec, n_unitaries: int
     Raises DimensionError as soon as the R = sum_s r_s^2 coordinates counted
     so far make (R + 1)(N + R + 1) > dim_cap^2 for N unitaries."""
     amp2, n_typical = [], 0
-    for _, prob, _, windows in _typical_windows(base, spec, DEFAULT_SEQUENCE_CAP):
+    for _, prob, _, windows in _typical_windows(base, spec):
         rank = math.prod(len(win) for win in windows)
         n_typical += rank * rank
         entries = (n_typical + 1) * (n_unitaries + n_typical + 1)
@@ -456,13 +447,13 @@ def _spectral_average(base: KIDecomposition, spec: TypicalSpec, n_unitaries: int
     return amp2, np.concatenate([np.tile(w / len(w), len(w)) for w in amp2])
 
 
-def _smallest_above(vals: np.ndarray, rtol: float) -> float:
-    """Smallest of ascending eigenvalues above rtol times the largest."""
-    return float(np.min(vals[vals > float(vals[-1]) * rtol]))
+def _smallest_above(vals: np.ndarray) -> float:
+    """Smallest ascending eigenvalue above EIGEN_FLOOR_RTOL times the largest."""
+    return float(np.min(vals[vals > float(vals[-1]) * EIGEN_FLOOR_RTOL]))
 
 
-def min_nonzero_eigenvalue(mat: np.ndarray, rtol: float = 1e-12) -> float:
-    return _smallest_above(np.linalg.eigvalsh((mat + mat.conj().T) / 2), rtol)
+def min_nonzero_eigenvalue(mat: np.ndarray) -> float:
+    return _smallest_above(np.linalg.eigvalsh((mat + mat.conj().T) / 2))
 
 
 def _trace_norm_with_diagonal(h: np.ndarray, diagonal: np.ndarray) -> float:
@@ -507,8 +498,8 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     unitaries leave fixed (the other patterns and sequences) is one
     coordinate of norm sqrt(1 - typical_mass).  The exact average is
     diagonal with entries a_s[x]^2 / r_s, and its smallest nonzero
-    eigenvalue is the smallest entry above 1e-12 times the largest.  With
-    X the R (+1) x N matrix of the samples over sqrt(N), R = sum_s r_s^2,
+    eigenvalue is the smallest entry above EIGEN_FLOOR_RTOL times the
+    largest.  With X the R (+1) x N matrix of the samples over sqrt(N), R = sum_s r_s^2,
     the sample average is G = X X^dagger, and each trace norm is the sum of
     |eigenvalues| of G minus a diagonal: err_to_average on the R x R typical
     block of G minus the average, over the typical mass; err_full on all
@@ -546,7 +537,7 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     ranks = [len(w) for w in amp2]
     scale = 1.0 / np.sqrt(n_unitaries)
     amps = [np.sqrt(w) * scale for w in amp2]
-    lam_min = _smallest_above(np.sort(avg), 1e-12)
+    lam_min = _smallest_above(np.sort(avg))
     rest = 1.0 - d_mass  # squared norm of what the unitaries leave fixed
     target = np.append(avg, [0.0] if rest > 0 else []) / d_mass
 

@@ -186,7 +186,7 @@ def criterion_5(rng: np.random.Generator) -> tuple[bool, str]:
     for name, st in cases:
         dec = ki_decompose(st, ["A"], ["C"], rng=rng)
         rep = validate_ki(dec, st)
-        if not rep.ok(1e-7):
+        if not rep.ok():
             return False, f"{name}: validation residuals {rep}"
         d_a = st.layout.dims[0]
         u = haar_unitary(d_a, rng)

@@ -217,7 +217,7 @@ class TestHardBlockStructures:
         st = DensityOp(layout(("A", 4), ("C", 2)), mat)
         dec = ki_decompose(st, ["A"], ["C"], rng=rng)
         assert block_signature(dec) == [(0.4, 1, 2), (0.6, 2, 1)]
-        assert validate_ki(dec, st).ok(1e-7)
+        assert validate_ki(dec, st).ok()
 
     def test_joint_redundant_and_quantum_factor(self, pieces, rng):
         # one block carrying both: a 2-dim redundant factor tensored with
@@ -228,7 +228,7 @@ class TestHardBlockStructures:
         assert block_signature(dec) == [(1.0, 2, 2)]
         assert np.allclose(sorted(np.linalg.eigvalsh(dec.blocks[0].omega.mat)),
                            sorted(np.linalg.eigvalsh(om)), atol=1e-8)
-        assert validate_ki(dec, st).ok(1e-7)
+        assert validate_ki(dec, st).ok()
 
     def test_joint_factor_with_hidden_basis(self, pieces, rng):
         om, _, ent = pieces
@@ -238,7 +238,7 @@ class TestHardBlockStructures:
         st = DensityOp(layout(("A", 4), ("C", 2)), big @ mat @ big.conj().T)
         dec = ki_decompose(st, ["A"], ["C"], rng=rng)
         assert block_signature(dec) == [(1.0, 2, 2)]
-        assert validate_ki(dec, st).ok(1e-7)
+        assert validate_ki(dec, st).ok()
 
     def test_three_block_mixture(self, pieces, rng):
         om, sig, ent = pieces
@@ -250,7 +250,7 @@ class TestHardBlockStructures:
         st = DensityOp(layout(("A", 5), ("C", 2)), mat)
         dec = ki_decompose(st, ["A"], ["C"], rng=rng)
         assert block_signature(dec) == [(0.2, 1, 1), (0.3, 1, 2), (0.5, 2, 1)]
-        assert validate_ki(dec, st).ok(1e-7)
+        assert validate_ki(dec, st).ok()
 
 
 # (dim_l, dim_r) per block: a 1x1 block, redundant factors alone, quantum
@@ -291,7 +291,7 @@ class TestOneDraw:
         state, sig = planted_state(state_seed)
         dec = ki_decompose(state, ["A"], ["C"], rng=np.random.default_rng(draw_seed))
         assert block_signature(dec) == sig
-        assert validate_ki(dec, state).ok(1e-7)
+        assert validate_ki(dec, state).ok()
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -321,7 +321,7 @@ class TestOneDraw:
         dec = ki_decompose(state, ["A"], ["C"], rng=rng)
         assert draws.calls == [True, False] * 2
         assert block_signature(dec) == sig
-        assert validate_ki(dec, state).ok(1e-7)
+        assert validate_ki(dec, state).ok()
 
     def test_always_degenerate_raises(self, draws, rng):
         state, _ = planted_state(2)
@@ -347,7 +347,7 @@ class TestValidateKi:
             st = marginal(build_example("VIB", d=2, lam=0.5), ["A", "C"])
         dec = ki_decompose(st, ["A"], ["C"], rng=rng)
         rep = validate_ki(dec, st)
-        assert rep.ok(1e-7), rep
+        assert rep.ok(), rep
 
     def test_merged_blocks_flagged(self, rng):
         # gluing the two true sectors into one claimed block must trip the
@@ -380,7 +380,7 @@ class TestValidateKi:
                      DensityOp(SystemLayout([("aR", 1), ("C", 2)]), sig.mat)),),
             (1, 2, 1), layout(("A", 2)), layout(("C", 2)))
         rep = validate_ki(dec, st)
-        assert rep.ok(1e-7), rep
+        assert rep.ok(), rep
 
     @pytest.mark.parametrize("p, flagged", [(0.5, True), (0.501, False)])
     def test_equal_weight_blocks_intertwined(self, p, flagged, rng):
@@ -403,9 +403,9 @@ class TestValidateKi:
                    rep.irreducibility_residual) <= 1e-12, rep
         if flagged:
             assert rep.cross_block_residual > 1e-7, rep
-            assert not rep.ok(1e-7)
+            assert not rep.ok()
         else:
-            assert rep.ok(1e-7), rep
+            assert rep.ok(), rep
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
     @pytest.mark.parametrize("family", ["VIC(1-2e,e,e)", "VIB(2,1/2)xVIC(1-e,e)"])
@@ -424,7 +424,7 @@ class TestValidateKi:
             a, c = ["A", "A2"], ["C", "C2"]
         dec = ki_decompose(st, a, c, rng=rng)
         rep = validate_ki(dec, st)
-        assert rep.ok(1e-7), rep
+        assert rep.ok(), rep
 
 
 class TestTripartite:

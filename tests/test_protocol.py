@@ -84,7 +84,7 @@ class TestTypicalSets:
 
     def test_sequence_cap(self):
         with pytest.raises(ValidationError):
-            strongly_typical_set([0.25] * 4, 20, 0.5, max_sequences=1000)
+            strongly_typical_set([0.25] * 4, 20, 0.5)
 
 
 class TestProtocolState:
@@ -92,7 +92,7 @@ class TestProtocolState:
         psi, tki = ghz_tki
         psi_p, blocks, d = build_protocol_state(tki, TypicalSpec(1, 1.9))
         assert d == pytest.approx(1.0, abs=1e-12)
-        full = _ki_power(tki, 1, 4096)
+        full = _ki_power(tki, 1)
         assert np.max(np.abs(psi_p.vec - full.vec)) <= 1e-12
 
     def test_mass_at_n4(self, ghz_tki):
@@ -281,7 +281,7 @@ class TestSimulate:
         res = simulate(psi, n=2, delta=1.0, rate=4.0, trials=1, seed=5, tki=tki)
         spec = TypicalSpec(2, 1.0)
         psi_p, _, d = build_protocol_state(tki, spec)
-        full = _ki_power(tki, 2, 4096)
+        full = _ki_power(tki, 2)
         gap = trace_norm(np.outer(full.vec, full.vec.conj())
                          - np.outer(psi_p.vec, psi_p.vec.conj()) / d)
         assert res.err_full >= res.err_to_average - gap - 1e-9
@@ -506,7 +506,7 @@ def _dense_simulate(tki, n, delta, rate, seed):
     psi_p, blocks, d = build_protocol_state(tki, TypicalSpec(n, delta))
     bar = _einsum_average(tki, psi_p, blocks)
     psi_unit = PureVec(psi_p.layout, psi_p.vec / np.sqrt(d))
-    full = _ki_power(tki, n, 4096)
+    full = _ki_power(tki, n)
     n_unitaries = math.ceil(2.0 ** (n * rate))
     draws = [sample_block_unitary(blocks, tki, rng) for _ in range(n_unitaries)]
     errs = []

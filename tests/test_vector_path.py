@@ -27,6 +27,7 @@ from qmarkov.entropy import qcmi, qmi, trace_distance
 from qmarkov.kidec import ki_decompose, ki_tripartite, validate_ki
 from qmarkov.linalg import (
     DensityOp,
+    Eigenpairs,
     PureVec,
     SystemLayout,
     layout,
@@ -38,7 +39,6 @@ from qmarkov.linalg import (
     psd_sqrt,
     random_density,
     random_pure,
-    support_basis,
 )
 from qmarkov.markov import bounds_check, build_example, markov_decomposition, recovery_check
 
@@ -417,7 +417,7 @@ def _ki_family(psi: PureVec) -> np.ndarray:
     """channel_E's Kraus family of psi's AC marginal on supp(rho_A), the
     family ki_decompose solves."""
     rho_ac = marginal(psi, ["A", "C"])
-    q = support_basis(marginal(psi, ["A"]).mat)
+    q = Eigenpairs.of(marginal(psi, ["A"]).mat).support()
     return q.conj().T @ np.stack(channel_E(rho_ac, ["A"], ["C"]).kraus) @ q
 
 
