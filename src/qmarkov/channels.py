@@ -57,6 +57,8 @@ COMMUTANT_CANDIDATE_RTOL = 1e-8
 # triangular factor.  A chunk holds at least one generator's 2·d²·k entries,
 # up to 2·2048² at the cap, where the solve's own d⁴ arrays are as large.
 COMMUTANT_FOLD_ENTRIES = 2 ** 20
+# Largest entry of the A-marginal below which a split has no recovery map.
+ZERO_MARGINAL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,14 +151,25 @@ class Split:
     @cached_property
     def kraus(self) -> np.ndarray:
         """The Petz recovery Kraus tensor (see _recovery_kraus), built once."""
-        if np.max(np.abs(self.rho_a)) < 1e-14:
+        if np.max(np.abs(self.rho_a)) < ZERO_MARGINAL_FLOOR:
             raise ValidationError("marginal on A is numerically zero")
         return _recovery_kraus(self.ac.sqrt(), self.a.inv_sqrt())
 
 
 def _split_density(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Split:
     """The Split of a bipartite density operator, from one eigh per operator;
-    a pure state's marginal splits its vector (_split_pure) instead."""
+    a pure state's marginal splits its vector (_split_pure) instead.  It is
+    made once per operator and (A, C) labelling and kept on the operator, so
+    ki_decompose and validate_ki of one state factorize it once."""
+    key = (tuple(a), tuple(c))
+    if psi_ac._splits is None:
+        object.__setattr__(psi_ac, "_splits", {})
+    if key not in psi_ac._splits:
+        psi_ac._splits[key] = _new_split(psi_ac, a, c)
+    return psi_ac._splits[key]
+
+
+def _new_split(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Split:
     if psi_ac._source is not None:
         _require_partition(psi_ac.layout, a, c)
         return _split_pure(psi_ac._source, a, c)

@@ -22,6 +22,13 @@ from .linalg import (
 )
 
 LOG2E = float(np.log2(np.e))
+# Most negative weight a distribution may hold, as round-off of zero.
+NEGATIVE_WEIGHT_TOL = 1e-12
+# Largest deviation of a distribution's sum from 1.
+PROB_SUM_TOL = 1e-9
+# Largest entry of m - m†, relative to max(1, largest entry of m), at which
+# trace_norm takes m as Hermitian and sums |eigenvalues|.
+TRACE_NORM_HERM_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,9 +41,9 @@ class ProbDist:
         w = np.asarray(weights, dtype=np.float64).reshape(-1)
         if w.size == 0:
             raise ValidationError("empty distribution")
-        if np.min(w) < -1e-12:
+        if np.min(w) < -NEGATIVE_WEIGHT_TOL:
             raise ValidationError(f"negative weight {np.min(w)}")
-        if abs(np.sum(w) - 1.0) > 1e-9:
+        if abs(np.sum(w) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"weights sum to {np.sum(w)} != 1")
         object.__setattr__(self, "weights", np.clip(w, 0.0, None))
 
@@ -47,7 +54,7 @@ class ProbDist:
 def shannon(p) -> float:
     """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0."""
     w = p.weights if isinstance(p, ProbDist) else np.asarray(p, dtype=np.float64)
-    if np.min(w) < -1e-12:
+    if np.min(w) < -NEGATIVE_WEIGHT_TOL:
         raise ValidationError(f"negative weight {np.min(w)}")
     w = w[w > LOG_EPS]
     if w.size == 0:
@@ -112,8 +119,12 @@ def trace_distance(rho: DensityOp, sigma: DensityOp) -> float:
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
     m = _as_complex(m)
-    if np.max(np.abs(m - m.conj().T)) <= 1e-9 * max(1.0, float(np.max(np.abs(m))) or 1.0):
-        return float(np.sum(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
+    herm = m.conj().T
+    if np.max(np.abs(m - herm)) <= TRACE_NORM_HERM_RTOL * max(1.0, float(np.max(np.abs(m))) or 1.0):
+        # the Hermitian part (m + m†) / 2, in the adjoint's own buffer
+        herm += m
+        herm /= 2
+        return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 

@@ -44,7 +44,6 @@ from .channels import (
     _commutant_of_family,
     _e_family,
     _require_trace_preserving,
-    _split_bipartite,
     _split_density,
     _split_pure,
 )
@@ -70,6 +69,9 @@ KI_ATTEMPTS = 4
 # Relative eigenvalue cutoff when choosing purifier ranks; amplitudes of
 # dropped modes are at most the square root of this.
 PURIFIER_RTOL = 1e-13
+# Floor under the largest eigenvalue that PURIFIER_RTOL scales, so a block
+# factor of round-off size keeps one mode.
+PURIFIER_FLOOR = 1e-12
 # Largest reconstruction residual a decomposition is accepted with, and the
 # bound every residual of a KIValidationReport must meet for ok().
 KI_RESIDUAL_TOL = 1e-7
@@ -278,6 +280,15 @@ def _ki_factor(gamma_total: np.ndarray, us: np.ndarray) -> np.ndarray:
     return (gamma_total @ us.reshape(gamma_total.shape[1], -1)).reshape(-1, us.shape[1])
 
 
+def _mapped_state(gamma_total: np.ndarray, split: Split, dims: tuple[int, int, int],
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Y = (Gamma (x) I_C) us, and the mapped state Y Y† as a tensor over
+    (dims, 1, C, dims, 1, C), the _block_factors layout of KI blocks."""
+    d_c = split.c_layout.dim
+    y = _ki_factor(gamma_total, split.us)
+    return y, (y @ y.conj().T).reshape(*dims, 1, d_c, *dims, 1, d_c)
+
+
 def _block_factors(tens: np.ndarray, shapes: Sequence[tuple[int, int]],
                    ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Per block j, (p_j, normalized marginal on (X, L), normalized marginal
@@ -312,11 +323,24 @@ def _block_residual(tens: np.ndarray,
     return float(np.linalg.norm(diff))
 
 
+def _trivial(dims: tuple[int, int, int]) -> bool:
+    """Whether the (a0, aL, aR) dims of a decomposition are the trivial
+    structure of a generic state: one block with dim_l = 1, so Gamma maps
+    supp(Psi_A) onto aR alone."""
+    return dims[:2] == (1, 1)
+
+
 def _assemble(split: Split, q, cols) -> KIDecomposition:
     """Decomposition from the (dim_l, r, dim_r) column arrays of
     _block_structure.  Psi_AC = us us† on either input type, so the mapped
     state is Y Y† for Y = (Gamma (x) I_C) us, and each block factor is
-    factorized once, here, by a thin SVD of Y's block rows."""
+    factorized once, here, by a thin SVD of Y's block rows.
+
+    On the trivial structure (_trivial) that SVD is the split's own: Gamma
+    is an isometry on supp(Psi_A), which holds the columns of us with a
+    nonzero weight, so Y = ((Gamma (x) I) U) S is already a thin SVD, phi's
+    eigenpairs are read off it (eigenvalues S²/p, the first dim_r·d_C
+    columns, past which S is zero) and omega is [[1]]."""
     r = q.shape[1]
     # weights determine the presentation order of the blocks
     rho_supp = q.conj().T @ split.rho_a @ q
@@ -334,15 +358,20 @@ def _assemble(split: Split, q, cols) -> KIDecomposition:
     gamma_total = gamma_supp @ q.conj().T
     shapes = [(v.shape[0], v.shape[2]) for v in cols]
     d_c = split.c_layout.dim
-    y = _ki_factor(gamma_total, split.us)
-    tens = (y @ y.conj().T).reshape(*dims, 1, d_c, *dims, 1, d_c)
+    y, tens = _mapped_state(gamma_total, split, dims)
     factors = _block_factors(tens, shapes)
     rows = y.reshape(*dims, d_c, -1)
     blocks = []
     for j, ((dl, dr), (p, omega, phi)) in enumerate(zip(shapes, factors)):
-        yj = rows[j, :dl, :dr] / np.sqrt(p)
-        om = Eigenpairs.of_factor(yj.reshape(dl, -1))
-        ph = Eigenpairs.of_factor(yj.transpose(1, 2, 0, 3).reshape(dr * d_c, -1))
+        if _trivial(dims):
+            k = min(len(split.ac.vals), dr * d_c)
+            om = Eigenpairs(np.ones(1), np.ones((1, 1), dtype=np.complex128))
+            ph = Eigenpairs(np.clip(split.ac.vals[:k], 0, None) / p,
+                            _ki_factor(gamma_total, split.ac.vecs[:, :k]))
+        else:
+            yj = rows[j, :dl, :dr] / np.sqrt(p)
+            om = Eigenpairs.of_factor(yj.reshape(dl, -1))
+            ph = Eigenpairs.of_factor(yj.transpose(1, 2, 0, 3).reshape(dr * d_c, -1))
         blocks.append(KIBlock(
             j, p, dl, dr, DensityOp._derived(SystemLayout([("aL", dl)]), omega, pairs=om),
             DensityOp._derived(SystemLayout([("aR", dr)]) + split.c_layout, phi, pairs=ph)))
@@ -381,27 +410,28 @@ def validate_ki(dec: KIDecomposition, psi_ac: DensityOp) -> KIValidationReport:
     """Residual report for a claimed decomposition (report-only).
 
     Reconstruction: the norm of the mapped state minus the claimed block
-    form.  Irreducibility: the commutant of each block's C-sliced state
-    must be the scalars; the residual is the largest non-scalar component
-    of its basis.  Cross-block: intertwiners N with p_i N phi_i,kl =
-    p_j phi_j,kl N between distinct blocks must vanish; they are the
-    lower-left block of the commutant of the two weighted slice families
-    side by side, one _commutant_of_family solve per pair of blocks (its
-    rank rule is the only one), and the residual is their largest norm.
+    form, the mapped state built as _assemble builds it, from the factor of
+    psi_ac's Split (kept on psi_ac, so after ki_decompose of the same
+    operator nothing is factorized again).  Irreducibility: the commutant
+    of each block's C-sliced state must be the scalars; the residual is the
+    largest non-scalar component of its basis.  Cross-block: intertwiners
+    N with p_i N phi_i,kl = p_j phi_j,kl N between distinct blocks must
+    vanish; they are the lower-left block of the commutant of the two
+    weighted slice families side by side, one _commutant_of_family solve
+    per pair of blocks (its rank rule is the only one), and the residual is
+    their largest norm.
     """
-    a = dec.a_layout.labels
-    c = dec.c_layout.labels
-    mat, rho_a, _ = _split_bipartite(psi_ac, a, c)
+    split = _split_density(psi_ac, dec.a_layout.labels, dec.c_layout.labels)
     d_c = dec.c_layout.dim
     gamma_total = dec.gamma_total
-    tens = _ki_tensor(gamma_total, mat, dec.dims, (1, d_c))
+    _, tens = _mapped_state(gamma_total, split, dec.dims)
     reconstruction = _block_residual(
         tens, [(blk.p, blk.omega.mat, blk.phi.mat) for blk in dec.blocks])
 
     supp_proj = dec.support @ dec.support.conj().T
     isometry = float(max(
         np.max(np.abs(gamma_total.conj().T @ gamma_total - supp_proj)),
-        np.max(np.abs(supp_proj @ rho_a @ supp_proj - rho_a))))
+        np.max(np.abs(supp_proj @ split.rho_a @ supp_proj - split.rho_a))))
 
     slices = [_phi_slices(blk, d_c) for blk in dec.blocks]
     irreducibility = 0.0
@@ -424,9 +454,10 @@ def validate_ki(dec: KIDecomposition, psi_ac: DensityOp) -> KIValidationReport:
 
 def _purifier_rank(op: DensityOp) -> int:
     """Number of modes a purification of ``op`` keeps: eigenvalues above
-    PURIFIER_RTOL times the largest (at least 1e-12), and at least one."""
+    PURIFIER_RTOL times the largest (at least PURIFIER_FLOOR), and at least
+    one."""
     vals = op.spectrum
-    return max(1, int(np.sum(vals > max(vals[-1], 1e-12) * PURIFIER_RTOL)))
+    return max(1, int(np.sum(vals > max(vals[-1], PURIFIER_FLOOR) * PURIFIER_RTOL)))
 
 
 def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("B",),
@@ -445,9 +476,12 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
     isometries: an orthogonal Procrustes problem (Schönemann 1966), solved
     by the polar factor of X_s† T, so Gamma' is isometric by construction.
     This is the Uhlmann step of Hayden, Jozsa, Petz & Winter
-    (arXiv:quant-ph/0304007).  ``residual`` is the fit error,
-    ||(Gamma (x) Gamma')|psi> - T||; above B_SIDE_RESIDUAL_TOL it raises
-    ValidationError.
+    (arXiv:quant-ph/0304007).  On the trivial structure of a generic state
+    (one block, a0 = aL = 1) phi's purification is read off the same SVD,
+    so T = X_s column by column, X_s† T is positive diagonal and Gamma' is
+    the identity, with no SVD.  ``residual`` is the fit error,
+    ||(Gamma (x) Gamma')|psi> - T||, on either path; above
+    B_SIDE_RESIDUAL_TOL it raises ValidationError.
     """
     if not psi.normalized:
         raise ValidationError("tripartite decomposition requires a normalized pure state")
@@ -482,8 +516,13 @@ def _ki_tripartite(split: Split, rng: np.random.Generator | None = None) -> Trip
     x_s = _ki_factor(base.gamma_total, split.us)[:, :r]
     t = _ki_pure(base, purified, b_dims).vec.reshape(-1, int(np.prod(b_dims)), d_c)
     t = t.transpose(0, 2, 1).reshape(x_s.shape[0], -1)
-    pu, _, pvh = np.linalg.svd(x_s.conj().T @ t, full_matrices=False)
-    z = pu @ pvh
+    if _trivial(base.dims):
+        # T = X_s column by column (see _assemble), so X_s† T is positive
+        # diagonal and its polar factor is the identity
+        z = np.eye(r, dtype=np.complex128)
+    else:
+        pu, _, pvh = np.linalg.svd(x_s.conj().T @ t, full_matrices=False)
+        z = pu @ pvh
     gamma_prime = IsometryOp(
         SystemLayout([("suppB", x_s.shape[1])]),
         SystemLayout(zip(("b0", "bL", "bR"), b_dims)),

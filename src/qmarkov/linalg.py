@@ -23,6 +23,11 @@ RANK_RTOL = 1e-10
 ISOMETRY_TOL = 1e-8
 # Eigenvalues below this are dropped before taking logs.
 LOG_EPS = 1e-12
+# Largest deviation of a state's trace, or a vector's norm, from 1.
+NORM_TOL = 1e-6
+# Eigenvalues below this fraction of the largest are zeroed before a square
+# root, which would lift O(eps) kernel noise to O(sqrt(eps)).
+SQRT_RTOL = 1e-14
 
 
 class DimensionError(ValueError):
@@ -147,7 +152,7 @@ class Eigenpairs:
             raise ValidationError(f"matrix is not PSD: min eigenvalue {vals[-1]}")
         vals = np.clip(vals, 0.0, None)
         if len(vals):
-            vals[vals < vals[0] * 1e-14] = 0.0
+            vals[vals < vals[0] * SQRT_RTOL] = 0.0
         return (self.vecs * np.sqrt(vals)) @ self.vecs.conj().T
 
     def inv_sqrt(self) -> np.ndarray:
@@ -173,8 +178,9 @@ class DensityOp:
     part that validation computed, so entropies need no second eigensolve.
     A marginal of a pure state keeps that vector as ``_source``, so a split
     of it factors the vector instead of the matrix; a block factor keeps
-    the eigenpairs its spectrum came from as ``_pairs``.  Instances compare
-    and hash by identity.
+    the eigenpairs its spectrum came from as ``_pairs``; ``_splits`` keeps
+    the bipartite splits made of it (channels._split_density).  Instances
+    compare and hash by identity.
     """
 
     layout: SystemLayout
@@ -183,20 +189,25 @@ class DensityOp:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     _source = None
     _pairs = None
+    _splits = None
 
     def __init__(self, layout: SystemLayout, mat, trace_of_one: bool = True):
         mat = _as_complex(mat)
         d = layout.dim
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != layout dim {d}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
+        herm = mat.conj().T
+        if np.max(np.abs(mat - herm)) > HERM_TOL:
             raise ValidationError("density operator is not Hermitian within tolerance")
-        spectrum = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+        # the Hermitian part (mat + mat†) / 2, in the adjoint's own buffer
+        herm += mat
+        herm /= 2
+        spectrum = np.linalg.eigvalsh(herm)
         spectrum.flags.writeable = False
         lo = float(spectrum[0])
         if lo < -HERM_TOL * max(1.0, abs(np.trace(mat).real)):
             raise ValidationError(f"density operator has negative eigenvalue {lo}")
-        if trace_of_one and abs(np.trace(mat) - 1.0) > 1e-6:
+        if trace_of_one and abs(np.trace(mat) - 1.0) > NORM_TOL:
             raise ValidationError(f"trace {np.trace(mat)} != 1")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "mat", mat)
@@ -246,7 +257,7 @@ class PureVec:
         vec = _as_complex(vec).reshape(-1)
         if vec.shape != (layout.dim,):
             raise DimensionError(f"vector length {vec.shape[0]} != layout dim {layout.dim}")
-        if normalized and abs(np.linalg.norm(vec) - 1.0) > 1e-6:
+        if normalized and abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
             raise ValidationError(f"norm {np.linalg.norm(vec)} != 1")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "vec", vec)

@@ -56,6 +56,9 @@ EIGEN_FLOOR_RTOL = 1e-12
 # Round-off level of a trace distance between unit-trace states; a sample
 # error at or below it predicts no finite Chernoff sample count.
 ERR_ROUNDOFF = 1e-12
+# Weight of the typically projected state at or below which it counts as
+# vanishing.
+PROJECTED_WEIGHT_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,7 @@ def _project(psi_n: PureVec, tki: TripartiteKI,
 
 def _checked_weight(d: float) -> float:
     """The weight of the projected state; a vanishing one raises."""
-    if d <= 1e-15:
+    if d <= PROJECTED_WEIGHT_FLOOR:
         raise ValidationError("projected state has vanishing weight")
     return d
 

@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import DensityOp, PureVec, SystemLayout
+from .linalg import NORM_TOL, DensityOp, PureVec, SystemLayout
 
 FORMAT_VERSION = 1
 
@@ -193,14 +193,15 @@ def loads(text: str) -> PureVec | DensityOp:
         x = _complex_array(_parse(text)["data"], kind, d)
     if kind == "pure":
         norm = float(np.linalg.norm(x))
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > NORM_TOL:
             raise StateFileError("NORM", f"vector norm {norm} deviates from 1 beyond 1e-6")
         return PureVec(lay, x / norm)
     tr = float(np.trace(x).real)
-    if abs(tr - 1.0) > 1e-6:
+    if abs(tr - 1.0) > NORM_TOL:
         raise StateFileError("TRACE", f"trace {tr} deviates from 1 beyond 1e-6")
+    x /= tr
     try:
-        return DensityOp(lay, x / tr)
+        return DensityOp(lay, x)
     except Exception as err:
         raise StateFileError("INVALID_STATE", str(err)) from err
 

@@ -22,14 +22,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarkov import channels, cli, stateio
-from qmarkov.channels import NULLSPACE_RTOL, _commutant_of_family, _split_pure, channel_E
+from qmarkov.channels import (
+    NULLSPACE_RTOL,
+    _commutant_of_family,
+    _split_density,
+    _split_pure,
+    channel_E,
+)
 from qmarkov.entropy import qcmi, qmi, trace_distance
-from qmarkov.kidec import ki_decompose, ki_tripartite, validate_ki
+from qmarkov.kidec import _ki_factor, ki_decompose, ki_tripartite, validate_ki
 from qmarkov.linalg import (
     DensityOp,
     Eigenpairs,
     PureVec,
     SystemLayout,
+    haar_unitary,
     layout,
     marginal,
     partial_trace,
@@ -190,17 +197,26 @@ class TestOneFactorizationPerOperator:
     def test_bounds_check(self, case, monkeypatch):
         # rho_AC, rho_B and the vector across AC|B share one spectrum: one
         # thin SVD serves them all, as one eigh of rho_A serves its support,
-        # its roots and S(A); rho_C gives S(C)
+        # its roots and S(A); rho_C gives S(C).  A generic state has one
+        # block with dim_l = 1: there phi is a unitary image of rho_AC and
+        # omega = [[1]], so that SVD serves phi too and omega needs none
         make, *parts = QUERY_CASES[case]
         psi = make()
         a, b, c = (p.split(",") for p in parts)
         split_ops = [marginal(psi, a + c).mat, marginal(psi, b).mat]
         blocks = ki_tripartite(psi, a, b, c).blocks
-        ops = [marginal(psi, a).mat, marginal(psi, c).mat] + [
-            op.mat for blk in blocks for op in (blk.omega, blk.phi, blk.phi_ar)]
+        ops = [marginal(psi, a).mat, marginal(psi, c).mat]
+        unfactored = []
+        if len(blocks) == 1 and blocks[0].dim_l == 1:
+            split_ops.append(blocks[0].phi.mat)
+            unfactored.append(blocks[0].omega.mat)
+            ops.append(blocks[0].phi_ar.mat)
+        else:
+            ops += [op.mat for blk in blocks for op in (blk.omega, blk.phi, blk.phi_ar)]
         seen = _recording(monkeypatch)
         bounds_check(psi, a, b, c)
         assert sum(any(_factorizes(m, op) for op in split_ops) for m in seen) == 1
+        assert not any(_factorizes(m, op) for op in unfactored for m in seen)
         for op in ops:
             # operators may coincide, such as omega_j = [[1]] of every block
             copies = sum(o.shape == op.shape and np.allclose(o, op, rtol=0, atol=1e-12)
@@ -257,8 +273,8 @@ class TestOneKiPath:
     def test_dense_factorizes_once(self, case, monkeypatch):
         # ki_decompose on a dense input factorizes rho_AC once, in its split,
         # and hands no block factor itself to a solver (the old path's eigh);
-        # validate_ki reads the state's matrix and factorizes nothing at the
-        # full AC dimension
+        # validate_ki reads the split the operator keeps and factorizes
+        # nothing at the full AC dimension
         _, dense, a, c = _dense_marginal(case)
         ordered = permute_mat(dense.mat, dense.layout, a + c)
         seen = _recording(monkeypatch)
@@ -271,6 +287,70 @@ class TestOneKiPath:
         seen.clear()
         assert validate_ki(dec, dense).ok()
         assert not any(_factorizes(m, ordered) for m in seen)
+
+
+@st.composite
+def generic_marginals(draw) -> tuple[DensityOp, PureVec]:
+    """The AC marginal of a random state on (A, B, C), from the vector or as
+    a dense copy, and the state.  A random isometry embeds an A' of
+    dimension 1-4 into A with up to 2 more dimensions, so rho_A may be rank
+    deficient; d_B = 1-6 leaves rho_AC rank deficient too, as at (4, 2, 4)
+    and (3, 2, 3).  Dense or subnormalized inputs, whose block weight p is
+    not 1, take the same path."""
+    d_a1, extra = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    d_b, d_c = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = random_pure(layout(("A", d_a1), ("B", d_b), ("C", d_c)), rng)
+    w = haar_unitary(d_a1 + extra, rng)[:, :d_a1]
+    vec = np.einsum("ia,abc->ibc", w, small.vec.reshape(d_a1, d_b, d_c))
+    psi = PureVec(layout(("A", d_a1 + extra), ("B", d_b), ("C", d_c)), vec.reshape(-1))
+    scale = draw(st.sampled_from([1.0, 0.3]))
+    rho = marginal(PureVec(psi.layout, scale * psi.vec, normalized=scale == 1.0), ["A", "C"])
+    if draw(st.booleans()):
+        rho = DensityOp(rho.layout, rho.mat, trace_of_one=rho.trace_of_one)
+    return rho, psi
+
+
+def _gram(pairs: Eigenpairs) -> np.ndarray:
+    return (pairs.vecs * pairs.vals) @ pairs.vecs.conj().T
+
+
+class TestTrivialStructureReadOff:
+    """On a generic state's one block with dim_l = 1, _assemble reads phi's
+    eigenpairs off the split and ki_tripartite takes the identity as the
+    polar factor; the general path (a thin SVD of Y's block rows, and the
+    SVD polar factor of X_s† T) is the oracle."""
+
+    @PROPERTY
+    @given(generic_marginals())
+    def test_eigenpairs_match_block_row_svd(self, case):
+        rho, _ = case
+        dec = ki_decompose(rho, ["A"], ["C"])
+        assert dec.dims[:2] == (1, 1)
+        (blk,) = dec.blocks
+        y = _ki_factor(dec.gamma_total, _split_density(rho, ["A"], ["C"]).us) / np.sqrt(blk.p)
+        for got, want in ((blk.omega, Eigenpairs.of_factor(y.reshape(1, -1))),
+                          (blk.phi, Eigenpairs.of_factor(y))):
+            assert np.max(np.abs(_gram(got._pairs) - _gram(want))) <= 1e-12
+            spectrum = np.zeros(got.dim)
+            spectrum[got.dim - len(want.vals):] = want.vals[::-1]
+            assert np.max(np.abs(got.spectrum - spectrum)) <= 1e-12
+
+    @PROPERTY
+    @given(generic_marginals())
+    def test_b_side_isometry_matches_polar_factor(self, case):
+        _, psi = case
+        tki = ki_tripartite(psi)
+        assert tki.base.dims[:2] == (1, 1)
+        gp = tki.gamma_prime.mat
+        assert np.max(np.abs(gp.conj().T @ gp - np.eye(gp.shape[1]))) <= 1e-12
+        r = gp.shape[1]
+        x_s = _ki_factor(tki.base.gamma_total, _split_pure(psi, ["A"], ["C"], ["B"]).us)[:, :r]
+        d_c = psi.layout.dim_of(["C"])
+        t = tki.ki_pure_state().vec.reshape(-1, r, d_c).transpose(0, 2, 1).reshape(-1, r)
+        pu, _, pvh = np.linalg.svd(x_s.conj().T @ t)
+        assert tki.residual <= np.linalg.norm(x_s @ (pu @ pvh) - t) + 1e-12
+        assert np.max(np.abs(x_s @ gp.T - t)) <= 1e-12
 
 
 AGREEMENT_CASES = {
