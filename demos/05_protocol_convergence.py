@@ -11,20 +11,20 @@ import numpy as np
 
 from qmarkov import (
     TypicalSpec,
-    average_markov_state,
     build_example,
-    build_protocol_state,
     ki_tripartite,
-    min_eig_lower_bound,
     qcmi,
     simulate,
     typical_mass,
 )
 from qmarkov.linalg import DensityOp
-from qmarkov.protocol import (
+from qmarkov.reference import (
     a_side_labels,
+    average_markov_state,
     b_side_labels,
+    build_protocol_state,
     c_side_labels,
+    min_eig_lower_bound,
     min_nonzero_eigenvalue,
 )
 

@@ -6,13 +6,14 @@ formula on the Koashi-Imoto decomposition of the AC marginal, and a
 spectral algorithm built on the Petz recovery channel.  Also provides the
 underlying labeled tensor linear algebra, entropic functionals, channel
 tools, Markov-state tests and decompositions, and a finite-copy Monte
-Carlo simulator of the randomized protocol.
+Carlo simulator of the randomized protocol.  The simulator's dense n-copy
+reference is ``qmarkov.reference``, which importing the package does not
+load.
 """
 
 from .channels import (
     KrausChannel,
     apply_channel,
-    cesaro_average,
     channel_E,
     ergodic_projector,
     petz_channel,
@@ -50,8 +51,6 @@ from .linalg import (
     partial_trace,
     permute_op,
     permute_vec,
-    pinv_sqrt,
-    psd_sqrt,
     purify,
     random_density,
     random_pure,
@@ -69,15 +68,9 @@ from .markov import (
     recovery_check,
 )
 from .protocol import (
-    BlockStructure,
     SimResult,
     TypicalSpec,
-    average_markov_state,
-    build_protocol_state,
-    min_eig_lower_bound,
-    sample_block_unitary,
     simulate,
-    strongly_typical_set,
     typical_mass,
     weakly_typical_set,
 )

@@ -275,19 +275,6 @@ def ergodic_projector(tm: np.ndarray) -> np.ndarray:
     return v @ v.conj().T
 
 
-def cesaro_average(tm: np.ndarray, n: int) -> np.ndarray:
-    """(1/N) sum_{k=1..N} T^k, the finite Cesaro average."""
-    if n < 1:
-        raise ValidationError(f"N = {n} < 1")
-    tm = _as_complex(tm)
-    acc = np.zeros_like(tm)
-    power = np.eye(tm.shape[0], dtype=np.complex128)
-    for _ in range(n):
-        power = power @ tm
-        acc += power
-    return acc / n
-
-
 def _commutant_of_family(gens: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Hermitian, Hilbert-Schmidt-orthonormal basis of the commutant
     {X : [G, X] = [G†, X] = 0 for all generators G} of the generators and

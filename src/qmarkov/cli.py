@@ -13,6 +13,7 @@ apply to the input; 64 usage.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -91,7 +92,8 @@ def _read_state(path: str | None):
 def _parts(args, state) -> list[list[str]]:
     """Labels of the subsystems the command takes (its --A/--B/--C).  Each
     part defaults to the factor at its position, the last one to every
-    factor the others leave; no part may be empty."""
+    factor the others leave.  Every label must be a layout label, no label
+    may be in two parts, and no part may be empty."""
     names = COMMANDS[args.command].labels
     labels = state.layout.labels
     parts: list[list[str]] = []
@@ -105,6 +107,11 @@ def _parts(args, state) -> list[list[str]]:
             parts.append([labels[i]])
         else:
             raise ValidationError("cannot infer subsystem labels; pass them explicitly")
+    state.layout._check_known({l for part in parts for l in part})
+    counts = collections.Counter(l for part in parts for l in set(part))
+    shared = sorted(l for l, k in counts.items() if k > 1)
+    if shared:
+        raise ValidationError(f"label sets overlap: {shared}")
     for name, part in zip(names, parts):
         if not part:
             flags = "/".join(f"--{n}" for n in names)
@@ -299,10 +306,10 @@ def _example(args):
                               ("--trials", dict(type=int, default=1))))
 def _simulate(args, state):
     psi = _require_pure(state)
-    a, b, c = _parts(args, state)
+    a, _, c = _parts(args, state)
     cap = int(os.environ.get("QMARKOV_DIM_CAP", DEFAULT_DIM_CAP))
     res = simulate(psi, n=args.n, delta=args.delta, rate=args.rate,
-                   trials=args.trials, seed=args.seed, a=a, b=b, c=c, dim_cap=cap)
+                   trials=args.trials, seed=args.seed, a=a, c=c, dim_cap=cap)
     row = {"n": res.n, "delta": res.delta, "rate": res.rate, "N": res.n_unitaries,
            "err_avg": _sig(res.err_to_average), "err_full": _sig(res.err_full),
            "D": _sig(res.typical_mass), "chernoff_N": _sig(res.chernoff_n)}

@@ -136,10 +136,6 @@ class TripartiteKI:
     residual: float
 
     @property
-    def gamma_prime_total(self) -> np.ndarray:
-        return self.gamma_prime.mat @ self.support_b.conj().T
-
-    @property
     def blocks(self) -> tuple[KIBlock, ...]:
         return self.base.blocks
 

@@ -121,8 +121,8 @@ class Eigenpairs:
     """A Hermitian PSD operator as vecs diag(vals) vecs†, ``vals`` descending.
 
     ``vecs`` may have fewer columns than rows; the missing eigenvalues are
-    zero.  Its square root and inverse square root on the support are the
-    ones ``psd_sqrt`` and ``pinv_sqrt`` compute, with no second eigensolve.
+    zero.  Its square root, inverse square root on the support and support
+    basis all come from the one eigensolve.
     """
 
     vals: np.ndarray = field(repr=False)
@@ -367,17 +367,6 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root (``Eigenpairs.sqrt``); errors on
-    eigenvalues below -HERM_TOL."""
-    return Eigenpairs.of(m).sqrt()
-
-
-def pinv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse square root on the support, zero on the kernel."""
-    return Eigenpairs.of(m).inv_sqrt()
 
 
 def purify(rho: DensityOp, ref_label: str = "R") -> PureVec:

@@ -15,10 +15,6 @@ aR^n and the rest), so a sampled block is an r_s x r_s matrix on the
 typical eigenvalue patterns of its sequence, and everything the
 unitaries leave fixed is one direction.  The simulator's cap bounds the
 entries of the arrays it fills, not the n-copy dimension D.
-
-The dense objects of the reference path, capped by D, live on a
-per-copy labeled layout with the factors grouped by role ("a0.1", ...,
-"a0.n", "aR.1", ..., "C.n"); factors of dimension one are dropped.
 """
 
 from __future__ import annotations
@@ -26,32 +22,29 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .entropy import ProbDist, shannon, vn_entropy
+from .entropy import ProbDist, shannon
 from .kidec import KIDecomposition, TripartiteKI, ki_decompose
 from .linalg import (
-    DensityOp,
     DimensionError,
     PureVec,
-    SystemLayout,
     ValidationError,
     haar_from_normals,
-    haar_unitary,
     marginal,
-    permute_vec,
 )
 
-# Largest n-copy dimension D the dense reference path accepts; simulate's
-# default cap, by whose square it bounds the entries of the arrays it fills.
+# Largest n-copy dimension D the dense path of qmarkov.reference accepts;
+# simulate's default cap, by whose square it bounds the entries of the
+# arrays it fills.
 DEFAULT_DIM_CAP = 4096
 # Largest number of classical block sequences enumerated exactly.
 SEQUENCE_CAP = 1 << 20
-# Eigenvalues up to this fraction of the largest count as zero in
-# min_nonzero_eigenvalue and in the lam_min of simulate.
+# Eigenvalues up to this fraction of the largest count as zero in the
+# lam_min of simulate and in reference.min_nonzero_eigenvalue.
 EIGEN_FLOOR_RTOL = 1e-12
 # Round-off level of a trace distance between unit-trace states; a sample
 # error at or below it predicts no finite Chernoff sample count.
@@ -75,32 +68,6 @@ class TypicalSpec:
             raise ValidationError(f"delta = {self.delta} must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class BlockEntry:
-    """One typical block sequence with its weight and an orthonormal basis
-    (as columns) of its typical quantum subspace."""
-
-    seq: tuple[int, ...]
-    prob: float
-    basis: np.ndarray = field(repr=False)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """All typical blocks of the projected n-copy state."""
-
-    spec: TypicalSpec
-    entries: tuple[BlockEntry, ...]
-
-
 @dataclass(frozen=True)
 class SimResult:
     """Averaged outcome of the finite-sample protocol runs."""
@@ -116,14 +83,10 @@ class SimResult:
     seed: int | None
 
 
-def strongly_typical_set(p, n: int, delta: float) -> list[tuple[tuple[int, ...], float]]:
-    """All length-n sequences with empirical frequencies within delta/|J|
-    of the distribution, zero-probability symbols excluded."""
-    return list(_strongly_typical(p, n, delta))
-
-
 def _strongly_typical(p, n: int, delta: float):
-    """``strongly_typical_set`` one sequence at a time, in lexicographic order."""
+    """The length-n sequences with empirical frequencies within delta/|J|
+    of the distribution, zero-probability symbols excluded, with their
+    probabilities, one at a time in lexicographic order."""
     w = p.weights if isinstance(p, ProbDist) else ProbDist(p).weights
     k = len(w)
     if k ** n > SEQUENCE_CAP:
@@ -203,35 +166,6 @@ def _typical_blocks(blocks) -> list:
     return out
 
 
-def build_blocks(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec) -> BlockStructure:
-    """Typical block sequences with their conditional projectors.
-
-    The projector of a block sequence j1..jn lives on the n-fold padded
-    quantum factor; it selects, for every symbol j, the weakly typical
-    eigenvalue patterns of that symbol's state on the copies where the
-    symbol occurs.  Sequences whose projector is empty are dropped; an
-    entirely empty typical region raises.
-    """
-    base = _base(tki)
-    d_ar = base.dims[2]
-    padded = []  # eigenvectors, largest eigenvalue first, in the padded factor
-    for blk in base.blocks:
-        vecs = np.zeros((d_ar, blk.dim_r), dtype=np.complex128)
-        vecs[:blk.dim_r] = np.linalg.eigh(blk.phi_ar.mat)[1][:, ::-1]
-        padded.append(vecs)
-    entries = []
-    for seq, prob, positions, windows in _typical_blocks(_typical_windows(base, spec)):
-        vectors = []
-        for combo in itertools.product(*windows):
-            pattern = np.empty(spec.n, dtype=int)
-            for pos_j, (subseq, _) in zip(positions, combo):
-                pattern[pos_j] = subseq
-            vectors.append(functools.reduce(
-                np.kron, (padded[j][:, x] for j, x in zip(seq, pattern))))
-        entries.append(BlockEntry(seq, prob, np.array(vectors).T))
-    return BlockStructure(spec, tuple(entries))
-
-
 def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec) -> float:
     """Weight of the projected n-copy state, computed combinatorially."""
     base = _base(tki)
@@ -239,127 +173,11 @@ def typical_mass(tki: TripartiteKI | KIDecomposition, spec: TypicalSpec) -> floa
                      _typical_windows(base, spec)))
 
 
-def protocol_layout(tki: TripartiteKI, n: int) -> SystemLayout:
-    """Grouped n-copy layout; factors of dimension one are dropped."""
-    d_a0, d_al, d_ar = tki.base.dims
-    d_b0, d_bl, d_br = tki.b_dims
-    d_c = tki.base.c_layout.dim
-    groups = [("a0", d_a0), ("aL", d_al), ("aR", d_ar),
-              ("b0", d_b0), ("bL", d_bl), ("bR", d_br), ("C", d_c)]
-    factors = []
-    for name, dim in groups:
-        if dim == 1:
-            continue
-        factors.extend((f"{name}.{i+1}", dim) for i in range(n))
-    return SystemLayout(factors)
-
-
-def _group_labels(lay: SystemLayout, names: tuple[str, ...]) -> list[str]:
-    return [l for l in lay.labels if l.split(".")[0] in names]
-
-
-def a_side_labels(lay: SystemLayout) -> list[str]:
-    return _group_labels(lay, ("a0", "aL", "aR"))
-
-
-def b_side_labels(lay: SystemLayout) -> list[str]:
-    return _group_labels(lay, ("b0", "bL", "bR"))
-
-
-def c_side_labels(lay: SystemLayout) -> list[str]:
-    return _group_labels(lay, ("C",))
-
-
-def _ki_power(tki: TripartiteKI, n: int) -> PureVec:
-    """n-fold tensor power of the decomposed state on the grouped layout."""
-    single = tki.ki_pure_state()
-    total = single.layout.dim ** n
-    if total > DEFAULT_DIM_CAP:
-        raise DimensionError(
-            f"the n-copy state has dimension {total} > cap {DEFAULT_DIM_CAP}")
-    vec = np.ones(1, dtype=np.complex128)
-    for _ in range(n):
-        vec = np.kron(vec, single.vec)
-    factors = []
-    for i in range(n):
-        factors.extend((f"{name}.{i+1}", dim)
-                       for name, dim in single.layout.factors if dim > 1)
-    psi = PureVec(SystemLayout(factors), vec)
-    return permute_vec(psi, protocol_layout(tki, n).labels)
-
-
-def _project(psi_n: PureVec, tki: TripartiteKI,
-             blocks: BlockStructure) -> PureVec:
-    """The n-copy state projected onto the typical region, unnormalized."""
-    projected = _apply_blockwise(psi_n, tki, blocks.spec.n,
-                                 {e.seq: e.projector for e in blocks.entries})
-    return PureVec(psi_n.layout, projected, normalized=False)
-
-
 def _checked_weight(d: float) -> float:
     """The weight of the projected state; a vanishing one raises."""
     if d <= PROJECTED_WEIGHT_FLOOR:
         raise ValidationError("projected state has vanishing weight")
     return d
-
-
-def build_protocol_state(tki: TripartiteKI, spec: TypicalSpec,
-                         ) -> tuple[PureVec, BlockStructure, float]:
-    """Project the n-copy state onto the typical region.
-
-    Returns the (subnormalized) projected vector on the grouped layout,
-    the block structure, and the captured weight (its squared norm).
-    """
-    blocks = build_blocks(tki, spec)
-    projected = _project(_ki_power(tki, spec.n), tki, blocks)
-    return projected, blocks, _checked_weight(float(np.vdot(projected.vec, projected.vec).real))
-
-
-def _block_view(psi: PureVec, tki: TripartiteKI, n: int) -> np.ndarray:
-    """A grouped vector as a (block sequence, aL^n, aR^n, rest) tensor; the
-    sequence axis is the C-order flattening of the a0 indices."""
-    d_a0, _, d_ar = tki.base.dims
-    al = _group_labels(psi.layout, ("aL",))
-    daln = psi.layout.dim_of(al) if al else 1
-    return psi.vec.reshape(d_a0 ** n, daln, d_ar ** n, -1)
-
-
-def _apply_blockwise(psi: PureVec, tki: TripartiteKI, n: int,
-                     per_seq: dict[tuple[int, ...], np.ndarray],
-                     default_identity: bool = False) -> np.ndarray:
-    """Apply one matrix per classical block sequence to the quantum factor
-    of a grouped vector.  Sequences absent from the map get zero (or the
-    identity when ``default_identity``)."""
-    tens = _block_view(psi, tki, n)
-    out = tens.copy() if default_identity else np.zeros_like(tens)
-    seq_shape = (tki.base.dims[0],) * n
-    for seq, m in per_seq.items():
-        flat = np.ravel_multi_index(seq, seq_shape)
-        out[flat] = np.einsum("pq,lqr->lpr", m, tens[flat])
-    return out.reshape(-1)
-
-
-def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
-                         rng: np.random.Generator,
-                         ) -> dict[tuple[int, ...], np.ndarray]:
-    """One random block unitary: per typical sequence, Haar on the typical
-    quantum subspace and identity on its complement.
-
-    Returned as a map from block sequence to the unitary on the n-fold
-    quantum factor; non-typical sequences act as the identity.  Draws the
-    sequences one at a time; ``simulate`` draws its N unitaries in one
-    batch that consumes the generator exactly as N calls of this function.
-    """
-    darn = tki.base.dims[2] ** blocks.spec.n
-    out = {}
-    for entry in blocks.entries:
-        if darn == 1:
-            out[entry.seq] = np.exp(2j * np.pi * rng.random()) * np.ones((1, 1))
-            continue
-        b = entry.basis
-        u = haar_unitary(entry.rank, rng)
-        out[entry.seq] = np.eye(darn) + b @ (u - np.eye(entry.rank)) @ b.conj().T
-    return out
 
 
 def _draw_block_unitaries(ranks: Sequence[int], darn: int,
@@ -370,8 +188,9 @@ def _draw_block_unitaries(ranks: Sequence[int], darn: int,
     (count, 1, 1) of phases.
 
     One generator call draws them all: row i holds, sequence by sequence,
-    the real and then the imaginary parts of draw i, the order in which
-    ``sample_block_unitary`` consumes them.
+    the real and then the imaginary parts of draw i (its phases when
+    darn = 1), so the stream is consumed as by ``count`` draws made one
+    after another.
     """
     if darn == 1:
         phases = np.exp(2j * np.pi * rng.random((count, len(ranks))))
@@ -383,49 +202,6 @@ def _draw_block_unitaries(ranks: Sequence[int], darn: int,
         out.append(haar_from_normals(re.reshape(count, r, r), im.reshape(count, r, r)))
         start += 2 * r * r
     return out
-
-
-def _average_factor(tki: TripartiteKI, blocks: BlockStructure,
-                    projected: PureVec) -> np.ndarray:
-    """A factor Y of the exact ensemble average, Y Y^dagger = average.
-
-    Block s of the average is (P_s / r_s) tensor Tr_{aR^n} |M_s><M_s|; with
-    F_s the (aL^n rest) x aR^n reshaping of M_s, F_s F_s^dagger is the
-    partial trace, and P_s / r_s = (basis_s / sqrt r_s)(...)^dagger, so
-    block s contributes the columns F_s tensor basis_s / sqrt(r_s) on the
-    rows of sequence s.
-    """
-    tens = _block_view(projected, tki, blocks.spec.n)
-    _, daln, darn, rest = tens.shape
-    widths = [darn * e.rank for e in blocks.entries]
-    y = np.zeros(tens.shape + (sum(widths),), dtype=np.complex128)
-    seq_shape = (tki.base.dims[0],) * blocks.spec.n
-    start = 0
-    for entry, width in zip(blocks.entries, widths):
-        flat = np.ravel_multi_index(entry.seq, seq_shape)
-        y[flat, ..., start:start + width] = np.einsum(
-            "lkx,rj->lrxkj", tens[flat], entry.basis / np.sqrt(entry.rank),
-        ).reshape(daln, darn, rest, width)
-        start += width
-    return y.reshape(projected.dim, -1)
-
-
-def average_markov_state(tki: TripartiteKI, spec: TypicalSpec,
-                         blocks: BlockStructure | None = None) -> DensityOp:
-    """Exact ensemble average of the randomized protocol output.
-
-    The Haar twirl of the projected state: the unitaries of different
-    block sequences are independent, so cross terms vanish, and block s
-    becomes (P_s / r_s) tensor Tr_{aR^n} |M_s><M_s|, where M_s is the
-    projected vector restricted to s.  The result is a subnormalized
-    Markov state conditioned on the B side, built densely from the
-    factor that ``simulate`` works with.
-    """
-    if blocks is None:
-        blocks = build_blocks(tki, spec)
-    projected = _project(_ki_power(tki, spec.n), tki, blocks)
-    y = _average_factor(tki, blocks, projected)
-    return DensityOp(projected.layout, y @ y.conj().T, trace_of_one=False)
 
 
 def _spectral_average(base: KIDecomposition, spec: TypicalSpec, n_unitaries: int = 1,
@@ -455,31 +231,16 @@ def _smallest_above(vals: np.ndarray) -> float:
     return float(np.min(vals[vals > float(vals[-1]) * EIGEN_FLOOR_RTOL]))
 
 
-def min_nonzero_eigenvalue(mat: np.ndarray) -> float:
-    return _smallest_above(np.linalg.eigvalsh((mat + mat.conj().T) / 2))
-
-
 def _trace_norm_with_diagonal(h: np.ndarray, diagonal: np.ndarray) -> float:
     """Trace norm of the Hermitian h with the given diagonal; overwrites h."""
     h[np.diag_indices_from(h)] = diagonal
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
-def min_eig_lower_bound(tki: TripartiteKI, n: int, delta: float, d_a: int) -> float:
-    """Closed-form lower bound on the smallest nonzero eigenvalue of the
-    averaged Markov state."""
-    probs = tki.base.probs
-    h = shannon(probs)
-    h_prime = -float(np.mean(np.log2(probs[probs > 0])))
-    s_sum = sum(blk.p * vn_entropy(blk.phi_ar) for blk in tki.blocks)
-    exponent = n * (h + 2 * s_sum + delta * (h_prime + 2 * np.log2(4 * d_a)))
-    return float(2.0 ** (-exponent))
-
-
 def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
              seed: int | None = None,
-             a: Sequence[str] = ("A",), b: Sequence[str] = ("B",),
-             c: Sequence[str] = ("C",), dim_cap: int = DEFAULT_DIM_CAP,
+             a: Sequence[str] = ("A",), c: Sequence[str] = ("C",),
+             dim_cap: int = DEFAULT_DIM_CAP,
              rng: np.random.Generator | None = None,
              tki: TripartiteKI | KIDecomposition | None = None) -> SimResult:
     """Run the finite-sample protocol and measure convergence.
@@ -492,8 +253,8 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
 
     Only the A-side decomposition is used (``tki`` may be either kind; by
     default it is computed from the AC marginal, which splits the vector as
-    ki_tripartite does, and the B side, which the unitaries never touch, is
-    not built, so ``b`` is not read).  In the eigenbases of the
+    ki_tripartite does; the B side, which the unitaries never touch, is
+    not built).  In the eigenbases of the
     phi_j^aR, block s of the n-copy state is diagonal with amplitudes
     a_s[x] = sqrt(prob_s prod_i lambda_{j_i}[x_i]) over the patterns x, and
     P_s keeps the typical ones.  A sample is then, per sequence, the
@@ -508,7 +269,10 @@ def simulate(psi: PureVec, n: int, delta: float, rate: float, trials: int,
     block of G minus the average, over the typical mass; err_full on all
     of G minus the normalized average.  No D x D matrix, no N x D array and
     no n-copy vector is formed.  Each trial draws its N unitaries in one
-    generator call, in the order of N ``sample_block_unitary`` calls.
+    generator call, which consumes the stream as N draws made one after
+    another: per draw, sequence by sequence, the r_s^2 real and then the
+    r_s^2 imaginary normals of U_s (or one uniform for its phase when aR^n
+    is trivial).
 
     An err_to_average of at most ERR_ROUNDOFF, the round-off level of the
     distance, is reported as 0.0, and chernoff_n is then inf.  Raises

@@ -15,7 +15,6 @@ import numpy as np
 
 from .channels import (
     apply_channel,
-    cesaro_average,
     channel_E,
     ergodic_projector,
     petz_channel,
@@ -49,17 +48,16 @@ from .markov import (
     mixed_with_product,
     recovery_check,
 )
-from .protocol import (
-    TypicalSpec,
+from .protocol import TypicalSpec, simulate, typical_mass
+from .reference import (
     a_side_labels,
     average_markov_state,
     b_side_labels,
     build_protocol_state,
     c_side_labels,
+    cesaro_average,
     min_eig_lower_bound,
     min_nonzero_eigenvalue,
-    simulate,
-    typical_mass,
 )
 
 DEFAULT_SEED = 20250101

@@ -7,7 +7,6 @@ from qmarkov.channels import (
     KrausChannel,
     _commutant_of_family,
     apply_channel,
-    cesaro_average,
     channel_E,
     completeness,
     ergodic_projector,
@@ -18,6 +17,7 @@ from qmarkov.channels import (
 from qmarkov.entropy import trace_norm
 from qmarkov.linalg import (
     DensityOp,
+    Eigenpairs,
     SystemLayout,
     ValidationError,
     is_hermitian,
@@ -25,12 +25,11 @@ from qmarkov.linalg import (
     marginal,
     partial_trace,
     permute_mat,
-    pinv_sqrt,
-    psd_sqrt,
     random_density,
     random_pure,
 )
 from qmarkov.markov import build_example, recovery_check
+from qmarkov.reference import cesaro_average
 
 
 @pytest.fixture
@@ -126,7 +125,7 @@ class TestTransferMatrices:
         rho_ac = marginal(psi, ["A", "C"])
         rho_a = marginal(psi, ["A"])
         t1, _ = transfer_matrices(rho_ac, ["A"], ["C"])
-        s = psd_sqrt(rho_a.mat)
+        s = Eigenpairs.of(rho_a.mat).sqrt()
         omega = np.zeros(4, dtype=np.complex128)
         for k in range(2):
             e = np.zeros(2)
@@ -171,9 +170,9 @@ IDENTITY_STATES = {
 def purification_ratio(rho_ac, d_a, d_c):
     """Reference transfer matrix T2 pinv(T1): the canonical purification of
     Psi_A after one channel use, divided by the purification itself."""
-    t_ac = psd_sqrt(rho_ac.mat).reshape(d_a, d_c, d_a, d_c)
+    t_ac = Eigenpairs.of(rho_ac.mat).sqrt().reshape(d_a, d_c, d_a, d_c)
     t2 = np.einsum("krms,nslr->klmn", t_ac, t_ac).reshape(d_a * d_a, d_a * d_a)
-    inv_s = pinv_sqrt(partial_trace(rho_ac, ["A"]).mat)
+    inv_s = Eigenpairs.of(partial_trace(rho_ac, ["A"]).mat).inv_sqrt()
     t1_pinv = np.einsum("km,nl->klmn", inv_s, inv_s).reshape(d_a * d_a, d_a * d_a)
     return t2 @ t1_pinv
 
@@ -199,7 +198,7 @@ class TestRecoveryIdentities:
 
     def test_purification_matrix_is_root_tensor_conjugate(self, rho_ac):
         t1, _ = transfer_matrices(rho_ac, ["A"], ["C"])
-        s = psd_sqrt(partial_trace(rho_ac, ["A"]).mat)
+        s = Eigenpairs.of(partial_trace(rho_ac, ["A"]).mat).sqrt()
         d_a = s.shape[0]
         expect = np.einsum("km,nl->klmn", s, s).reshape(d_a * d_a, d_a * d_a)
         assert np.max(np.abs(t1 - expect)) <= 1e-12

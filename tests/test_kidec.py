@@ -37,7 +37,7 @@ from qmarkov.markov import (
     markov_decomposition,
     mixed_with_product,
 )
-from qmarkov.protocol import BlockEntry
+from qmarkov.reference import BlockEntry
 
 
 @pytest.fixture
@@ -460,7 +460,7 @@ class TestTripartite:
         psi = build_example("VIB", d=2, lam=0.5)
         tki = ki_tripartite(psi, rng=rng)
         lhs = np.einsum("ax,by,xyc->abc", tki.base.gamma_total,
-                        tki.gamma_prime_total,
+                        tki.gamma_prime.mat @ tki.support_b.conj().T,
                         psi.vec.reshape(3, 3, 2)).reshape(-1)
         rhs = tki.ki_pure_state()
         assert np.linalg.norm(lhs - rhs.vec) <= 1e-7
@@ -472,7 +472,7 @@ class TestTripartite:
         psi = build_example("VIB", d=2, lam=0.5)
         tki = ki_tripartite(psi, rng=rng)
         rho_bc = marginal(psi, ["B", "C"])
-        gp = tki.gamma_prime_total
+        gp = tki.gamma_prime.mat @ tki.support_b.conj().T
         big = np.kron(gp, np.eye(2))
         out = big @ rho_bc.mat @ big.conj().T
         d_b0, d_bl, d_br = tki.b_dims

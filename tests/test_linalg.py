@@ -3,6 +3,7 @@ import pytest
 
 from qmarkov.linalg import (
     DensityOp,
+    Eigenpairs,
     LabelError,
     PureVec,
     ValidationError,
@@ -12,8 +13,6 @@ from qmarkov.linalg import (
     marginal,
     partial_trace,
     permute_op,
-    pinv_sqrt,
-    psd_sqrt,
     purify,
     random_density,
     random_pure,
@@ -84,26 +83,26 @@ class TestPartialTrace:
 
 class TestSqrt:
     def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
+        assert np.allclose(Eigenpairs.of(np.eye(3)).sqrt(), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert np.allclose(Eigenpairs.of(np.diag([4.0, 9.0])).sqrt(), np.diag([2.0, 3.0]))
 
     def test_square_back(self, rng):
         z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         p = z @ z.conj().T
-        s = psd_sqrt(p)
+        s = Eigenpairs.of(p).sqrt()
         assert np.max(np.abs(s @ s - p)) <= 1e-10 * np.max(np.abs(p))
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            psd_sqrt(np.diag([1.0, -0.5]))
+            Eigenpairs.of(np.diag([1.0, -0.5])).sqrt()
 
     def test_pinv_identity(self):
-        assert np.allclose(pinv_sqrt(np.eye(2)), np.eye(2))
+        assert np.allclose(Eigenpairs.of(np.eye(2)).inv_sqrt(), np.eye(2))
 
     def test_pinv_kernel(self):
-        assert np.allclose(pinv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
+        assert np.allclose(Eigenpairs.of(np.diag([4.0, 0.0])).inv_sqrt(), np.diag([0.5, 0.0]))
 
     def test_pinv_support_projector_full_rank_marginal(self):
         # the asymmetric-family A marginal at half mixing is full rank 3
@@ -111,18 +110,19 @@ class TestSqrt:
 
         psi = build_example("VIB", d=2, lam=0.5)
         rho_a = marginal(psi, ["A"]).mat
-        inv = pinv_sqrt(rho_a)
+        inv = Eigenpairs.of(rho_a).inv_sqrt()
         proj = inv @ rho_a @ inv
         vals = np.linalg.eigvalsh(proj)
         assert np.allclose(sorted(vals), [1.0, 1.0, 1.0], atol=1e-9)
 
-    @pytest.mark.parametrize("fn", [psd_sqrt, pinv_sqrt])
+    @pytest.mark.parametrize("fn", [Eigenpairs.sqrt, Eigenpairs.inv_sqrt],
+                             ids=["psd_sqrt", "pinv_sqrt"])
     def test_unitary_covariance(self, fn, rng):
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         p = z @ z.conj().T
         u = haar_unitary(4, rng)
-        lhs = fn(u @ p @ u.conj().T)
-        rhs = u @ fn(p) @ u.conj().T
+        lhs = fn(Eigenpairs.of(u @ p @ u.conj().T))
+        rhs = u @ fn(Eigenpairs.of(p)) @ u.conj().T
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 

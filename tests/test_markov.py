@@ -196,8 +196,8 @@ class TestMarkovDecomposition:
     def test_protocol_average_decomposes(self, rng):
         # the simulator's exact average is a Markov state on the grouped
         # layout and must decompose across its B side
-        from qmarkov.protocol import (
-            TypicalSpec,
+        from qmarkov.protocol import TypicalSpec
+        from qmarkov.reference import (
             a_side_labels,
             average_markov_state,
             b_side_labels,

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarkov.entropy import factored_trace_norm, qcmi, trace_norm
-from qmarkov.kidec import ki_tripartite
+from qmarkov.kidec import TripartiteKI, ki_tripartite
 from qmarkov.linalg import (
     DensityOp,
     DimensionError,
@@ -17,18 +21,25 @@ from qmarkov.linalg import (
     partial_trace,
 )
 from qmarkov.markov import build_example
-from qmarkov import protocol
+from qmarkov import protocol, reference
 from qmarkov.protocol import (
     DEFAULT_DIM_CAP,
     ERR_ROUNDOFF,
     TypicalSpec,
+    _draw_block_unitaries,
+    _spectral_average,
+    _strongly_typical,
+    _trace_norm_with_diagonal,
+    simulate,
+    typical_mass,
+    weakly_typical_set,
+)
+from qmarkov.reference import (
+    BlockStructure,
     _apply_blockwise,
     _average_factor,
     _block_view,
-    _draw_block_unitaries,
     _ki_power,
-    _spectral_average,
-    _trace_norm_with_diagonal,
     a_side_labels,
     average_markov_state,
     b_side_labels,
@@ -37,12 +48,32 @@ from qmarkov.protocol import (
     c_side_labels,
     min_eig_lower_bound,
     min_nonzero_eigenvalue,
-    sample_block_unitary,
-    simulate,
-    strongly_typical_set,
-    typical_mass,
-    weakly_typical_set,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def sample_block_unitary(blocks: BlockStructure, tki: TripartiteKI,
+                         rng: np.random.Generator,
+                         ) -> dict[tuple[int, ...], np.ndarray]:
+    """One random block unitary: per typical sequence, Haar on the typical
+    quantum subspace and identity on its complement.
+
+    Returned as a map from block sequence to the unitary on the n-fold
+    quantum factor; non-typical sequences act as the identity.  Draws the
+    sequences one at a time; ``simulate`` draws its N unitaries in one
+    batch that consumes the generator exactly as N calls of this function.
+    """
+    darn = tki.base.dims[2] ** blocks.spec.n
+    out = {}
+    for entry in blocks.entries:
+        if darn == 1:
+            out[entry.seq] = np.exp(2j * np.pi * rng.random()) * np.ones((1, 1))
+            continue
+        b = entry.basis
+        u = haar_unitary(entry.rank, rng)
+        out[entry.seq] = np.eye(darn) + b @ (u - np.eye(entry.rank)) @ b.conj().T
+    return out
 
 
 @pytest.fixture
@@ -58,23 +89,23 @@ def ghz_tki():
 
 class TestTypicalSets:
     def test_deterministic_distribution(self):
-        out = strongly_typical_set([1.0], 5, 0.5)
+        out = list(_strongly_typical([1.0], 5, 0.5))
         assert out == [((0, 0, 0, 0, 0), 1.0)]
 
     def test_uniform_window(self):
         # |k/4 - 1/2| < 0.3 admits one to three heads: 14 of 16 sequences
-        out = strongly_typical_set([0.5, 0.5], 4, 0.6)
+        out = list(_strongly_typical([0.5, 0.5], 4, 0.6))
         assert len(out) == 14
         assert sum(p for _, p in out) == pytest.approx(14 / 16, abs=1e-12)
 
     def test_mass_grows_with_copies(self):
-        masses = [sum(p for _, p in strongly_typical_set([0.5, 0.5], n, 1.0))
+        masses = [sum(p for _, p in _strongly_typical([0.5, 0.5], n, 1.0))
                   for n in (2, 4, 6, 8)]
         assert all(a < b for a, b in zip(masses, masses[1:]))
         assert masses == pytest.approx([1 - 2.0 ** (1 - n) for n in (2, 4, 6, 8)])
 
     def test_zero_support_symbol_excluded(self):
-        out = strongly_typical_set([1.0, 0.0], 3, 1.9)
+        out = list(_strongly_typical([1.0, 0.0], 3, 1.9))
         assert all(all(s == 0 for s in seq) for seq, _ in out)
 
     def test_weak_window(self):
@@ -84,7 +115,7 @@ class TestTypicalSets:
 
     def test_sequence_cap(self):
         with pytest.raises(ValidationError):
-            strongly_typical_set([0.25] * 4, 20, 0.5)
+            list(_strongly_typical([0.25] * 4, 20, 0.5))
 
 
 class TestProtocolState:
@@ -339,8 +370,7 @@ class TestSimulate:
     def test_unitary_count_bounded_before_any_draw(self, ghz_tki, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("simulate drew a unitary before checking the array cap")
-        for target in ("qmarkov.protocol.sample_block_unitary",
-                       "qmarkov.protocol._draw_block_unitaries",
+        for target in ("qmarkov.protocol._draw_block_unitaries",
                        "qmarkov.protocol.haar_from_normals",
                        "qmarkov.linalg.haar_from_normals"):
             monkeypatch.setattr(target, no_draw)
@@ -368,7 +398,7 @@ class TestSimulate:
         # the cap bounds the arrays simulate fills, not the n-copy dimension
         psi = build_example(family, **kw)
         tki = ki_tripartite(psi, rng=np.random.default_rng(0))
-        assert protocol.protocol_layout(tki, n).dim > DEFAULT_DIM_CAP
+        assert reference.protocol_layout(tki, n).dim > DEFAULT_DIM_CAP
         res = simulate(psi, n=n, delta=1.0, rate=rate, trials=1, seed=1)
         assert res.n_unitaries == math.ceil(2.0 ** (n * rate))
         assert 0 < res.err_to_average < 2 and 0 < res.err_full < 2
@@ -393,23 +423,39 @@ class TestSimulate:
     def test_no_dense_matrix_on_the_path(self, monkeypatch):
         def dense(*args, **kwargs):
             raise AssertionError("simulate built or decomposed a D x D matrix")
-        for target in ("qmarkov.protocol.average_markov_state",
-                       "qmarkov.protocol.min_nonzero_eigenvalue",
-                       "qmarkov.protocol.DensityOp", "qmarkov.entropy.trace_norm",
-                       "qmarkov.kidec.ki_tripartite", "qmarkov.protocol._ki_power",
-                       "qmarkov.protocol._apply_blockwise"):
+        for target in ("qmarkov.reference.average_markov_state",
+                       "qmarkov.reference.min_nonzero_eigenvalue",
+                       "qmarkov.entropy.trace_norm",
+                       "qmarkov.kidec.ki_tripartite", "qmarkov.reference._ki_power",
+                       "qmarkov.reference._apply_blockwise"):
             monkeypatch.setattr(target, dense)
-        # protocol does not import trace_norm; the stub catches a re-import
-        monkeypatch.setattr("qmarkov.protocol.trace_norm", dense, raising=False)
+        # protocol imports neither trace_norm nor DensityOp; the stubs catch
+        # a re-import
+        for name in ("trace_norm", "DensityOp"):
+            monkeypatch.setattr(f"qmarkov.protocol.{name}", dense, raising=False)
         psi = build_example("VIB", d=2, lam=0.3)
         res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=0)
         assert res.n_unitaries == 64 and 0 < res.err_to_average < 2
+
+    def test_dense_reference_not_imported(self):
+        # the package and one simulate call, in a fresh interpreter, leave
+        # the dense path uncompiled
+        code = ("import sys, qmarkov\n"
+                "psi = qmarkov.build_example('VIB', d=2, lam=0.3)\n"
+                "qmarkov.simulate(psi, n=2, delta=1.0, rate=3.0, trials=1, seed=0)\n"
+                "print('\\n'.join(sys.modules))\n")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        loaded = run.stdout.split()
+        assert "qmarkov.protocol" in loaded
+        assert "qmarkov.reference" not in loaded
 
     def test_benchmark_case_in_sequence_coordinates(self, monkeypatch):
         # VIB(2, 0.3), n = 2, rate 3: no full-length block application, and
         # both trace norms see sum_s r_s^2 = 9 typical rows (+1 fixed one)
         applied, rows = [], []
-        apply, norm = protocol._apply_blockwise, protocol._trace_norm_with_diagonal
+        apply, norm = reference._apply_blockwise, protocol._trace_norm_with_diagonal
 
         def counted_apply(*args, **kwargs):
             applied.append(1)
@@ -419,7 +465,7 @@ class TestSimulate:
             rows.append(h.shape[0])
             return norm(h, diagonal)
 
-        monkeypatch.setattr("qmarkov.protocol._apply_blockwise", counted_apply)
+        monkeypatch.setattr("qmarkov.reference._apply_blockwise", counted_apply)
         monkeypatch.setattr("qmarkov.protocol._trace_norm_with_diagonal", counted_norm)
         psi = build_example("VIB", d=2, lam=0.3)
         res = simulate(psi, n=2, delta=1.0, rate=3.0, trials=2, seed=0)
@@ -596,7 +642,7 @@ class TestDenseOracle:
     def test_three_copies_match_dense(self, ghz_tki, delta):
         # GHZ is the oracle state whose three-copy space is small, D = 512
         psi, tki = ghz_tki
-        assert protocol.protocol_layout(tki, 3).dim == 512
+        assert reference.protocol_layout(tki, 3).dim == 512
         _check_against_dense(psi, tki, 3, delta)
 
     @pytest.mark.parametrize("delta", [1.0, 1.5])

@@ -661,6 +661,22 @@ class TestCliErrors:
         assert err.startswith("error: unknown labels ['Z']")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("label, message", [
+        ("Z", "error: unknown labels ['Z']; layout has ('A', 'B', 'C')\n"),
+        ("A", "error: label sets overlap: ['A']\n")], ids=["unknown", "overlap"])
+    @pytest.mark.parametrize("command", [name for name, cmd in cli.COMMANDS.items()
+                                         if cmd.labels])
+    def test_parts_checked_at_the_boundary(self, command, label, message, state_files,
+                                           capsys, monkeypatch):
+        # the second part names a label outside the layout, or the first
+        # part's default; no command's later steps see it, and C never
+        # silently takes in the real B
+        extra = ["--n", "2", "--delta", "1", "--rate", "2"] if command == "simulate" else []
+        second = cli.COMMANDS[command].labels[1]
+        code, out, err = run_cli(capsys, monkeypatch, [command, state_files["vib"],
+                                                       f"--{second}", label, *extra])
+        assert (code, out, err) == (1, "", message)
+
     @pytest.mark.parametrize("command", ["qcmi", "bounds"])
     def test_bipartite_file_needs_explicit_parts(self, command, state_files, capsys,
                                                  monkeypatch):

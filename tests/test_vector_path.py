@@ -42,8 +42,6 @@ from qmarkov.linalg import (
     partial_trace,
     permute_mat,
     permute_vec,
-    pinv_sqrt,
-    psd_sqrt,
     random_density,
     random_pure,
 )
@@ -374,9 +372,9 @@ class TestSplitAgreesWithMarginals:
         spectrum = np.zeros(rho_ac.dim)
         spectrum[:len(split.ac.vals)] = split.ac.vals
         assert np.max(np.abs(np.sort(spectrum) - rho_ac.spectrum)) <= 1e-12
-        assert np.max(np.abs(split.ac.sqrt() - psd_sqrt(rho_ac.mat))) <= 1e-12
-        assert np.max(np.abs(split.a.inv_sqrt() - pinv_sqrt(rho_a.mat))) <= 1e-12
-        assert np.max(np.abs(split.a.sqrt() - psd_sqrt(rho_a.mat))) <= 1e-12
+        assert np.max(np.abs(split.ac.sqrt() - Eigenpairs.of(rho_ac.mat).sqrt())) <= 1e-12
+        assert np.max(np.abs(split.a.inv_sqrt() - Eigenpairs.of(rho_a.mat).inv_sqrt())) <= 1e-12
+        assert np.max(np.abs(split.a.sqrt() - Eigenpairs.of(rho_a.mat).sqrt())) <= 1e-12
 
 
 def _projector(basis) -> np.ndarray:
