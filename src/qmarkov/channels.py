@@ -27,7 +27,6 @@ from .linalg import (
     PureVec,
     SystemLayout,
     ValidationError,
-    _as_complex,
     eigh,
     is_hermitian,
     permute_mat,
@@ -76,7 +75,7 @@ class KrausChannel:
 
     def __init__(self, in_layout: SystemLayout, out_layout: SystemLayout,
                  kraus: Sequence[np.ndarray]):
-        ks = tuple(_as_complex(k) for k in kraus)
+        ks = tuple(np.asarray(k) for k in kraus)
         din, dout = in_layout.dim, out_layout.dim
         for k in ks:
             if k.shape != (dout, din):
@@ -103,7 +102,7 @@ def _require_trace_preserving(kraus: Iterable[np.ndarray]) -> None:
 
 def reshuffle(x: np.ndarray, d: int) -> np.ndarray:
     """R(X)[(k,l),(m,n)] = X[(k,m),(l,n)] on a d^2 x d^2 matrix."""
-    x = _as_complex(x)
+    x = np.asarray(x)
     if x.shape != (d * d, d * d):
         raise DimensionError(f"shape {x.shape} != ({d*d}, {d*d})")
     return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
@@ -265,14 +264,20 @@ def _transfer(split: Split) -> tuple[np.ndarray, np.ndarray]:
 def ergodic_projector(tm: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the eigenvalue-1 eigenspace of a Hermitian
     transfer matrix (the infinite Cesaro average of its powers)."""
+    v = _ergodic_basis(tm)
+    return v @ v.conj().T
+
+
+def _ergodic_basis(tm: np.ndarray) -> np.ndarray:
+    """Orthonormal columns V spanning the eigenvalue-1 eigenspace of a
+    Hermitian transfer matrix, so ergodic_projector is V V†."""
     if not is_hermitian(tm, tol=TRANSFER_HERM_TOL):
         raise ValidationError("transfer matrix is not Hermitian; ergodic projector undefined")
     vals, vecs = eigh(tm)
     sel = np.abs(vals - 1.0) <= EIG_ONE_TOL
     if not np.any(sel):
         raise ValidationError("no eigenvalue within tolerance of 1; identity is not recovered")
-    v = vecs[:, sel]
-    return v @ v.conj().T
+    return vecs[:, sel]
 
 
 def _commutant_of_family(gens: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -315,7 +320,9 @@ def _commutant_of_family(gens: Sequence[np.ndarray]) -> list[np.ndarray]:
         raise DimensionError(
             f"the commutator system of {2 * len(gens)} operators at dimension {d} has "
             f"{d * d} real unknowns > cap {COMMUTANT_UNKNOWNS_CAP}")
-    gens = np.asarray(gens, dtype=np.complex128)
+    # the family's own field: real generators give a real Gram matrix and
+    # real traceless parts
+    gens = np.asarray(gens)
     n = len(gens)
     flat = gens.reshape(n, d * d)
     scale = float(np.max(np.linalg.norm(flat, axis=1)))

@@ -16,7 +16,6 @@ from .linalg import (
     DensityOp,
     PureVec,
     ValidationError,
-    _as_complex,
     marginal,
     partial_trace,
 )
@@ -118,8 +117,9 @@ def trace_distance(rho: DensityOp, sigma: DensityOp) -> float:
 
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
-    m = _as_complex(m)
-    herm = m.conj().T
+    m = np.asarray(m)
+    # a new buffer for a real m too, whose conj() is m itself
+    herm = np.conj(m).T
     if np.max(np.abs(m - herm)) <= TRACE_NORM_HERM_RTOL * max(1.0, float(np.max(np.abs(m))) or 1.0):
         # the Hermitian part (m + m†) / 2, in the adjoint's own buffer
         herm += m
@@ -133,7 +133,7 @@ def factored_trace_norm(x: np.ndarray, y: np.ndarray) -> float:
     in the span of their columns: with [X, Y] = Q R (thin QR) and
     J = diag(I, -I), the difference is Q (R J R†) Q†, so its nonzero
     eigenvalues are those of R J R†, of size min(rows, cols X + cols Y)."""
-    x, y = _as_complex(x), _as_complex(y)
+    x, y = np.asarray(x), np.asarray(y)
     if x.shape[0] != y.shape[0]:
         raise ValidationError(f"factor row counts differ: {x.shape[0]} != {y.shape[0]}")
     r = np.linalg.qr(np.hstack([x, y]), mode="r")

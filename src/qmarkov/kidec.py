@@ -311,7 +311,8 @@ def _block_residual(tens: np.ndarray,
     """Frobenius norm of ``tens`` minus sum_j p_j |j><j| (x) xl_j (x) ry_j,
     for the (p_j, xl_j, ry_j) of _block_factors."""
     d_x, d_y = tens.shape[3:5]
-    diff = tens.copy()
+    # the field of the difference, which complex factors make complex
+    diff = tens.astype(np.result_type(tens, *(m for _, xl, ry in factors for m in (xl, ry))))
     for j, (p, xl, ry) in enumerate(factors):
         dl, dr = xl.shape[0] // d_x, ry.shape[0] // d_y
         diff[j, :dl, :dr, :, :, j, :dl, :dr, :, :] -= p * np.einsum(

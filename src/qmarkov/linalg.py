@@ -1,10 +1,15 @@
-"""Dense complex linear algebra over labeled tensor-product spaces.
+"""Dense real or complex linear algebra over labeled tensor-product spaces.
 
 Index convention used throughout the package: the leftmost factor of a
 layout is the most significant index, matching ``np.kron(a, b)`` where
 ``a`` carries the major index.  A basis state ``|i1, i2, ..., ik>`` of a
 layout with dims ``(d1, ..., dk)`` sits at flat index
 ``i1*d2*...*dk + i2*d3*...*dk + ... + ik``.
+
+A state's field is decided once, where it is built: ``PureVec`` and
+``DensityOp`` store an input whose imaginary parts are all exactly zero as
+float64, and any other input as complex128 (``_in_field``).  Nothing after
+that casts, so numpy runs real kernels on real states.
 """
 
 from __future__ import annotations
@@ -107,12 +112,20 @@ def layout(*factors: tuple[str, int]) -> SystemLayout:
     return SystemLayout(factors)
 
 
-def _as_complex(m) -> np.ndarray:
-    return np.asarray(m, dtype=np.complex128)
+def _in_field(x) -> np.ndarray:
+    """x as float64 when none of its imaginary parts is nonzero, else as
+    complex128; a real result is a contiguous copy of a complex input's
+    real part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if x.imag.any():
+            return x.astype(np.complex128, copy=False)
+        x = x.real
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    m = _as_complex(m)
+    m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
@@ -170,7 +183,8 @@ class Eigenpairs:
 
 @dataclass(frozen=True, eq=False)
 class DensityOp:
-    """Complex PSD unit-trace matrix over a SystemLayout.
+    """Real or complex PSD unit-trace matrix over a SystemLayout, real when
+    the input has no nonzero imaginary part.
 
     ``trace_of_one=False`` admits subnormalized operators (still Hermitian
     PSD); a few protocol-level objects are deliberately subnormalized.
@@ -192,11 +206,12 @@ class DensityOp:
     _splits = None
 
     def __init__(self, layout: SystemLayout, mat, trace_of_one: bool = True):
-        mat = _as_complex(mat)
+        mat = _in_field(mat)
         d = layout.dim
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != layout dim {d}")
-        herm = mat.conj().T
+        # a new buffer for a real mat too, whose conj() is mat itself
+        herm = np.conj(mat).T
         if np.max(np.abs(mat - herm)) > HERM_TOL:
             raise ValidationError("density operator is not Hermitian within tolerance")
         # the Hermitian part (mat + mat†) / 2, in the adjoint's own buffer
@@ -244,7 +259,8 @@ class DensityOp:
 
 @dataclass(frozen=True, eq=False)
 class PureVec:
-    """Unit-norm complex vector over a SystemLayout.
+    """Unit-norm real or complex vector over a SystemLayout, real when the
+    input has no nonzero imaginary part.
 
     ``normalized=False`` admits subnormalized vectors (projected states).
     """
@@ -254,7 +270,7 @@ class PureVec:
     normalized: bool = True
 
     def __init__(self, layout: SystemLayout, vec, normalized: bool = True):
-        vec = _as_complex(vec).reshape(-1)
+        vec = _in_field(vec).reshape(-1)
         if vec.shape != (layout.dim,):
             raise DimensionError(f"vector length {vec.shape[0]} != layout dim {layout.dim}")
         if normalized and abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
@@ -281,7 +297,7 @@ class IsometryOp:
     mat: np.ndarray = field(repr=False)
 
     def __init__(self, source_layout: SystemLayout, target_layout: SystemLayout, mat):
-        mat = _as_complex(mat)
+        mat = np.asarray(mat)
         if mat.shape != (target_layout.dim, source_layout.dim):
             raise DimensionError(
                 f"isometry shape {mat.shape} != ({target_layout.dim}, {source_layout.dim})")
@@ -362,7 +378,7 @@ def marginal(psi: PureVec, keep: Iterable[str]) -> DensityOp:
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with eigenvalues sorted descending."""
-    m = _as_complex(m)
+    m = np.asarray(m)
     if not is_hermitian(m, tol=HERM_TOL * max(1.0, float(np.max(np.abs(m))))):
         raise ValidationError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)

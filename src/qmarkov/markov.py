@@ -22,10 +22,10 @@ import numpy as np
 
 from .channels import (
     Split,
+    _ergodic_basis,
     _split_pure,
     _transfer,
     apply_kraus,
-    ergodic_projector,
     petz_channel,
     reshuffle,
 )
@@ -127,12 +127,23 @@ def markov_cost_algorithm(psi: PureVec, a: Sequence[str] = ("A",),
 
 def _cost_algorithm(split: Split) -> float | None:
     """markov_cost_algorithm of the Split of a pure state."""
+    omega_inf = _omega_inf(split)
+    if omega_inf is None:
+        return None
+    vals = np.linalg.eigvalsh((omega_inf + omega_inf.conj().T) / 2)
+    return shannon(np.clip(vals, 0.0, None))
+
+
+def _omega_inf(split: Split) -> np.ndarray | None:
+    """The evolved purification Omega_inf = R(P T1) of the spectral route,
+    None when the hermiticity gate fails.  With V the eigenvalue-1
+    eigenvectors of the transfer matrix (P = V V†), P T1 is formed as
+    V (V† T1): 2k d_A⁴ flops for k eigenvectors, in place of d_A⁶."""
     t1, lam = _transfer(split)
     if not is_hermitian(lam, tol=HERMITICITY_GATE):
         return None
-    omega_inf = reshuffle(ergodic_projector(lam) @ t1, split.a_layout.dim)
-    vals = np.linalg.eigvalsh((omega_inf + omega_inf.conj().T) / 2)
-    return shannon(np.clip(vals, 0.0, None))
+    v = _ergodic_basis(lam)
+    return reshuffle(v @ (v.conj().T @ t1), split.a_layout.dim)
 
 
 def is_markov_state(rho: DensityOp, a: Sequence[str] = ("A",),

@@ -29,7 +29,6 @@ from .linalg import (
     PureVec,
     SystemLayout,
     ValidationError,
-    _as_complex,
     permute_vec,
 )
 from .protocol import (
@@ -183,7 +182,9 @@ def _apply_blockwise(psi: PureVec, tki: TripartiteKI, n: int,
     of a grouped vector.  Sequences absent from the map get zero (or the
     identity when ``default_identity``)."""
     tens = _block_view(psi, tki, n)
-    out = tens.copy() if default_identity else np.zeros_like(tens)
+    # a real vector under complex matrices gives a complex result
+    dtype = np.result_type(tens, *per_seq.values())
+    out = tens.astype(dtype) if default_identity else np.zeros(tens.shape, dtype)
     seq_shape = (tki.base.dims[0],) * n
     for seq, m in per_seq.items():
         flat = np.ravel_multi_index(seq, seq_shape)
@@ -253,9 +254,9 @@ def cesaro_average(tm: np.ndarray, n: int) -> np.ndarray:
     """(1/N) sum_{k=1..N} T^k, the finite Cesaro average."""
     if n < 1:
         raise ValidationError(f"N = {n} < 1")
-    tm = _as_complex(tm)
+    tm = np.asarray(tm)
     acc = np.zeros_like(tm)
-    power = np.eye(tm.shape[0], dtype=np.complex128)
+    power = np.eye(tm.shape[0], dtype=tm.dtype)
     for _ in range(n):
         power = power @ tm
         acc += power

@@ -20,6 +20,7 @@ from .channels import (
     petz_channel,
     transfer_matrices,
 )
+from .cli import DEFAULT_SEED
 from .entropy import (
     binary_entropy,
     fannes_eta,
@@ -59,8 +60,6 @@ from .reference import (
     min_eig_lower_bound,
     min_nonzero_eigenvalue,
 )
-
-DEFAULT_SEED = 20250101
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ is converted in bulk, as one array.  A file this scan does not accept is
 parsed whole by json.loads and its data walked, to name the first short row
 or bad entry by index (data[i] or data[i][j]), so a rejected file gets the
 same error either way.  Normalization is enforced within 1e-6 and then made
-exact.  Error codes, stable for scripting: SCHEMA_JSON, SCHEMA_FIELD,
+exact.  A state whose imaginary parts are all zero loads as a real one
+(linalg's field rule).  Error codes, stable for scripting: SCHEMA_JSON, SCHEMA_FIELD,
 SCHEMA_VERSION, SCHEMA_KIND, SCHEMA_LAYOUT, SCHEMA_LEN, SCHEMA_ENTRY, NORM,
 TRACE and INVALID_STATE.
 """

@@ -382,6 +382,26 @@ class TestValidateKi:
         rep = validate_ki(dec, st)
         assert rep.ok(), rep
 
+    def test_complex_claim_on_real_state(self, rng):
+        # a real state under a real isometry, claimed as complex block
+        # states: the residual is formed in the claim's field and measures
+        # the whole mismatch, imaginary parts included
+        rho = random_density(layout(("A", 2)), rng)
+        sig = random_density(layout(("C", 2)), rng)
+        st = DensityOp(layout(("A", 2), ("C", 2)), np.kron(rho.mat.real, sig.mat.real))
+        gamma = IsometryOp(SystemLayout([("suppA", 2)]),
+                           SystemLayout([("a0", 1), ("aL", 2), ("aR", 1)]), np.eye(2))
+        dec = KIDecomposition(
+            gamma, np.eye(2),
+            (KIBlock(0, 1.0, 2, 1,
+                     DensityOp(SystemLayout([("aL", 2)]), rho.mat),
+                     DensityOp(SystemLayout([("aR", 1), ("C", 2)]), sig.mat)),),
+            (1, 2, 1), layout(("A", 2)), layout(("C", 2)))
+        rep = validate_ki(dec, st)
+        assert st.mat.dtype == np.float64
+        assert rep.reconstruction_residual == pytest.approx(
+            np.linalg.norm(np.kron(rho.mat, sig.mat) - st.mat), rel=1e-12)
+
     @pytest.mark.parametrize("p, flagged", [(0.5, True), (0.501, False)])
     def test_equal_weight_blocks_intertwined(self, p, flagged, rng):
         # diag(p, 1-p) (x) sigma_C claimed as two 1 x 1 blocks: at p = 1/2 the

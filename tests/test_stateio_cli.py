@@ -2,7 +2,10 @@ import argparse
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
 import sys
 import tracemalloc
 from unittest import mock
@@ -18,6 +21,8 @@ from qmarkov.linalg import (DensityOp, PureVec, SystemLayout, layout, marginal,
                             random_density, random_pure)
 from qmarkov.markov import build_example
 from qmarkov.selftest import CriterionResult
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -153,7 +158,8 @@ def saved_states(draw, kinds=("pure", "mixed")):
         x[zeros] = complex(-0.0, -0.0)
         scale = np.linalg.norm
     else:
-        x = random_density(lay, rng).mat.copy()
+        # complex even at d = 1, where random_density is real
+        x = random_density(lay, rng).mat.astype(np.complex128)
         x.imag[np.diag_indices(d)] = -0.0
         if zeros.any():   # pinching index 0 off the rest keeps x PSD
             x[0, 1:] = x[1:, 0] = complex(-0.0, -0.0)
@@ -289,11 +295,12 @@ def _respell(value, rnd) -> str:
 def _reference_load(text: str) -> np.ndarray:
     """The loaded array by json.loads and the exact-type rule: an object
     array of the int and float leaves cast to doubles, its norm or trace
-    divided out."""
+    divided out, and its real part alone when no imaginary part is nonzero."""
     doc = json.loads(text)
     x = np.array(doc["data"], dtype=object).astype(np.float64).view(np.complex128)[..., 0]
     scale = np.linalg.norm(x) if doc["kind"] == "pure" else np.trace(x).real
-    return x / float(scale)
+    x = x / float(scale)
+    return x if x.imag.any() else x.real.copy()
 
 
 # I/4 on a 2 x 2 layout; "@" marks the number a case spells as its token
@@ -591,7 +598,7 @@ SURFACE = {
                           for case in SURFACE.values()], ids=list(SURFACE))
 def test_report_surface(argv, code, text_keys, json_keys, state_files, capsys,
                         monkeypatch):
-    monkeypatch.setattr(cli, "run_acceptance", lambda seed: [
+    monkeypatch.setattr("qmarkov.selftest.run_acceptance", lambda seed: [
         CriterionResult(1, "fake", True, "ok", 0.0)])
     argv = [arg.format(**state_files) for arg in argv]
     modes = [([], text_keys)] + ([(["--json"], json_keys)] if json_keys else [])
@@ -653,6 +660,22 @@ def test_parser_reused_across_calls(state_files, capsys, monkeypatch):
     assert build_parser() is parser
 
 
+def test_cli_does_not_load_the_acceptance_suite(state_files):
+    # a command other than self-test, in a fresh interpreter, loads neither
+    # the suite nor the dense reference it compares against
+    code = ("import sys\n"
+            "from qmarkov import cli\n"
+            f"assert cli.main(['bounds', {state_files['vib']!r}, '--json']) == 0\n"
+            "print('\\n'.join(sys.modules))\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    loaded = run.stdout.split()
+    assert "qmarkov.cli" in loaded
+    assert "qmarkov.selftest" not in loaded
+    assert "qmarkov.reference" not in loaded
+
+
 class TestCliErrors:
     def test_unknown_label(self, state_files, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch,
@@ -663,14 +686,16 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("label, message", [
         ("Z", "error: unknown labels ['Z']; layout has ('A', 'B', 'C')\n"),
-        ("A", "error: label sets overlap: ['A']\n")], ids=["unknown", "overlap"])
+        ("A", "error: label sets overlap: ['A']\n"),
+        ("B,B", "error: label sets overlap: ['B']\n")],
+        ids=["unknown", "overlap", "repeated"])
     @pytest.mark.parametrize("command", [name for name, cmd in cli.COMMANDS.items()
                                          if cmd.labels])
     def test_parts_checked_at_the_boundary(self, command, label, message, state_files,
                                            capsys, monkeypatch):
-        # the second part names a label outside the layout, or the first
-        # part's default; no command's later steps see it, and C never
-        # silently takes in the real B
+        # the second part names a label outside the layout, the first
+        # part's default, or one label twice; no command's later steps see
+        # it, and C never silently takes in the real B
         extra = ["--n", "2", "--delta", "1", "--rate", "2"] if command == "simulate" else []
         second = cli.COMMANDS[command].labels[1]
         code, out, err = run_cli(capsys, monkeypatch, [command, state_files["vib"],
