@@ -27,7 +27,6 @@ from .linalg import (
     PureVec,
     SystemLayout,
     ValidationError,
-    eigh,
     is_hermitian,
     permute_mat,
     permute_vec,
@@ -36,8 +35,9 @@ from .linalg import (
 # Tolerance for locating the eigenvalue-1 cluster of a Hermitian transfer
 # matrix.  Hermitian spectra are real, so double precision suffices.
 EIG_ONE_TOL = 1e-8
-# Largest entry of T - T† at which a transfer matrix counts as Hermitian.
-TRANSFER_HERM_TOL = 1e-8
+# Largest entry of T - T† at which a transfer matrix counts as Hermitian:
+# whether the spectral route applies and the ergodic projector is defined.
+HERMITICITY_GATE = 1e-9
 # Largest entry of P² - P and P - P† at which P = sum K†K counts as a projector.
 COMPLETENESS_TOL = 1e-7
 # Singular values below sigma_max * this are treated as null when solving
@@ -62,7 +62,7 @@ ZERO_MARGINAL_FLOOR = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map given by a list of Kraus operators (out-dim x in-dim).
+    """CPTP map given by its Kraus operators, stacked (n, out-dim, in-dim).
 
     Trace preservation may hold only on a subspace (the support of the
     state the channel was built from); the completeness sum is then the
@@ -71,15 +71,15 @@ class KrausChannel:
 
     in_layout: SystemLayout
     out_layout: SystemLayout
-    kraus: tuple[np.ndarray, ...] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
 
     def __init__(self, in_layout: SystemLayout, out_layout: SystemLayout,
-                 kraus: Sequence[np.ndarray]):
-        ks = tuple(np.asarray(k) for k in kraus)
+                 kraus: Sequence[np.ndarray] | np.ndarray):
         din, dout = in_layout.dim, out_layout.dim
-        for k in ks:
-            if k.shape != (dout, din):
-                raise DimensionError(f"Kraus shape {k.shape} != ({dout}, {din})")
+        for k in kraus:
+            if np.shape(k) != (dout, din):
+                raise DimensionError(f"Kraus shape {np.shape(k)} != ({dout}, {din})")
+        ks = np.asarray(kraus)
         _require_trace_preserving(ks)
         object.__setattr__(self, "in_layout", in_layout)
         object.__setattr__(self, "out_layout", out_layout)
@@ -93,7 +93,7 @@ def completeness(kraus: Iterable[np.ndarray]) -> np.ndarray:
     return rows.conj().T @ rows
 
 
-def _require_trace_preserving(kraus: Iterable[np.ndarray]) -> None:
+def _require_trace_preserving(kraus: np.ndarray) -> None:
     p = completeness(kraus)
     if not (np.max(np.abs(p @ p - p)) <= COMPLETENESS_TOL
             and is_hermitian(p, COMPLETENESS_TOL)):
@@ -237,7 +237,7 @@ def channel_E(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> KrausCha
     exactly the operations on A that preserve the bipartite state.
     """
     split = _split_density(psi_ac, a, c)
-    return KrausChannel(split.a_layout, split.a_layout, list(_e_family(split.kraus)))
+    return KrausChannel(split.a_layout, split.a_layout, _e_family(split.kraus))
 
 
 def transfer_matrices(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str],
@@ -246,38 +246,55 @@ def transfer_matrices(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str],
 
     T1 = sqrt(Psi_A) (x) conj(sqrt(Psi_A)) is the reshuffled projector onto
     the canonical purification of Psi_A.  T = sum E_kl (x) conj(E_kl) is the
-    channel's transfer matrix, built as the reshuffle of its Choi matrix
-    M M†, where the columns of M are vec(E_kl).
+    channel's transfer matrix (see _transfer).
     """
-    return _transfer(_split_density(psi_ac, a, c))
-
-
-def _transfer(split: Split) -> tuple[np.ndarray, np.ndarray]:
-    """transfer_matrices of a Split."""
-    kraus = split.kraus
-    d_c, d_a = kraus.shape[:2]
+    split = _split_density(psi_ac, a, c)
     s = split.a.sqrt()
-    m = kraus.transpose(1, 3, 0, 2).reshape(d_a * d_a, d_c * d_c)
-    return np.kron(s, s.conj()), reshuffle(m @ m.conj().T, d_a)
+    return np.kron(s, s.conj()), _transfer(split)
+
+
+def _transfer(split: Split) -> np.ndarray:
+    """The transfer matrix T of a Split's A -> A channel, built as the
+    reshuffle of its Choi matrix M M†, where the columns of M are vec(E_kl)."""
+    d_c, d_a = split.kraus.shape[:2]
+    m = split.kraus.transpose(1, 3, 0, 2).reshape(d_a * d_a, d_c * d_c)
+    return reshuffle(m @ m.conj().T, d_a)
 
 
 def ergodic_projector(tm: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the eigenvalue-1 eigenspace of a Hermitian
     transfer matrix (the infinite Cesaro average of its powers)."""
     v = _ergodic_basis(tm)
+    if v is None:
+        raise ValidationError("transfer matrix is not Hermitian; ergodic projector undefined")
     return v @ v.conj().T
 
 
-def _ergodic_basis(tm: np.ndarray) -> np.ndarray:
+def _ergodic_basis(tm: np.ndarray) -> np.ndarray | None:
     """Orthonormal columns V spanning the eigenvalue-1 eigenspace of a
-    Hermitian transfer matrix, so ergodic_projector is V V†."""
-    if not is_hermitian(tm, tol=TRANSFER_HERM_TOL):
-        raise ValidationError("transfer matrix is not Hermitian; ergodic projector undefined")
-    vals, vecs = eigh(tm)
+    transfer matrix T, so ergodic_projector is V V†, or None when T - T†
+    has an entry above HERMITICITY_GATE: the spectral route's one check."""
+    tm = np.asarray(tm)
+    if not is_hermitian(tm, tol=HERMITICITY_GATE):
+        return None
+    vals, vecs = np.linalg.eigh((tm + tm.conj().T) / 2)
     sel = np.abs(vals - 1.0) <= EIG_ONE_TOL
     if not np.any(sel):
         raise ValidationError("no eigenvalue within tolerance of 1; identity is not recovered")
     return vecs[:, sel]
+
+
+def _omega_inf(split: Split) -> np.ndarray | None:
+    """The spectral route's evolved purification R(P T1), None when T fails
+    the Hermiticity gate.  For P = V V† and X_k column k of V as a d_A x d_A
+    matrix, row k of V† T1 is vec(sqrt(Psi_A) X_k sqrt(Psi_A))†: O(k d_A³)."""
+    v = _ergodic_basis(_transfer(split))
+    if v is None:
+        return None
+    d_a = split.a_layout.dim
+    s = split.a.sqrt()
+    rows = (s @ v.T.reshape(-1, d_a, d_a) @ s).reshape(-1, d_a * d_a).conj()
+    return reshuffle(v @ rows, d_a)
 
 
 def _commutant_of_family(gens: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -395,13 +412,12 @@ def apply_kraus(ch: KrausChannel, mat: np.ndarray, layout: SystemLayout,
     clash = set(ch.out_layout.labels) & set(rest)
     if clash:
         raise ValidationError(f"output labels {sorted(clash)} collide with state labels")
-    kraus = np.stack(ch.kraus)
-    n, d_out, d_in = kraus.shape
+    n, d_out, d_in = ch.kraus.shape
     d_rest = layout.dim // d_in
     m = permute_mat(mat, layout, in_labels).reshape(d_in, -1)
-    km = (kraus.reshape(n * d_out, d_in) @ m).reshape(n, d_out, d_rest, d_in, d_rest)
+    km = (ch.kraus.reshape(n * d_out, d_in) @ m).reshape(n, d_out, d_rest, d_in, d_rest)
     km = km.transpose(1, 2, 4, 0, 3).reshape(-1, n * d_in)
-    out = km @ kraus.conj().transpose(0, 2, 1).reshape(n * d_in, d_out)
+    out = km @ ch.kraus.conj().transpose(0, 2, 1).reshape(n * d_in, d_out)
     out = out.reshape(d_out, d_rest, d_rest, d_out).transpose(0, 1, 3, 2)
     out_layout = ch.out_layout + layout.restrict(rest)
     out = out.reshape(d_out * d_rest, d_out * d_rest)

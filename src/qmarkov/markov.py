@@ -2,11 +2,12 @@
 
 Route one evaluates the closed block formula on the Koashi-Imoto
 decomposition of the AC marginal: H({p_j}) + 2 sum_j p_j S(phi_j^aR).
-Route two never touches the decomposition: it builds the transfer matrix
-of the recovery-and-discard channel, gates on its hermiticity, projects
-onto its fixed subspace, and reads the cost off the spectrum of the
-evolved purification.  The two routes must agree wherever the second one
-applies.
+Route two never touches the decomposition: it reads the cost off the
+spectrum of the evolved purification, channels._omega_inf, which builds
+the transfer matrix of the recovery-and-discard channel, gates on its
+hermiticity (channels.HERMITICITY_GATE, the route's only check) and
+projects onto its fixed subspace.  The two routes must agree wherever the
+second one applies.
 
 Also here: the Markov-state predicate and decomposition, Petz
 recoverability residuals, cost bounds against (conditional) mutual
@@ -20,15 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    Split,
-    _ergodic_basis,
-    _split_pure,
-    _transfer,
-    apply_kraus,
-    petz_channel,
-    reshuffle,
-)
+from .channels import Split, _omega_inf, _split_pure, apply_kraus, petz_channel
 from .entropy import ProbDist, qcmi, qmi, shannon, trace_norm, vn_entropy
 from .kidec import (
     KI_RESIDUAL_TOL,
@@ -45,7 +38,6 @@ from .linalg import (
     PureVec,
     SystemLayout,
     ValidationError,
-    is_hermitian,
     marginal,
     partial_trace,
     permute_mat,
@@ -54,8 +46,6 @@ from .linalg import (
     purify,
 )
 
-# Largest entry of Lambda - Lambda† for which the spectral route applies.
-HERMITICITY_GATE = 1e-9
 # Largest disagreement of the two routes' costs, where both apply.
 TWO_ROUTE_TOL = 1e-6
 # Slack of the sandwich I(A:C|B) <= M <= I(A:BC) that bounds_check enforces.
@@ -132,18 +122,6 @@ def _cost_algorithm(split: Split) -> float | None:
         return None
     vals = np.linalg.eigvalsh((omega_inf + omega_inf.conj().T) / 2)
     return shannon(np.clip(vals, 0.0, None))
-
-
-def _omega_inf(split: Split) -> np.ndarray | None:
-    """The evolved purification Omega_inf = R(P T1) of the spectral route,
-    None when the hermiticity gate fails.  With V the eigenvalue-1
-    eigenvectors of the transfer matrix (P = V V†), P T1 is formed as
-    V (V† T1): 2k d_A⁴ flops for k eigenvectors, in place of d_A⁶."""
-    t1, lam = _transfer(split)
-    if not is_hermitian(lam, tol=HERMITICITY_GATE):
-        return None
-    v = _ergodic_basis(lam)
-    return reshuffle(v @ (v.conj().T @ t1), split.a_layout.dim)
 
 
 def is_markov_state(rho: DensityOp, a: Sequence[str] = ("A",),

@@ -83,16 +83,24 @@ class SimResult:
     seed: int | None
 
 
-def _strongly_typical(p, n: int, delta: float):
-    """The length-n sequences with empirical frequencies within delta/|J|
-    of the distribution, zero-probability symbols excluded, with their
-    probabilities, one at a time in lexicographic order."""
+def _sequences(p, n: int):
+    """The weights of p, and its length-n sequences in lexicographic order;
+    more than SEQUENCE_CAP of them raise."""
     w = p.weights if isinstance(p, ProbDist) else ProbDist(p).weights
     k = len(w)
     if k ** n > SEQUENCE_CAP:
         raise ValidationError(f"{k}^{n} sequences exceed the cap {SEQUENCE_CAP}")
+    return w, itertools.product(range(k), repeat=n)
+
+
+def _strongly_typical(p, n: int, delta: float):
+    """The length-n sequences with empirical frequencies within delta/|J|
+    of the distribution, zero-probability symbols excluded, with their
+    probabilities, one at a time in lexicographic order."""
+    w, sequences = _sequences(p, n)
+    k = len(w)
     window = delta / k
-    for seq in itertools.product(range(k), repeat=n):
+    for seq in sequences:
         counts = np.bincount(seq, minlength=k)
         if any(counts[s] > 0 and w[s] <= 0 for s in range(k)):
             continue
@@ -103,14 +111,11 @@ def _strongly_typical(p, n: int, delta: float):
 def weakly_typical_set(p, n: int, delta: float) -> list[tuple[tuple[int, ...], float]]:
     """All length-n sequences whose probability lies in the entropy window
     [2^(-n(H+delta)), 2^(-n(H-delta))]."""
-    w = p.weights if isinstance(p, ProbDist) else ProbDist(p).weights
-    k = len(w)
-    if k ** n > SEQUENCE_CAP:
-        raise ValidationError(f"{k}^{n} sequences exceed the cap {SEQUENCE_CAP}")
+    w, sequences = _sequences(p, n)
     h = shannon(w)
     lo, hi = 2.0 ** (-n * (h + delta)), 2.0 ** (-n * (h - delta))
     out = []
-    for seq in itertools.product(range(k), repeat=n):
+    for seq in sequences:
         prob = float(np.prod(w[np.array(seq)]))
         if lo <= prob <= hi and prob > 0:
             out.append((seq, prob))

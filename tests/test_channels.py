@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmarkov import channels, linalg, markov
 from qmarkov.channels import (
     KrausChannel,
     _commutant_of_family,
+    _ergodic_basis,
+    _omega_inf,
+    _split_pure,
     apply_channel,
     channel_E,
     completeness,
@@ -14,12 +18,15 @@ from qmarkov.channels import (
     reshuffle,
     transfer_matrices,
 )
-from qmarkov.entropy import trace_norm
+from qmarkov.entropy import binary_entropy, trace_norm
 from qmarkov.linalg import (
     DensityOp,
+    DimensionError,
     Eigenpairs,
+    PureVec,
     SystemLayout,
     ValidationError,
+    haar_unitary,
     is_hermitian,
     layout,
     marginal,
@@ -28,7 +35,7 @@ from qmarkov.linalg import (
     random_density,
     random_pure,
 )
-from qmarkov.markov import build_example, recovery_check
+from qmarkov.markov import build_example, markov_cost_algorithm, recovery_check
 from qmarkov.reference import cesaro_average
 
 
@@ -249,6 +256,111 @@ class TestErgodicProjector:
             linf = ergodic_projector(lam)
             assert np.max(np.abs(lam @ linf - linf)) <= 1e-8
 
+
+
+def _rotated(vec: np.ndarray, dims: tuple[int, int, int], rng) -> PureVec:
+    """vec on A (x) B (x) C under independent Haar-random unitaries of the
+    three factors."""
+    t = vec.reshape(dims)
+    for axis, d in enumerate(dims):
+        t = np.moveaxis(np.tensordot(haar_unitary(d, rng), t, axes=(1, axis)), 0, axis)
+    return PureVec(layout(*zip("ABC", dims)), t.reshape(-1))
+
+
+@st.composite
+def rotated_families(draw):
+    """VIA, VIB, VIC or VIB (x) VIB (A = A1 A2, and so on) under random
+    complex local unitaries: T undergoes a unitary similarity, so the
+    spectral route still applies."""
+    kind = draw(st.sampled_from(["VIA", "VIB", "VIC", "VIBxVIB"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "VIA":
+        d = draw(st.integers(2, 3))
+        psi = build_example("VIA", d=d, lam=draw(st.floats(1.0 / d ** 2, 1.0)))
+    elif kind == "VIB":
+        psi = build_example("VIB", d=draw(st.integers(1, 3)), lam=draw(st.floats(0.0, 1.0)))
+    elif kind == "VIC":
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4)))
+        psi = build_example("VIC", lam=w / np.sum(w))
+    else:
+        v1, v2 = (build_example("VIB", d=2, lam=draw(st.floats(0.05, 0.95))).vec
+                  for _ in range(2))
+        v = np.kron(v1, v2).reshape(3, 3, 2, 3, 3, 2).transpose(0, 3, 1, 4, 2, 5)
+        return _rotated(v.reshape(-1), (9, 9, 4), rng)
+    return _rotated(psi.vec, psi.layout.dims, rng)
+
+
+class TestOneHermiticityCheck:
+    """The spectral route decides whether T is Hermitian once, in
+    channels._ergodic_basis, and ergodic_projector refuses exactly there."""
+
+    def test_markov_knows_nothing_of_t(self):
+        for name in ("_transfer", "_ergodic_basis", "reshuffle", "is_hermitian",
+                     "HERMITICITY_GATE"):
+            assert not hasattr(markov, name), name
+        assert not hasattr(channels, "TRANSFER_HERM_TOL")
+
+    def test_spectral_route_checks_once_without_t1(self, monkeypatch):
+        shapes = []
+        check = linalg.is_hermitian
+
+        def counted(m, tol=linalg.HERM_TOL):
+            shapes.append(np.shape(m))
+            return check(m, tol)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        for module in (linalg, channels):
+            monkeypatch.setattr(module, "is_hermitian", counted)
+        monkeypatch.setattr(np, "kron", no_kron)
+        cost = markov_cost_algorithm(build_example("VIB", d=2, lam=0.3))
+        assert shapes.count((9, 9)) == 1
+        assert cost == pytest.approx(binary_entropy(0.3) + 0.6, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rotated_families())
+    def test_omega_inf_is_reshuffled_p_t1(self, psi):
+        d_a = psi.layout.dims[0]
+        t1, t = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        got = _omega_inf(_split_pure(psi, ["A"], ["C"]))
+        if got is None:
+            # T is Hermitian in exact arithmetic, but near a rank drop of
+            # Psi_A (VIB at lambda ~ 1e-9..1e-7) Psi_A^(-1/2) lifts round-off
+            # past the gate; the route and ergodic_projector refuse together
+            with pytest.raises(ValidationError, match="^transfer matrix is not Hermitian"):
+                ergodic_projector(t)
+            return
+        expected = reshuffle(ergodic_projector(t) @ t1, d_a)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_gate_refuses_small_asymmetry(self):
+        psi = build_example("VIB", d=2, lam=0.5)
+        _, t = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        assert is_hermitian(t, tol=1e-12)
+        g = np.random.default_rng(3).standard_normal(t.shape)
+        skew = g - g.T
+        tm = t + skew * (5e-9 / np.max(np.abs(2 * skew)))
+        assert np.max(np.abs(tm - tm.conj().T)) == pytest.approx(5e-9, rel=1e-6)
+        assert _ergodic_basis(tm) is None
+        with pytest.raises(ValidationError, match="^transfer matrix is not Hermitian; "
+                                                  "ergodic projector undefined$"):
+            ergodic_projector(tm)
+
+
+class TestKrausChannel:
+    def test_family_is_one_array(self):
+        psi = build_example("VIB", d=2, lam=0.5)
+        ch = channel_E(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        assert isinstance(ch.kraus, np.ndarray) and ch.kraus.shape == (4, 3, 3)
+        assert len(ch.kraus) == 4 and len(list(ch.kraus)) == 4
+        assert np.array_equal(ch.kraus[1], list(ch.kraus)[1])
+
+    @pytest.mark.parametrize("family", [[np.eye(3)], [np.eye(2), np.eye(3)],
+                                        [np.eye(2), np.ones(2)]])
+    def test_misshaped_or_ragged_family_rejected(self, family):
+        with pytest.raises(DimensionError, match=r"^Kraus shape \(\d+,( \d+)?\) != \(2, 2\)$"):
+            KrausChannel(layout(("A", 2)), layout(("A", 2)), family)
 
 class TestCesaro:
     def test_identity(self):

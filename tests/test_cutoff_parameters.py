@@ -6,13 +6,15 @@ re-derived in one place.  Each such cutoff is a module-level constant,
 read where it is used; this guard names any parameter that comes back.
 A parameter counts as a cutoff when its name contains ``tol`` or ``cap``
 or starts with ``max_``.  The ones kept are parameters callers do set:
-``is_hermitian`` is passed four different tolerances, ``is_markov_state``
+``is_hermitian`` is passed three different tolerances, ``is_markov_state``
 asks about a caller's threshold, and the ``simulate`` array cap is set by
 ``QMARKOV_DIM_CAP`` and by tests.
 
 Every module-level constant named ``*_TOL``, ``*_RTOL``, ``*_FLOOR``,
 ``*_GAP`` or ``*_CAP`` has a row in README's "Conventions and tolerances"
 table, under its module and, when it is a plain number, with its value.
+The other way round, every row of that table names a constant its module
+defines, so a constant that is moved or deleted takes its row along.
 """
 
 import ast
@@ -124,3 +126,46 @@ def test_guard_finds_cutoff_constants():
     }
     assert readme_rows("| `X_TOL` | `a` | 1e-9 | what |\n| `Y` | b | 1 | no |\n") == {
         ("X_TOL", "a"): "1e-9"}
+
+
+def module_constants(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(name, module) of every name assigned at module level in ``sources``."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            found.add((name.id, module))
+    return found
+
+
+def rows_without_constant(rows, sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every README row whose module does not define it,
+    sorted."""
+    defined = module_constants(sources)
+    return sorted(f"{module}.{name}" for name, module in rows if (name, module) not in defined)
+
+
+def test_every_readme_row_names_a_constant():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    rows = readme_rows((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(rows) >= 20
+    stale = rows_without_constant(rows, sources)
+    assert not stale, f"README rows without a constant: {stale}"
+
+
+def test_guard_finds_stale_readme_rows():
+    sources = {
+        "a": "X_TOL = 1e-9\nA_GATE: float = 1e-9\nB_CAP, (C_FLOOR, D) = 1, (2, 3)\n"
+             "def f():\n    INNER_TOL = 1\n",
+        "b": "import math\nOLD_TOL = math.inf\n",
+    }
+    readme = ("| `X_TOL` | `a` | 1e-9 | x |\n| `A_GATE` | `a` | 1e-9 | gate |\n"
+              "| `C_FLOOR` | `a` | 2 | floor |\n| `INNER_TOL` | `a` | 1 | not module level |\n"
+              "| `X_TOL` | `b` | 1e-9 | wrong module |\n| `GONE_TOL` | `b` | 1e-8 | deleted |\n"
+              "| `OLD_TOL` | `b` | inf | kept |\n")
+    assert rows_without_constant(readme_rows(readme), sources) == [
+        "a.INNER_TOL", "b.GONE_TOL", "b.X_TOL"]

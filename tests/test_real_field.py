@@ -13,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarkov import stateio
-from qmarkov.channels import _split_pure, _transfer
+from qmarkov.channels import _omega_inf, _split_pure, transfer_matrices
 from qmarkov.entropy import qcmi, trace_norm
 from qmarkov.kidec import ki_tripartite
-from qmarkov.linalg import HERM_TOL, DensityOp, PureVec, SystemLayout, layout
+from qmarkov.linalg import HERM_TOL, DensityOp, PureVec, SystemLayout, layout, marginal
 from qmarkov.markov import (
-    _omega_inf,
     bounds_check,
     build_example,
     markov_cost_algorithm,
@@ -64,7 +63,7 @@ class TestFieldRule:
         # Omega_inf of the spectral route are all real
         psi = build_example("VIB", d=2, lam=0.3)
         split = _split_pure(psi, ["A"], ["C"])
-        t1, lam = _transfer(split)
+        t1, lam = transfer_matrices(marginal(psi, ["A", "C"]), ["A"], ["C"])
         assert [x.dtype for x in (psi.vec, split.us, split.kraus, t1, lam,
                                   _omega_inf(split))] == [np.float64] * 6
 
