@@ -56,7 +56,7 @@ COMMUTANT_CANDIDATE_RTOL = 1e-8
 # triangular factor.  A chunk holds at least one generator's 2·d²·k entries,
 # up to 2·2048² at the cap, where the solve's own d⁴ arrays are as large.
 COMMUTANT_FOLD_ENTRIES = 2 ** 20
-# Largest entry of the A-marginal below which a split has no recovery map.
+# Largest eigenvalue of the A-marginal below which a split has no recovery map.
 ZERO_MARGINAL_FLOOR = 1e-14
 
 
@@ -113,52 +113,45 @@ def _require_partition(layout: SystemLayout, a: Sequence[str], c: Sequence[str])
         raise ValidationError("A and C labels must partition the layout")
 
 
-def _split_bipartite(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]):
-    """Reorder to (A..., C...) and return (mat, rho_a, ac_layout), rho_a the
-    A-marginal."""
-    a, c = list(a), list(c)
-    _require_partition(psi_ac.layout, a, c)
-    ac_layout = psi_ac.layout.reorder(a + c)
-    d_a, d_c = ac_layout.dim_of(a), ac_layout.dim_of(c)
-    mat = permute_mat(psi_ac.mat, psi_ac.layout, a + c)
-    return mat, np.einsum("iaja->ij", mat.reshape(d_a, d_c, d_a, d_c)), ac_layout
-
-
 @dataclass(frozen=True, eq=False)
 class Split:
-    """A state Psi_AC on A (x) C, in (A, C) order, by one factorization per
-    operator: the eigenpairs ``a`` of its A-marginal ``rho_a`` and ``ac`` of
-    Psi_AC.  The recovery channel, the KI decomposition and the entropies of
-    one query all read them and the one recovery Kraus tensor built from
+    """A state Psi_AC on A (x) C, in (A, C) order, by one factorization:
+    the eigenpairs ``ac`` of Psi_AC and a factor ``us``, Psi_AC = us us†.
+    The eigenpairs ``a`` of the A-marginal, the recovery Kraus tensor built
+    from both, the KI decomposition and the entropies of one query all read
     them.
 
-    Psi_AC is kept as the factor ``us``, Psi_AC = us us†.  From a DensityOp
-    (_split_density) both are eighs, and ``us`` = U sqrt(Lambda) keeps every
-    eigenpair of Psi_AC = U Lambda U†.  From a pure state on A (x) B (x) C
-    (_split_pure), ``ac`` and ``us`` = U S come from the thin SVD Psi = U S V†
-    of the vector as a (AC, B) matrix, and the rows of ``vh`` = V† span supp(Psi_B).
+    From a DensityOp (_split_density) ``ac`` is one eigh, and ``us`` =
+    U sqrt(Lambda) keeps every eigenpair of Psi_AC = U Lambda U†.  From a
+    pure state on A (x) B (x) C (_split_pure), ``ac`` and ``us`` = U S come
+    from the thin SVD Psi = U S V† of the vector as a (AC, B) matrix.
     """
 
     a_layout: SystemLayout
     c_layout: SystemLayout
-    rho_a: np.ndarray = field(repr=False)
-    a: Eigenpairs = field(repr=False)
     ac: Eigenpairs = field(repr=False)
     us: np.ndarray = field(repr=False)
-    vh: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def a(self) -> Eigenpairs:
+        """Eigenpairs of Psi_A = M M†, M = ``us`` as an (A, C·k) matrix, for
+        either input kind: from the SVD of R†, M† = Q R, which keeps the
+        relative accuracy of the small eigenvalues that M M† loses."""
+        m = self.us.reshape(self.a_layout.dim, -1)
+        return Eigenpairs.of_factor(np.linalg.qr(m.conj().T, mode="r").conj().T)
 
     @cached_property
     def kraus(self) -> np.ndarray:
         """The Petz recovery Kraus tensor (see _recovery_kraus), built once."""
-        if np.max(np.abs(self.rho_a)) < ZERO_MARGINAL_FLOOR:
+        if self.a.vals[0] < ZERO_MARGINAL_FLOOR:
             raise ValidationError("marginal on A is numerically zero")
         return _recovery_kraus(self.ac.sqrt(), self.a.inv_sqrt())
 
 
 def _split_density(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Split:
-    """The Split of a bipartite density operator, from one eigh per operator;
-    a pure state's marginal splits its vector (_split_pure) instead.  It is
-    made once per operator and (A, C) labelling and kept on the operator, so
+    """The Split of a bipartite density operator, from one eigh; a pure
+    state's marginal splits its vector (_split_pure) instead.  It is made
+    once per operator and (A, C) labelling and kept on the operator, so
     ki_decompose and validate_ki of one state factorize it once."""
     key = (tuple(a), tuple(c))
     if psi_ac._splits is None:
@@ -169,31 +162,30 @@ def _split_density(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Spl
 
 
 def _new_split(psi_ac: DensityOp, a: Sequence[str], c: Sequence[str]) -> Split:
+    _require_partition(psi_ac.layout, a, c)
     if psi_ac._source is not None:
-        _require_partition(psi_ac.layout, a, c)
         return _split_pure(psi_ac._source, a, c)
-    mat, rho_a, ac_layout = _split_bipartite(psi_ac, a, c)
-    a_pairs, ac = Eigenpairs.of(rho_a), Eigenpairs.of(mat)
-    return Split(ac_layout.restrict(a), ac_layout.restrict(c), rho_a, a_pairs, ac,
+    order = list(a) + list(c)
+    ac_layout = psi_ac.layout.reorder(order)
+    ac = Eigenpairs.of(permute_mat(psi_ac.mat, psi_ac.layout, order))
+    return Split(ac_layout.restrict(a), ac_layout.restrict(c), ac,
                  us=ac.vecs * np.sqrt(np.clip(ac.vals, 0, None)))
 
 
 def _split_pure(psi: PureVec, a: Sequence[str], c: Sequence[str],
                 b: Sequence[str] | None = None) -> Split:
     """The Split of the AC marginal of a pure state: one thin SVD of the
-    vector as a (AC, B) matrix and one eigh of rho_a = M M†, M the vector
-    as an (A, CB) matrix.  B is ``b`` in that order, by default every other
+    vector as a (AC, B) matrix, whose U S is also the factor that Split.a
+    reads Psi_A from.  B is ``b`` in that order, by default every other
     factor in layout order.  The marginals are not validated again."""
     a, c = list(a), list(c)
     if b is None:
         b = [l for l in psi.layout.labels if l not in set(a + c)]
     ordered = permute_vec(psi, a + c + list(b))
-    d_a, d_c = ordered.layout.dim_of(a), ordered.layout.dim_of(c)
-    m = ordered.vec.reshape(d_a, -1)
-    rho_a = m @ m.conj().T
-    u, s, vh = np.linalg.svd(ordered.vec.reshape(d_a * d_c, -1), full_matrices=False)
-    return Split(ordered.layout.restrict(a), ordered.layout.restrict(c), rho_a,
-                 Eigenpairs.of(rho_a), Eigenpairs(s * s, u), us=u * s, vh=vh)
+    d_ac = ordered.layout.dim_of(a + c)
+    u, s, _ = np.linalg.svd(ordered.vec.reshape(d_ac, -1), full_matrices=False)
+    return Split(ordered.layout.restrict(a), ordered.layout.restrict(c),
+                 Eigenpairs(s * s, u), us=u * s)
 
 
 def _recovery_kraus(sqrt_ac: np.ndarray, inv_a: np.ndarray) -> np.ndarray:

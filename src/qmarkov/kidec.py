@@ -23,11 +23,12 @@ factors give every eigenspace of a block the same quantum-factor basis
 (_block_factors, _block_residual) serves this and markov_decomposition, and
 validate_ki's checks are further solves of the same commutant solver.
 
-Every step reads one channels.Split of the AC state: the eigenpairs of the
-A-marginal and of the state, the recovery Kraus tensor built from them, and
-a factor Psi_AC = us us†, from eighs for a density operator and from one
-thin SVD across AC|B for a pure vector (which ki_tripartite never expands).
-Both then take one path, through the block rows of (Gamma (x) I_C) us.
+Every step reads one channels.Split of the AC state: a factor
+Psi_AC = us us† and the eigenpairs of the state, from one eigh for a density
+operator and from one thin SVD across AC|B for a pure vector (which
+ki_tripartite never expands), the eigenpairs of the A-marginal, read off
+that factor, and the recovery Kraus tensor built from them.  Both input
+kinds then take one path, through the block rows of (Gamma (x) I_C) us.
 """
 
 from __future__ import annotations
@@ -125,12 +126,11 @@ class KIDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class TripartiteKI:
-    """Joint decomposition of a pure state: the A-side isometry plus the
-    matching B-side isometry and per-block purifications."""
+    """Joint decomposition of a pure state: the A-side decomposition, the
+    per-block purifications and the B-side dims of their block form, and
+    the fit error of the B-side isometry that maps the state onto it."""
 
     base: KIDecomposition
-    gamma_prime: IsometryOp
-    support_b: np.ndarray = field(repr=False)
     purified_blocks: tuple[tuple[PureVec, PureVec], ...]
     b_dims: tuple[int, int, int]
     residual: float
@@ -339,9 +339,10 @@ def _assemble(split: Split, q, cols) -> KIDecomposition:
     eigenpairs are read off it (eigenvalues S²/p, the first dim_r·d_C
     columns, past which S is zero) and omega is [[1]]."""
     r = q.shape[1]
-    # weights determine the presentation order of the blocks
-    rho_supp = q.conj().T @ split.rho_a @ q
-    weights = [float(np.einsum("lia,ij,lja->", v.conj(), rho_supp, v).real) for v in cols]
+    # weights determine the presentation order of the blocks; q holds the
+    # leading r eigenvectors of Psi_A
+    weights = [float(np.einsum("lia,i,lia->", v.conj(), split.a.vals[:r], v).real)
+               for v in cols]
     # round weights so the declared tie-break applies to numerically equal p
     order = sorted(range(len(cols)), key=lambda i: (
         -round(weights[i], 9), -cols[i].shape[2], -cols[i].shape[0]))
@@ -426,9 +427,11 @@ def validate_ki(dec: KIDecomposition, psi_ac: DensityOp) -> KIValidationReport:
         tens, [(blk.p, blk.omega.mat, blk.phi.mat) for blk in dec.blocks])
 
     supp_proj = dec.support @ dec.support.conj().T
+    m = split.us.reshape(split.a_layout.dim, -1)
+    rho_a = m @ m.conj().T
     isometry = float(max(
         np.max(np.abs(gamma_total.conj().T @ gamma_total - supp_proj)),
-        np.max(np.abs(supp_proj @ split.rho_a @ supp_proj - split.rho_a))))
+        np.max(np.abs(supp_proj @ rho_a @ supp_proj - rho_a))))
 
     slices = [_phi_slices(blk, d_c) for blk in dec.blocks]
     irreducibility = 0.0
@@ -476,8 +479,8 @@ def ki_tripartite(psi: PureVec, a: Sequence[str] = ("A",), b: Sequence[str] = ("
     (arXiv:quant-ph/0304007).  On the trivial structure of a generic state
     (one block, a0 = aL = 1) phi's purification is read off the same SVD,
     so T = X_s column by column, X_s† T is positive diagonal and Gamma' is
-    the identity, with no SVD.  ``residual`` is the fit error,
-    ||(Gamma (x) Gamma')|psi> - T||, on either path; above
+    the identity, with no SVD.  Gamma' itself is not kept: ``residual`` is
+    its fit error, ||(Gamma (x) Gamma')|psi> - T||, on either path; above
     B_SIDE_RESIDUAL_TOL it raises ValidationError.
     """
     if not psi.normalized:
@@ -520,12 +523,7 @@ def _ki_tripartite(split: Split, rng: np.random.Generator | None = None) -> Trip
     else:
         pu, _, pvh = np.linalg.svd(x_s.conj().T @ t, full_matrices=False)
         z = pu @ pvh
-    gamma_prime = IsometryOp(
-        SystemLayout([("suppB", x_s.shape[1])]),
-        SystemLayout(zip(("b0", "bL", "bR"), b_dims)),
-        z.T)
     residual = float(np.linalg.norm(x_s @ z - t))
     if residual > B_SIDE_RESIDUAL_TOL:
         raise ValidationError(f"B-side isometry residual {residual:.3e} exceeds tolerance")
-    return TripartiteKI(base, gamma_prime, split.vh[:r].T, tuple(purified), b_dims,
-                        residual=residual)
+    return TripartiteKI(base, tuple(purified), b_dims, residual=residual)

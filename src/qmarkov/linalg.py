@@ -30,8 +30,10 @@ ISOMETRY_TOL = 1e-8
 LOG_EPS = 1e-12
 # Largest deviation of a state's trace, or a vector's norm, from 1.
 NORM_TOL = 1e-6
-# Eigenvalues below this fraction of the largest are zeroed before a square
-# root, which would lift O(eps) kernel noise to O(sqrt(eps)).
+# Eigenvalues from eigh smaller in magnitude than this fraction of the
+# largest are zeroed: eigh's noise floor, which a square root would lift from
+# O(eps) to O(sqrt(eps)).  Eigenvalues s² of a factor's singular values s
+# have no such floor and are kept.
 SQRT_RTOL = 1e-14
 
 
@@ -143,8 +145,12 @@ class Eigenpairs:
 
     @classmethod
     def of(cls, m: np.ndarray) -> "Eigenpairs":
-        """Eigenpairs of a Hermitian matrix, from one eigh."""
-        return cls(*eigh(m))
+        """Eigenpairs of a Hermitian matrix, from one eigh; eigenvalues
+        smaller in magnitude than SQRT_RTOL times the largest are zeroed."""
+        vals, vecs = eigh(m)
+        if len(vals):
+            vals[np.abs(vals) < vals[0] * SQRT_RTOL] = 0.0
+        return cls(vals, vecs)
 
     @classmethod
     def of_factor(cls, f: np.ndarray) -> "Eigenpairs":
@@ -154,19 +160,11 @@ class Eigenpairs:
 
     def sqrt(self) -> np.ndarray:
         """Hermitian PSD square root; errors on eigenvalues below
-        -HERM_TOL·max(1, largest).
-
-        Eigenvalues within the eigensolver noise floor of zero are zeroed
-        before the root: the square root would otherwise amplify O(eps)
-        noise on exact kernel directions to O(sqrt(eps)).
-        """
+        -HERM_TOL·max(1, largest)."""
         vals = self.vals
         if len(vals) and vals[-1] < -HERM_TOL * max(1.0, float(vals[0])):
             raise ValidationError(f"matrix is not PSD: min eigenvalue {vals[-1]}")
-        vals = np.clip(vals, 0.0, None)
-        if len(vals):
-            vals[vals < vals[0] * SQRT_RTOL] = 0.0
-        return (self.vecs * np.sqrt(vals)) @ self.vecs.conj().T
+        return (self.vecs * np.sqrt(np.clip(vals, 0.0, None))) @ self.vecs.conj().T
 
     def inv_sqrt(self) -> np.ndarray:
         """Inverse square root on the support, zero on the kernel."""

@@ -101,6 +101,24 @@ class TestChannelE:
         assert np.allclose(sorted(vals), [0.0] * (3 - rank) + [1.0] * rank,
                            atol=1e-9)
 
+    @pytest.mark.parametrize("lam", [1e-9, 1e-8])
+    def test_completeness_with_a_faint_ac_mode(self, lam, rng):
+        # Psi_AC has a mode of weight 1e-15, below SQRT_RTOL of the largest,
+        # and Psi_A's small eigenvalue lam comes mostly from another mode:
+        # sqrt(Psi_AC) and Psi_A must keep or drop that mode together, or
+        # the Kraus sum misses the projector by 1e-15 / lam
+        t = np.zeros((2, 3, 2))  # (A, B, C)
+        t[0, 0, 0] = np.sqrt(0.6)
+        t[0, 1, 1] = np.sqrt(0.4 - lam)
+        t[1, 1, 0] = np.sqrt(lam)
+        t[1, 2, 1] = np.sqrt(1e-15)
+        t = np.einsum("ia,jb,kc,abc->ijk", haar_unitary(2, rng), haar_unitary(3, rng),
+                      haar_unitary(2, rng), t / np.linalg.norm(t))
+        psi = PureVec(layout(("A", 2), ("B", 3), ("C", 2)), t.reshape(-1))
+        ch = channel_E(marginal(psi, ["A", "C"]), ["A"], ["C"])
+        vals = np.linalg.eigvalsh(completeness(ch.kraus))
+        assert np.max(np.abs(vals - 1.0)) <= 1e-9
+
     def test_product_gives_identity_channel(self, rng):
         rho = random_density(layout(("A", 3)), rng)
         sig = random_density(layout(("C", 2)), rng)

@@ -477,24 +477,30 @@ class TestTripartite:
             assert tki.residual <= 1e-7
 
     def test_reconstruction_matches_state(self, rng):
+        # the block form purifies the A-side image of the AC marginal, and
+        # a B-side isometry maps the state onto it (Uhlmann), up to the
+        # fit residual
         psi = build_example("VIB", d=2, lam=0.5)
         tki = ki_tripartite(psi, rng=rng)
-        lhs = np.einsum("ax,by,xyc->abc", tki.base.gamma_total,
-                        tki.gamma_prime.mat @ tki.support_b.conj().T,
-                        psi.vec.reshape(3, 3, 2)).reshape(-1)
-        rhs = tki.ki_pure_state()
-        assert np.linalg.norm(lhs - rhs.vec) <= 1e-7
+        big = np.kron(tki.base.gamma_total, np.eye(2))
+        mapped = big @ marginal(psi, ["A", "C"]).mat @ big.conj().T
+        ki_ac = partial_trace(tki.ki_pure_state().density(), ["a0", "aL", "aR", "C"])
+        assert np.max(np.abs(ki_ac.mat - mapped)) <= 1e-8
+        assert tki.residual <= 1e-7
 
     def test_b_side_marginal_form(self, rng):
-        # the B isometry decomposes the BC marginal into the mirrored
-        # block form: weights, then the B-side redundant state, then the
-        # B-side quantum factor with C
+        # the BC marginal of the decomposed state is the mirrored block
+        # form: weights, then the B-side redundant state, then the B-side
+        # quantum factor with C; it has the spectrum of the state's BC
+        # marginal, which the fitted B-side isometry maps onto it
         psi = build_example("VIB", d=2, lam=0.5)
         tki = ki_tripartite(psi, rng=rng)
-        rho_bc = marginal(psi, ["B", "C"])
-        gp = tki.gamma_prime.mat @ tki.support_b.conj().T
-        big = np.kron(gp, np.eye(2))
-        out = big @ rho_bc.mat @ big.conj().T
+        out = partial_trace(tki.ki_pure_state().density(), ["b0", "bL", "bR", "C"]).mat
+        got, want = np.linalg.eigvalsh(out), marginal(psi, ["B", "C"]).spectrum
+        n = max(len(got), len(want))
+        assert np.max(np.abs(np.pad(got, (n - len(got), 0))
+                             - np.pad(want, (n - len(want), 0)))) <= 1e-8
+        assert tki.residual <= 1e-8
         d_b0, d_bl, d_br = tki.b_dims
         tens = out.reshape(d_b0, d_bl, d_br, 2, d_b0, d_bl, d_br, 2)
         model = np.zeros_like(tens)
@@ -532,7 +538,9 @@ class TestTripartite:
         t[:, :2, :] = np.sqrt(1 - weight) * amps / np.linalg.norm(amps)
         t[0, 2, 1] = np.sqrt(weight)
         tki = ki_tripartite(PureVec(layout(("A", 2), ("B", 3), ("C", 2)), t.reshape(-1)))
-        assert tki.support_b.shape[1] == 3
+        ranks = [(om.layout.dim_of(["bL"]), ph.layout.dim_of(["bR"]))
+                 for om, ph in tki.purified_blocks]
+        assert sum(bl * br for bl, br in ranks) == 3
         assert tki.residual <= 1e-8
 
     def test_residual_gate_rejects_a_wrong_target(self, monkeypatch, rng):
